@@ -19,9 +19,10 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from .cocycle import (_dp_applicable, cocycle_from_json, cocycle_profile,
-                      cocycle_to_json, profile_counts, range_distribution,
-                      unbounded_evidence)
+from .cocycle import (cocycle_from_json, cocycle_profile, cocycle_to_json,
+                      crt_primes, interval_steps, profile_counts,
+                      range_distribution, range_histograms,
+                      unbounded_evidence, walk_range_distribution, walk_rule)
 from .entropy import (FAMILIES, Arithmetic, Explicit, ExpScale, Geometric,
                       PolyScale, RangeExpScale, RangeInnerScale, birkhoff_sup,
                       count_bracket, folner_defect, goodwyn_check,
@@ -35,7 +36,7 @@ from .skew import SkewSystem, capacity_A, sandwich_check, skew_sep_direct
 from .symbolic import (DEFAULT_WORD_CAP, spec_from_json, spec_to_json,
                        word_to_str)
 from .util import (CapExceeded, ConfigError, OracleMismatch,
-                   SturmianHorizonError, log_big, parallel_map)
+                   SturmianHorizonError, log_big)
 
 DEFAULT_PAIR_CAP = 2 ** 24
 
@@ -268,17 +269,30 @@ def self_check_capacity(system, epsilon, word_cap):
 
 
 def self_check_distribution(base, tau, word_cap):
-    """Recompute one small range distribution by brute force and compare."""
-    if not _dp_applicable(base, tau):
+    """Recompute two DP range histograms independently and compare.
+
+    n = 6 is checked against brute-force enumeration, and the smallest n
+    whose counts need two CRT primes against the dict DP.  Returns the
+    checked n, or None when the histograms are not computed by the DP.
+    """
+    vals = walk_rule(base, tau)
+    if vals is None:
         return None
     n = 6
-    dist = range_distribution(base, tau, n, word_cap=word_cap)
+    n_crt = 1
+    while len(crt_primes(len(base.labels), n_crt)) < 2:
+        n_crt += 1
+    hists = range_histograms(base, tau, [n, n_crt], word_cap=word_cap)
     brute = Counter(cocycle_profile(tau, w).r
                     for w in base.words(n + 2 * tau.radius, word_cap=word_cap))
-    if dist != dict(brute):
+    if hists[n] != dict(brute):
         raise OracleMismatch("range distribution fast path %r != brute %r "
-                             "at n=%d" % (dist, dict(brute), n))
-    return n
+                             "at n=%d" % (hists[n], dict(brute), n))
+    oracle = walk_range_distribution(base, n_crt - 1, vals)
+    if hists[n_crt] != oracle:
+        raise OracleMismatch("range distribution fast path %r != dict DP %r "
+                             "at n=%d" % (hists[n_crt], oracle, n_crt))
+    return (n, n_crt)
 
 
 def run_self_checks(args, ctx, report, capacity=False, distribution=False):
@@ -291,9 +305,9 @@ def run_self_checks(args, ctx, report, capacity=False, distribution=False):
         if n is not None:
             notes.append("capacity@n=%d" % n)
     if distribution and "base" in ctx and "tau" in ctx:
-        n = self_check_distribution(ctx["base"], ctx["tau"], ctx["word_cap"])
-        if n is not None:
-            notes.append("distribution@n=%d" % n)
+        ns = self_check_distribution(ctx["base"], ctx["tau"], ctx["word_cap"])
+        if ns is not None:
+            notes.append("distribution@n=%d,%d" % ns)
     if notes:
         report.add_verdict("self-check", "PASS", ", ".join(notes))
 
@@ -371,15 +385,13 @@ def _cmd_sep(args, ctx, report):
     epsilon = param(ctx, "epsilon")
     ns = sorted(set(param(ctx, "n_range", [param(ctx, "n", 4)])))
     run_self_checks(args, ctx, report, capacity=True)
-
-    def one(n):
+    rows = []
+    for n in ns:
         sep = skew_sep_direct(system, n, epsilon, word_cap=ctx["word_cap"])
         sep2 = skew_sep_direct(system, n, 2 * epsilon,
                                word_cap=ctx["word_cap"])
         cap = capacity_A(system, n, epsilon, word_cap=ctx["word_cap"])
-        return (n, epsilon, sep, sep2, cap.lower, cap.upper)
-
-    rows = parallel_map(one, ns)
+        rows.append((n, epsilon, sep, sep2, cap.lower, cap.upper))
     report.add_table("sep", ("n", "epsilon", "sep", "sep_2eps",
                              "capacity_lower", "capacity_upper"), rows)
     for n, _e, sep, sep2, lo, hi in rows:
@@ -423,17 +435,26 @@ def _cmd_slow_entropy(args, ctx, report):
     grid = param(ctx, "t_grid")
     threshold = param(ctx, "threshold", 1e-3)
     if isinstance(target, SkewSystem):
-        run_self_checks(args, ctx, report, capacity=True)
+        run_self_checks(args, ctx, report, capacity=True, distribution=True)
+    # the report at n_max and a second look at how the ratios move in n,
+    # on a doubling ladder; each count bracket is computed once
+    ladder = sorted({max(2, n_max >> k) for k in range(4)})
+    ns = sorted(set(ladder) | {n_max})
+    if (base is not None and tau is not None
+            and interval_steps(tau) is not None):
+        # one request for every n: the brackets and the range scales
+        # below read the histograms back from the engine's memo
+        range_histograms(base, tau, ns, word_cap=ctx["word_cap"])
+    brackets = {n: count_bracket(target, n, epsilon, ctx["word_cap"])
+                for n in ns}
     rep = slow_entropy_report(target, scale, epsilon, n_max, grid,
-                              threshold=threshold, word_cap=ctx["word_cap"])
+                              threshold=threshold, word_cap=ctx["word_cap"],
+                              bracket=brackets[n_max])
     report.add_table("ratios", *curves_table(rep))
-    # a second look at how the ratios move in n, on a doubling ladder
-    ns = sorted({max(2, n_max >> k) for k in range(4)})
-    brackets = parallel_map(
-        lambda n: (n, count_bracket(target, n, epsilon, ctx["word_cap"])), ns)
     rows = []
     for t in grid:
-        for n, (lo, hi) in brackets:
+        for n in ladder:
+            lo, hi = brackets[n]
             ls = scale.log_eval(n, float(t))
             rows.append((float(t), n,
                          math.exp(log_big(lo) - ls) if lo else 0.0,

@@ -8,13 +8,20 @@ and the profile of w collects the visited set V = {tau^0, ..., tau^{n-1}},
 its size r, the covering ratio c_m(V) at the cocycle's own bound m, and
 q = r * c_m(V) = |V + {0, ..., m-1}|.
 
-For radius-0 cocycles with steps in {-1, 0, 1} over an SFT or full shift,
-walk_range_distribution computes the histogram of r over the whole
-language by dynamic programming without enumerating words.
+range_histograms is the one source of r histograms over a language.
+For radius-0 cocycles with steps in {-1, 0, 1} over an SFT or full shift
+it runs a dynamic program over (graph node, cur - min, max - cur) instead
+of enumerating words: one vectorized pass serves every requested n, in
+residues modulo word-size primes rebuilt exactly by the CRT.  Results
+are memoized per process.  walk_range_distribution, the same DP on
+Python dicts of big integers, is the oracle it is checked against.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .symbolic import (DEFAULT_WORD_CAP, SFT, FullShift,
                        word_from_str, word_to_str)
@@ -135,9 +142,11 @@ def cocycle_profile(tau, w):
 def walk_range_distribution(spec, steps, values, r_max=None):
     """Histogram {r: word count} of visited-set sizes over L_{steps+1}.
 
-    Valid for radius-0 step rules with values in {-1, 0, 1} on a full
-    shift or SFT: every visited set is then an integer interval, so the
-    state (graph node, cur - min, max - cur) suffices.  steps is n - 1:
+    The reference for range_histograms: the same DP one n at a time, in
+    dicts of Python integers.  Valid for radius-0 step rules with values
+    in {-1, 0, 1} on a full shift or SFT: every visited set is then an
+    integer interval, so the state (graph node, cur - min, max - cur)
+    suffices.  steps is n - 1:
     the last letter of an n-word contributes no step.  With r_max set,
     all mass with range exceeding r_max is returned under key r_max + 1
     (ranges only grow along a word, so the bucket is exact).
@@ -217,29 +226,230 @@ def walk_range_distribution(spec, steps, values, r_max=None):
     return out
 
 
-def _dp_applicable(spec, tau):
-    if tau.radius != 0:
-        return None
+def interval_steps(tau):
+    """The rule as {label: step} when every visited set is an interval.
+
+    A radius-0 rule with steps in {-1, 0, 1} moves the sum by at most one
+    per step, so each visited set V is an integer interval and its size r
+    fixes V up to translation.  None for any other rule.
+    """
     vals = tau.step_values()
-    if any(abs(v) > 1 for v in vals.values()):
-        return None
-    if not isinstance(spec, (FullShift, SFT)):
+    if vals is None or any(abs(v) > 1 for v in vals.values()):
         return None
     return vals
 
 
-def range_distribution(spec, tau, n, word_cap=DEFAULT_WORD_CAP, r_max=None):
-    """{r: count} over L_{n,s}, by DP when possible, else by enumeration."""
-    if n < 1:
+def walk_rule(spec, tau):
+    """{label: step} when the range DP covers (spec, tau), else None.
+
+    The DP needs interval visited sets and a base given by a graph: a
+    full shift or an SFT.  This is the only test of DP against
+    enumeration; range_histograms acts on it and the CLI self-check
+    reads it to know whether there is a DP to check.
+    """
+    if not isinstance(spec, (FullShift, SFT)):
+        return None
+    return interval_steps(tau)
+
+
+# {(base definition, rule definition, word cap or None): {n: {r: count}}};
+# the cap is part of the key only for enumerated histograms, where it can
+# raise CapExceeded.  Process-wide and unlocked: callers are serial.
+_HISTOGRAMS = {}
+
+
+def range_histograms(spec, tau, ns, word_cap=DEFAULT_WORD_CAP):
+    """{n: {r: word count}} over L_{n,s} for every n in ns, memoized.
+
+    Histograms are kept for the life of the process, keyed by what the
+    base and the rule are (their definitions), so equal systems built
+    twice share them.  On the DP's domain (see walk_rule) the requested
+    n beyond the graph's memory K come from one pass of _walk_pass to the
+    largest of them; shorter windows and every other system are
+    enumerated word by word.  Each call returns fresh dicts.
+    """
+    ns = sorted(set(int(n) for n in ns))
+    if ns and ns[0] < 1:
         raise ValueError("n must be >= 1")
-    vals = _dp_applicable(spec, tau)
-    if vals is not None:
-        return walk_range_distribution(spec, n - 1, vals, r_max=r_max)
+    vals = walk_rule(spec, tau)
+    key = (repr(spec), tau.radius, tuple(sorted(tau.rule.items())),
+           None if vals is not None else word_cap)
+    memo = _HISTOGRAMS.setdefault(key, {})
+    todo = [n for n in ns if n not in memo]
+    if vals is None:
+        for n in todo:
+            memo[n] = _enumerated_histogram(spec, tau, n, word_cap)
+    elif todo:
+        base = spec if isinstance(spec, SFT) else SFT(spec.labels, [])
+        missing = [a for a in base.labels if a not in vals]
+        if missing:
+            raise ConfigError("step rule undefined on labels %r" % (missing,))
+        K = base.context
+        for n in todo:
+            if n <= K:
+                memo[n] = _enumerated_histogram(base, tau, n, None)
+        passed = [n for n in todo if n > K]
+        if passed:
+            memo.update(_walk_pass(base, vals, passed))
+    return {n: dict(memo[n]) for n in ns}
+
+
+def _enumerated_histogram(spec, tau, n, word_cap):
     out = {}
     for w in spec.words(n + 2 * tau.radius, word_cap=word_cap):
-        r = cocycle_profile(tau, w).r
-        key = r if r_max is None or r <= r_max else r_max + 1
-        out[key] = out.get(key, 0) + 1
+        r = len(set(ergodic_sums(tau, w)[:-1]))
+        out[r] = out.get(r, 0) + 1
+    return out
+
+
+# Residues are int64 below 2^31.  A step adds at most 2 residues per
+# in-edge of a node into one entry, and an emission adds one per node and
+# out-edge, so nothing comes near 2^63 on any graph that fits in memory.
+_PRIMES = []
+
+
+def _is_prime(m):
+    """Miller-Rabin with bases 2, 3, 5, 7: exact for odd m below 3.2e9."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def crt_primes(k, n):
+    """The largest primes below 2^31, as many as the bound k^n needs.
+
+    No count over L_n of a k-letter base exceeds k^n, so once the
+    primes' product passes k^n the residues fix the count (CRT).
+    """
+    bound = k ** n
+    out = []
+    prod = 1
+    while prod <= bound:
+        if len(out) == len(_PRIMES):
+            cand = (_PRIMES[-1] if _PRIMES else 2 ** 31 + 1) - 2
+            while not _is_prime(cand):
+                cand -= 2
+            _PRIMES.append(cand)
+        out.append(_PRIMES[len(out)])
+        prod *= out[-1]
+    return out
+
+
+def _crt(columns, primes):
+    """Exact values from their residues: columns[i][j] is value j mod primes[i]."""
+    M = math.prod(primes)
+    coef = [(M // p) * pow(M // p, -1, p) for p in primes]
+    return [sum(x * c for x, c in zip(parts, coef)) % M
+            for parts in zip(*columns)]
+
+
+def _walk_pass(base, vals, ns):
+    """{n: {r: count}} for every n in ns, all beyond base.context.
+
+    The state after k steps is the table D[node, a, b] of word counts
+    with a = cur - min and b = max - cur.  Every word of length k + 1
+    ends its last step there, and its one free last letter multiplies by
+    the node's out-degree, so the out-degree-weighted sum of D along the
+    anti-diagonal a + b = r - 1 is the count of range r over L_{k+1}.
+    One pass to max(ns) therefore serves every n.  Counts run as residues
+    modulo crt_primes, one prime at a time in two swapped int64 buffers,
+    and are rebuilt exactly at the end.
+    """
+    states, edges = base.graph()
+    if not states:
+        return {n: {} for n in ns}
+    K = base.context
+    top = max(ns)
+    size = len(states)
+    outdeg = np.array([len(row) for row in edges], dtype=np.int64)
+    # in-edges by step value, split into groups whose targets are distinct
+    # so one fancy-indexed add per group is exact
+    groups = {}
+    for i, row in enumerate(edges):
+        for label, j in row:
+            layers = groups.setdefault(vals[label], [])
+            for src, dst in layers:
+                if j not in dst:
+                    break
+            else:
+                src, dst = [], []
+                layers.append((src, dst))
+            src.append(i)
+            dst.append(j)
+    moves = [(v, np.array(src), np.array(dst))
+             for v in sorted(groups) for src, dst in groups[v]]
+    # the K-letter word of each node is one word with K steps taken
+    first = []
+    for i, u in enumerate(states):
+        a = b = 0
+        for letter in u:
+            v = vals[letter]
+            a, b = max(a + v, 0), max(b - v, 0)
+        first.append((i, a, b))
+    first = tuple(np.array(first).T)
+    emit = {n - 1 - K: n for n in ns}
+    primes = crt_primes(len(base.labels), top)
+    columns = {n: [] for n in ns}
+    # a, b <= k <= top - 1 after k steps
+    cur = np.zeros((size, top, top), dtype=np.int64)
+    nxt = np.zeros_like(cur)
+    for p in primes:
+        cur[...] = 0
+        cur[first] = 1
+        m = K + 1  # side of the square holding every nonzero entry
+        for t in range(top - K):
+            if t in emit:
+                w = np.tensordot(outdeg, cur[:, :m, :m], axes=1) % p
+                # row a shifted right by a puts a + b in one column
+                diag = (np.pad(w, ((0, 0), (0, m))).ravel()[:m * (2 * m - 1)]
+                        .reshape(m, 2 * m - 1).sum(axis=0)[:m] % p)
+                columns[emit[t]].append(diag.tolist())
+            if t == top - 1 - K:
+                break
+            nxt[:, :m + 1, :m + 1] = 0
+            for v, src, dst in moves:
+                q = cur[src, :m, :m]
+                if v == 0:
+                    nxt[dst, :m, :m] += q
+                elif v == 1:
+                    nxt[dst, 1:m + 1, :m - 1] += q[:, :, 1:]
+                    nxt[dst, 1:m + 1, 0] += q[:, :, 0]
+                else:
+                    nxt[dst, :m - 1, 1:m + 1] += q[:, 1:, :]
+                    nxt[dst, 0, 1:m + 1] += q[:, 0, :]
+            nxt[:, :m + 1, :m + 1] %= p
+            cur, nxt = nxt, cur
+            m += 1
+    out = {}
+    for n in ns:
+        counts = _crt(columns[n], primes)
+        out[n] = {r: c for r, c in enumerate(counts, start=1) if c}
+    return out
+
+
+def range_distribution(spec, tau, n, word_cap=DEFAULT_WORD_CAP, r_max=None):
+    """{r: count} over L_{n,s}; with r_max, ranges above it share key r_max + 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    dist = range_histograms(spec, tau, [n], word_cap=word_cap)[n]
+    if r_max is None:
+        return dist
+    out = {}
+    for r, cnt in dist.items():
+        key = r if r <= r_max else r_max + 1
+        out[key] = out.get(key, 0) + cnt
     return out
 
 
@@ -268,6 +478,8 @@ def unbounded_evidence(spec, tau, N, n_values, word_cap=DEFAULT_WORD_CAP):
     verdict on the unboundedness property itself.
     """
     ns = sorted(set(int(n) for n in n_values))
+    # one request, so one DP pass serves every n of the curve
+    range_histograms(spec, tau, ns, word_cap=word_cap)
     curve = [(n, unbounded_profile(spec, tau, N, n, word_cap=word_cap))
              for n in ns]
     flag = all(p >= curve[0][1] for _, p in curve)
@@ -279,13 +491,12 @@ def profile_counts(spec, tau, n, word_cap=DEFAULT_WORD_CAP):
     """{(r, q): count} over L_{n,s} with q = r * c_m(V) as an integer.
 
     Steps in {-1, 0, 1} make every visited set an interval, so q is the
-    function r + m - 1 of r and the DP histogram suffices; otherwise the
-    language is enumerated and each word profiled.
+    function r + m - 1 of r and the range histogram suffices; otherwise
+    q depends on V itself, and each word of the language is profiled.
     """
-    vals = _dp_applicable(spec, tau)
-    if vals is not None:
+    if interval_steps(tau) is not None:
         m = tau.bound
-        dist = walk_range_distribution(spec, n - 1, vals)
+        dist = range_histograms(spec, tau, [n], word_cap=word_cap)[n]
         return {(r, r + m - 1): cnt for r, cnt in dist.items()}
     out = {}
     for w in spec.words(n + 2 * tau.radius, word_cap=word_cap):

@@ -185,20 +185,25 @@ class SlowEntropyReport:
 
 
 def slow_entropy_report(target, scale, epsilon, n_max, t_grid,
-                        threshold=1e-3, word_cap=DEFAULT_WORD_CAP):
+                        threshold=1e-3, word_cap=DEFAULT_WORD_CAP,
+                        bracket=None):
     """Threshold-crossing estimates of the slow-entropy value of t.
 
     t_upper is the largest grid t whose upper ratio at n_max still
     exceeds the threshold (the finite-n stand-in for limsup > 0);
     t_lower uses the lower ratios.  When no grid point clears the
     threshold the defining set is empty at this resolution and the grid
-    minimum is reported with the corresponding empty flag set.
+    minimum is reported with the corresponding empty flag set.  A caller
+    already holding count_bracket(target, n_max, epsilon) passes it as
+    bracket.
     """
     grid = sorted(float(t) for t in t_grid)
     if not grid:
         raise ValueError("empty t grid")
     # one count bracket serves the whole grid; only the scale varies with t
-    lo, hi = count_bracket(target, n_max, epsilon, word_cap)
+    if bracket is None:
+        bracket = count_bracket(target, n_max, epsilon, word_cap)
+    lo, hi = bracket
     llo = log_big(lo) if lo > 0 else None
     lhi = log_big(hi) if hi > 0 else None
     curves = []
@@ -350,7 +355,8 @@ def hamming_ball_count(kF, n, r):
 
     Counts words over kF letters differing from a fixed word in j < r*n
     positions: sum of C(n, j) (kF - 1)^j, the fraction r*n handled
-    exactly so boundary cases never round.
+    exactly so boundary cases never round.  Each term comes from the
+    last by C(n, j+1) = C(n, j) (n - j) / (j + 1); the division is exact.
     """
     if kF < 2 or n < 1:
         raise ValueError("need kF >= 2 and n >= 1")
@@ -362,7 +368,12 @@ def hamming_ball_count(kF, n, r):
     else:
         jmax = math.floor(rn)
     jmax = min(jmax, n)
-    return sum(math.comb(n, j) * (kF - 1) ** j for j in range(jmax + 1))
+    total = 0
+    term = 1
+    for j in range(jmax + 1):
+        total += term
+        term = term * (n - j) * (kF - 1) // (j + 1)
+    return total
 
 
 def hamming_exponent(kF, r):

@@ -30,10 +30,9 @@ on finite data, inferring the minimal constant E from the run.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cocycle import Cocycle, walk_range_distribution
+from .cocycle import Cocycle, interval_steps, range_histograms
 from .fiber import SymbolicFiber, sep_count, spa_bracket
-from .symbolic import (DEFAULT_WORD_CAP, SFT, FullShift, WindowPoint,
-                       language_on, rho)
+from .symbolic import DEFAULT_WORD_CAP, WindowPoint, language_on, rho
 from .util import CapExceeded, ConfigError
 
 
@@ -303,9 +302,11 @@ def capacity_A(sys, n, epsilon, word_cap=DEFAULT_WORD_CAP,
 
     Each word's spanning count is carried as the bracket
     [sep(T, V, 2 eps), sep(T, V, eps)] and the sums keep both endpoints.
-    When the cocycle is a radius-0 step walk on an SFT or full shift and
-    the fiber's counts only depend on the translation class of V (always
-    an interval here), the range-distribution DP replaces enumeration.
+    When every visited set is an interval (a radius-0 rule with steps in
+    {-1, 0, 1}) and the fiber's counts only depend on the translation
+    class of V, the words are grouped by their range r through
+    range_histograms, which picks DP or enumeration itself.
+    force_enumeration walks the words one by one instead.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -313,15 +314,10 @@ def capacity_A(sys, n, epsilon, word_cap=DEFAULT_WORD_CAP,
     if e <= 0:
         raise ValueError("epsilon must be positive")
     tau = sys.tau
-    vals = tau.step_values() if tau.radius == 0 else None
-    dp_ok = (not force_enumeration
-             and vals is not None
-             and all(abs(v) <= 1 for v in vals.values())
-             and isinstance(sys.base, (FullShift, SFT))
-             and sys.fiber.translation_invariant)
     lower = upper = 0
-    if dp_ok:
-        dist = walk_range_distribution(sys.base, n - 1, vals)
+    if (not force_enumeration and interval_steps(tau) is not None
+            and sys.fiber.translation_invariant):
+        dist = range_histograms(sys.base, tau, [n], word_cap=word_cap)[n]
         for r, cnt in sorted(dist.items()):
             lo, hi = spa_bracket(sys.fiber, range(r), e)
             lower += cnt * lo

@@ -1,8 +1,6 @@
-"""Shared plumbing: error types, big-integer logs, capped parallel map."""
+"""Shared plumbing: error types and big-integer logs."""
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 
 class CapExceeded(RuntimeError):
@@ -49,26 +47,3 @@ def log_sum_exp(terms):
         return -math.inf
     return m + math.log(math.fsum(math.exp(t - m) for t in terms))
 
-
-def thread_count():
-    """Worker count from ENTROSCOPE_THREADS; defaults to 1 (serial)."""
-    raw = os.environ.get("ENTROSCOPE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError("ENTROSCOPE_THREADS must be an integer, got %r" % raw)
-    return max(1, n)
-
-
-def parallel_map(fn, items):
-    """Map fn over items, optionally threaded, always in input order.
-
-    The reduction order is the input order regardless of worker count, so
-    results (including big-integer sums built from them) are deterministic.
-    """
-    items = list(items)
-    workers = thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

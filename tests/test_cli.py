@@ -183,3 +183,54 @@ def test_oracle_mismatch_exits_4(monkeypatch, capsys):
     rc = main(["sep", "--preset", "tt-inverse", "--n-range", "2:3"])
     assert rc == 4
     assert "internal inconsistency" in capsys.readouterr().err
+
+
+def _crt_off_by_one(real):
+    def crooked(columns, primes):
+        return [v + (len(primes) > 1) for v in real(columns, primes)]
+    return crooked
+
+
+def _pass_off_by_one_past_6(real):
+    def crooked(base, vals, ns):
+        out = real(base, vals, ns)
+        for n, hist in out.items():
+            if n > 6:
+                hist[1] = hist.get(1, 0) + 1
+        return out
+    return crooked
+
+
+@pytest.mark.parametrize("name, plant, oracle", [
+    # a fault in two-prime rebuilds; the check's one pass to n = 31 uses
+    # two primes for n = 6 as well, so brute force sees it first
+    ("_crt", _crt_off_by_one, "brute"),
+    # a fault past n = 6, where only the dict DP can see it
+    ("_walk_pass", _pass_off_by_one_past_6, "dict DP"),
+])
+def test_distribution_self_check_mismatch_exits_4(monkeypatch, capsys, name,
+                                                  plant, oracle):
+    from entroscope import cocycle
+    monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
+    monkeypatch.setattr(cocycle, name, plant(getattr(cocycle, name)))
+    assert main(["cocycle-stats", "--preset", "tt-inverse"]) == 4
+    err = capsys.readouterr().err
+    assert "internal inconsistency" in err and oracle in err
+
+
+def test_slow_entropy_computes_each_bracket_once(monkeypatch, capsys):
+    from entroscope import cli, entropy
+    seen = []
+    real = entropy.count_bracket
+
+    def counting(target, n, epsilon, *args, **kwargs):
+        seen.append(n)
+        return real(target, n, epsilon, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "count_bracket", counting)
+    monkeypatch.setattr(entropy, "count_bracket", counting)
+    assert main(["slow-entropy", "--preset", "tt-inverse",
+                 "--n-max", "40"]) == 0
+    assert sorted(seen) == [5, 10, 20, 40]
+    out = capsys.readouterr().out
+    assert "CHECK self-check: PASS (capacity@n=3, distribution@n=6,31)" in out

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entroscope import cocycle
 from entroscope.cocycle import (Cocycle, c_m, cocycle_from_json,
                                 cocycle_profile, cocycle_to_json,
-                                ergodic_sums, profile_counts,
-                                range_distribution, unbounded_evidence,
-                                unbounded_profile, walk_range_distribution)
+                                crt_primes, ergodic_sums, profile_counts,
+                                range_distribution, range_histograms,
+                                unbounded_evidence, unbounded_profile,
+                                walk_range_distribution)
 from entroscope.symbolic import SFT, FullShift, Product, Sturmian
 from entroscope.exactnum import GOLDEN_MEAN_ALPHA
 from entroscope.util import ConfigError
@@ -187,3 +189,62 @@ def test_cocycle_json_round_trip():
 def test_dp_total_mass_is_language_size(n):
     dp = walk_range_distribution(GOLDEN, n - 1, {-1: -1, 1: 1})
     assert sum(dp.values()) == GOLDEN.count(n)
+
+
+# -- the range-histogram engine against the dict DP ----------------------------
+
+STEP = st.sampled_from((-1, 0, 1))
+
+
+# forbidden words of length 2 to 5: a forbidden letter leaves a one-letter
+# walk, and most draws with one would test nothing
+@settings(deadline=None, max_examples=25)
+@given(st.lists(st.lists(st.sampled_from((-1, 1)), min_size=2, max_size=5),
+                max_size=3),
+       STEP, STEP, st.sets(st.integers(1, 24), max_size=3),
+       st.integers(31, 36))
+def test_engine_matches_dict_dp_on_random_sfts(forbidden, down, up, ns,
+                                               n_crt):
+    base = SFT((-1, 1), forbidden)
+    tau = Cocycle({(-1,): down, (1,): up})
+    assert len(crt_primes(2, n_crt)) >= 2  # CRT combines two primes here
+    got = range_histograms(base, tau, ns | {n_crt})
+    for n in ns | {n_crt}:
+        assert got[n] == walk_range_distribution(base, n - 1,
+                                                 tau.step_values()), n
+
+
+def test_engine_counts_past_one_prime_exactly():
+    # at n = 64 single counts of the sign walk exceed 2^31
+    p = crt_primes(2, 1)[0]
+    got = range_histograms(SIGNS, SIGN, [64])[64]
+    want = walk_range_distribution(SIGNS, 63, {-1: -1, 1: 1})
+    assert got == want and max(want.values()) > p
+    assert sum(got.values()) == 2 ** 64
+
+
+def test_engine_serves_repeat_requests_from_its_memo(monkeypatch):
+    monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
+    passes = []
+    real = cocycle._walk_pass
+
+    def counting(base, vals, ns):
+        passes.append(sorted(ns))
+        return real(base, vals, ns)
+
+    monkeypatch.setattr(cocycle, "_walk_pass", counting)
+    first = range_histograms(SIGNS, SIGN, [40, 10, 20])
+    assert passes == [[10, 20, 40]]
+    # an equal system built afresh hits the memo: keys are definitions
+    again = range_histograms(FullShift((-1, 1)),
+                             Cocycle({(1,): 1, (-1,): -1}), [20, 40])
+    assert again == {20: first[20], 40: first[40]}
+    assert range_distribution(SIGNS, SIGN, 10) == first[10]
+    assert profile_counts(SIGNS, SIGN, 40) == {(r, r): c
+                                               for r, c in first[40].items()}
+    assert passes == [[10, 20, 40]]
+    # callers get copies, never the memo itself
+    again[20].clear()
+    assert range_histograms(SIGNS, SIGN, [20])[20] == first[20]
+    range_histograms(SIGNS, SIGN, [10, 50])
+    assert passes == [[10, 20, 40], [50]]

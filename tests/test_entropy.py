@@ -173,6 +173,18 @@ def test_hamming_ball_small_counts():
         hamming_ball_count(2, 4, 0)
 
 
+def test_hamming_ball_count_matches_binomial_sum():
+    # radii with r*n an integer sit on the strict boundary j < r*n
+    for k in (2, 3, 5):
+        for n in range(1, 21):
+            radii = [Fraction(j, n) for j in range(1, n + 1)]
+            radii += [Fraction(3, 10), Fraction(1, 3), Fraction(3, 2)]
+            for r in radii:
+                want = sum(math.comb(n, j) * (k - 1) ** j
+                           for j in range(n + 1) if j < r * n)
+                assert hamming_ball_count(k, n, r) == want, (k, n, r)
+
+
 def test_hamming_exponent_domain_and_endpoint():
     assert math.isclose(hamming_exponent(2, Fraction(1, 2)), LOG2)
     with pytest.raises(ValueError):

@@ -201,6 +201,8 @@ def test_capacity_sturmian_base():
                      SymbolicFiber(FullShift(2)))
     cb = capacity_A(sys, 10, QUARTER)
     assert (cb.lower, cb.upper) == (832, 3328)
+    slow = capacity_A(sys, 10, QUARTER, force_enumeration=True)
+    assert (slow.lower, slow.upper) == (832, 3328)
 
 
 def test_capacity_validation():
