@@ -32,7 +32,8 @@ from .fiber import fiber_from_json, fiber_to_json
 from .presets import float_grid, get_preset, preset_names
 from .reports import (Report, curves_table, distribution_table, k_table,
                       pairs_table, profile_table, sandwich_table, words_table)
-from .skew import SkewSystem, capacity_A, sandwich_check, skew_sep_direct
+from .skew import (SkewSystem, capacity_A, request_histograms, sandwich_check,
+                   skew_sep_direct)
 from .symbolic import (DEFAULT_WORD_CAP, spec_from_json, spec_to_json,
                        word_to_str)
 from .util import (CapExceeded, ConfigError, OracleMismatch,
@@ -252,20 +253,27 @@ def echo_params(ctx):
 # runtime self-checks (fast path vs defining enumeration; exit 4)
 
 
-def self_check_capacity(system, epsilon, word_cap):
-    """Recompute one small capacity bracket by enumeration and compare."""
+def self_check_skew(system, epsilon, word_cap):
+    """Recompute capacity_A and skew_sep_direct at n = 3 by enumeration.
+
+    Returns a note per check made.  A check is skipped where its count is
+    out of reach: a cap, a Sturmian horizon, or a system without exact
+    skew counts.
+    """
     n = 3
-    try:
-        fast = capacity_A(system, n, epsilon, word_cap=word_cap)
-        slow = capacity_A(system, n, epsilon, word_cap=word_cap,
-                          force_enumeration=True)
-    except (CapExceeded, SturmianHorizonError):
-        return None
-    if (fast.lower, fast.upper) != (slow.lower, slow.upper):
-        raise OracleMismatch(
-            "capacity fast path (%d, %d) != enumeration (%d, %d) at n=%d"
-            % (fast.lower, fast.upper, slow.lower, slow.upper, n))
-    return n
+    notes = []
+    for name, count in (("capacity", capacity_A), ("sep", skew_sep_direct)):
+        try:
+            fast = count(system, n, epsilon, word_cap=word_cap)
+            slow = count(system, n, epsilon, word_cap=word_cap,
+                         force_enumeration=True)
+        except (CapExceeded, SturmianHorizonError, ConfigError):
+            continue
+        if fast != slow:
+            raise OracleMismatch("%s fast path %r != enumeration %r at n=%d"
+                                 % (name, fast, slow, n))
+        notes.append("%s@n=%d" % (name, n))
+    return notes
 
 
 def self_check_distribution(base, tau, word_cap):
@@ -295,15 +303,13 @@ def self_check_distribution(base, tau, word_cap):
     return (n, n_crt)
 
 
-def run_self_checks(args, ctx, report, capacity=False, distribution=False):
+def run_self_checks(args, ctx, report, skew=False, distribution=False):
     if getattr(args, "no_self_check", False):
         return
     notes = []
-    if capacity and "system" in ctx:
-        n = self_check_capacity(ctx["system"], param(ctx, "epsilon"),
-                                ctx["word_cap"])
-        if n is not None:
-            notes.append("capacity@n=%d" % n)
+    if skew and "system" in ctx:
+        notes += self_check_skew(ctx["system"], param(ctx, "epsilon"),
+                                 ctx["word_cap"])
     if distribution and "base" in ctx and "tau" in ctx:
         ns = self_check_distribution(ctx["base"], ctx["tau"], ctx["word_cap"])
         if ns is not None:
@@ -384,7 +390,9 @@ def _cmd_sep(args, ctx, report):
     system = need(ctx, "system", "a full skew system")
     epsilon = param(ctx, "epsilon")
     ns = sorted(set(param(ctx, "n_range", [param(ctx, "n", 4)])))
-    run_self_checks(args, ctx, report, capacity=True)
+    run_self_checks(args, ctx, report, skew=True)
+    request_histograms(system, ns, (epsilon, 2 * epsilon),
+                       word_cap=ctx["word_cap"])
     rows = []
     for n in ns:
         sep = skew_sep_direct(system, n, epsilon, word_cap=ctx["word_cap"])
@@ -411,7 +419,7 @@ def _cmd_sandwich(args, ctx, report):
     system = need(ctx, "system", "a full skew system")
     epsilon = param(ctx, "epsilon")
     ns = param(ctx, "n_range")
-    run_self_checks(args, ctx, report, capacity=True)
+    run_self_checks(args, ctx, report, skew=True)
     result = sandwich_check(system, ns, epsilon, word_cap=ctx["word_cap"])
     report.add_table("sandwich", *sandwich_table(result))
     verdict = "PASS" if result["pass"] else "FAIL"
@@ -435,7 +443,7 @@ def _cmd_slow_entropy(args, ctx, report):
     grid = param(ctx, "t_grid")
     threshold = param(ctx, "threshold", 1e-3)
     if isinstance(target, SkewSystem):
-        run_self_checks(args, ctx, report, capacity=True, distribution=True)
+        run_self_checks(args, ctx, report, skew=True, distribution=True)
     # the report at n_max and a second look at how the ratios move in n,
     # on a doubling ladder; each count bracket is computed once
     ladder = sorted({max(2, n_max >> k) for k in range(4)})

@@ -8,20 +8,20 @@ and the profile of w collects the visited set V = {tau^0, ..., tau^{n-1}},
 its size r, the covering ratio c_m(V) at the cocycle's own bound m, and
 q = r * c_m(V) = |V + {0, ..., m-1}|.
 
-range_histograms is the one source of r histograms over a language.
-For radius-0 cocycles with steps in {-1, 0, 1} over an SFT or full shift
-it runs a dynamic program over (graph node, cur - min, max - cur) instead
-of enumerating words: one vectorized pass serves every requested n, in
+range_histograms is the one source of r histograms over a language,
+optionally over the middle window of longer words (pad).  For radius-0
+cocycles with steps in {-1, 0, 1} over an SFT or full shift it runs a
+dynamic program over (graph node, cur - min, max - cur) instead of
+enumerating words: one vectorized pass serves every requested n, in
 residues modulo word-size primes rebuilt exactly by the CRT.  Results
 are memoized per process.  walk_range_distribution, the same DP on
 Python dicts of big integers, is the oracle it is checked against.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .symbolic import (DEFAULT_WORD_CAP, SFT, FullShift,
                        word_from_str, word_to_str)
@@ -252,33 +252,40 @@ def walk_rule(spec, tau):
     return interval_steps(tau)
 
 
-# {(base definition, rule definition, word cap or None): {n: {r: count}}};
-# the cap is part of the key only for enumerated histograms, where it can
-# raise CapExceeded.  Process-wide and unlocked: callers are serial.
+# {(base definition, rule definition, word cap or None, pad):
+#  {n: {r: count}}}; the cap is part of the key only for enumerated
+# histograms, where it can raise CapExceeded.  Process-wide and unlocked:
+# callers are serial.
 _HISTOGRAMS = {}
 
 
-def range_histograms(spec, tau, ns, word_cap=DEFAULT_WORD_CAP):
-    """{n: {r: word count}} over L_{n,s} for every n in ns, memoized.
+def range_histograms(spec, tau, ns, word_cap=DEFAULT_WORD_CAP, pad=0):
+    """{n: {r: word count}} for every n in ns, memoized.
 
-    Histograms are kept for the life of the process, keyed by what the
-    base and the rule are (their definitions), so equal systems built
-    twice share them.  On the DP's domain (see walk_rule) the requested
-    n beyond the graph's memory K come from one pass of _walk_pass to the
-    largest of them; shorter windows and every other system are
-    enumerated word by word.  Each call returns fresh dicts.
+    With pad = 0 the words are L_{n,s}.  With pad = p they are the words
+    of L_{n+2p,s}, each counted by the range of its middle window of
+    n (+ 2s) letters: the base windows a skew separated count at
+    rho(eps) = p ranges over.  Histograms are kept for the life of the
+    process, keyed by what the base and the rule are (their definitions),
+    so equal systems built twice share them.  On the DP's domain (see
+    walk_rule) the requested n with n + pad beyond the graph's memory K
+    come from one pass of _walk_pass to the largest of them; shorter
+    windows and every other system are enumerated word by word.  Each
+    call returns fresh dicts.
     """
     ns = sorted(set(int(n) for n in ns))
     if ns and ns[0] < 1:
         raise ValueError("n must be >= 1")
+    if pad < 0:
+        raise ValueError("pad must be >= 0")
     vals = walk_rule(spec, tau)
     key = (repr(spec), tau.radius, tuple(sorted(tau.rule.items())),
-           None if vals is not None else word_cap)
+           None if vals is not None else word_cap, pad)
     memo = _HISTOGRAMS.setdefault(key, {})
     todo = [n for n in ns if n not in memo]
     if vals is None:
         for n in todo:
-            memo[n] = _enumerated_histogram(spec, tau, n, word_cap)
+            memo[n] = _enumerated_histogram(spec, tau, n, word_cap, pad)
     elif todo:
         base = spec if isinstance(spec, SFT) else SFT(spec.labels, [])
         missing = [a for a in base.labels if a not in vals]
@@ -286,25 +293,29 @@ def range_histograms(spec, tau, ns, word_cap=DEFAULT_WORD_CAP):
             raise ConfigError("step rule undefined on labels %r" % (missing,))
         K = base.context
         for n in todo:
-            if n <= K:
-                memo[n] = _enumerated_histogram(base, tau, n, None)
-        passed = [n for n in todo if n > K]
+            if n + pad <= K:
+                memo[n] = _enumerated_histogram(base, tau, n, None, pad)
+        passed = [n for n in todo if n + pad > K]
         if passed:
-            memo.update(_walk_pass(base, vals, passed))
+            memo.update(_walk_pass(base, vals, passed, pad))
     return {n: dict(memo[n]) for n in ns}
 
 
-def _enumerated_histogram(spec, tau, n, word_cap):
+def _enumerated_histogram(spec, tau, n, word_cap, pad):
+    width = n + 2 * tau.radius
+    middles = Counter(w[pad:pad + width]
+                      for w in spec.words(width + 2 * pad, word_cap=word_cap))
     out = {}
-    for w in spec.words(n + 2 * tau.radius, word_cap=word_cap):
+    for w, cnt in middles.items():
         r = len(set(ergodic_sums(tau, w)[:-1]))
-        out[r] = out.get(r, 0) + 1
+        out[r] = out.get(r, 0) + cnt
     return out
 
 
 # Residues are int64 below 2^31.  A step adds at most 2 residues per
-# in-edge of a node into one entry, and an emission adds one per node and
-# out-edge, so nothing comes near 2^63 on any graph that fits in memory.
+# in-edge of a node into one entry, and an emission sums one product below
+# 2^47 per node (see _walk_pass), so nothing comes near 2^63 on any graph
+# with fewer than 2^16 nodes, far more than fit in memory at useful n.
 _PRIMES = []
 
 
@@ -355,25 +366,50 @@ def _crt(columns, primes):
             for parts in zip(*columns)]
 
 
-def _walk_pass(base, vals, ns):
-    """{n: {r: count}} for every n in ns, all beyond base.context.
+def _path_counts(edges, length, into):
+    """Paths of the given length into (into=True) or out of each node."""
+    counts = [1] * len(edges)
+    for _ in range(length):
+        nxt = [0] * len(edges)
+        for i, row in enumerate(edges):
+            for _label, j in row:
+                if into:
+                    nxt[j] += counts[i]
+                else:
+                    nxt[i] += counts[j]
+        counts = nxt
+    return counts
 
-    The state after k steps is the table D[node, a, b] of word counts
-    with a = cur - min and b = max - cur.  Every word of length k + 1
-    ends its last step there, and its one free last letter multiplies by
-    the node's out-degree, so the out-degree-weighted sum of D along the
-    anti-diagonal a + b = r - 1 is the count of range r over L_{k+1}.
-    One pass to max(ns) therefore serves every n.  Counts run as residues
-    modulo crt_primes, one prime at a time in two swapped int64 buffers,
-    and are rebuilt exactly at the end.
+
+def _walk_pass(base, vals, ns, pad):
+    """{n: {r: count}} for every n in ns, all with n + pad beyond base.context.
+
+    Counts the words of L_{n+2pad} by the range of their middle n-window.
+    The state after k steps is the table D[node, a, b] of weighted word
+    counts with a = cur - min and b = max - cur.  It starts at each node
+    with the steps among the node's own letters (its last K - pad, when
+    pad < K) and with the node's left weight: the number of words of
+    length max(K, pad) ending in it, that is paths of length
+    max(0, pad - K) into it.  A middle window's last letter carries no
+    step, and pad more letters follow it, so once the window's n - 1
+    steps are taken, the sum of D weighted by each node's paths of length
+    pad + 1 out of it, along the anti-diagonal a + b = r - 1, is the
+    count of range r.  At pad = 0 the left weights are 1 and the right
+    ones the out-degrees.  One pass to max(ns) therefore serves every n.
+    Counts run as residues modulo crt_primes, one prime at a time in two
+    swapped int64 buffers, and are rebuilt exactly at the end.
     """
+    import numpy as np  # only the range pass needs it
+
     states, edges = base.graph()
     if not states:
         return {n: {} for n in ns}
     K = base.context
+    own = max(0, K - pad)  # steps among the start nodes' letters
     top = max(ns)
     size = len(states)
-    outdeg = np.array([len(row) for row in edges], dtype=np.int64)
+    left = _path_counts(edges, max(0, pad - K), into=True)
+    right = _path_counts(edges, pad + 1, into=False)
     # in-edges by step value, split into groups whose targets are distinct
     # so one fancy-indexed add per group is exact
     groups = {}
@@ -390,33 +426,40 @@ def _walk_pass(base, vals, ns):
             dst.append(j)
     moves = [(v, np.array(src), np.array(dst))
              for v in sorted(groups) for src, dst in groups[v]]
-    # the K-letter word of each node is one word with K steps taken
     first = []
     for i, u in enumerate(states):
         a = b = 0
-        for letter in u:
+        for letter in u[K - own:]:
             v = vals[letter]
             a, b = max(a + v, 0), max(b - v, 0)
         first.append((i, a, b))
     first = tuple(np.array(first).T)
-    emit = {n - 1 - K: n for n in ns}
-    primes = crt_primes(len(base.labels), top)
+    emit = {n - 1 - own: n for n in ns}
+    primes = crt_primes(len(base.labels), top + 2 * pad)
     columns = {n: [] for n in ns}
     # a, b <= k <= top - 1 after k steps
     cur = np.zeros((size, top, top), dtype=np.int64)
     nxt = np.zeros_like(cur)
     for p in primes:
+        # a right weight and an entry are each below 2^31, so the weights
+        # go in 16-bit halves and every product stays below 2^47
+        weights = np.array([w % p for w in right], dtype=np.int64)
+        low, high = weights & 0xFFFF, weights >> 16
         cur[...] = 0
-        cur[first] = 1
-        m = K + 1  # side of the square holding every nonzero entry
-        for t in range(top - K):
+        cur[first] = [w % p for w in left]
+        m = own + 1  # side of the square holding every nonzero entry
+        for t in range(top - own):
             if t in emit:
-                w = np.tensordot(outdeg, cur[:, :m, :m], axes=1) % p
+                block = cur[:, :m, :m]
+                w = np.tensordot(low, block, axes=1) % p
+                if high.any():
+                    w = (w + np.tensordot(high, block, axes=1) % p
+                         * 0x10000) % p
                 # row a shifted right by a puts a + b in one column
                 diag = (np.pad(w, ((0, 0), (0, m))).ravel()[:m * (2 * m - 1)]
                         .reshape(m, 2 * m - 1).sum(axis=0)[:m] % p)
                 columns[emit[t]].append(diag.tolist())
-            if t == top - 1 - K:
+            if t == top - 1 - own:
                 break
             nxt[:, :m + 1, :m + 1] = 0
             for v, src, dst in moves:

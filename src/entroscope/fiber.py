@@ -25,9 +25,10 @@ import math
 from fractions import Fraction
 
 from .exactnum import QuadExact, frac_exact
-from .symbolic import (DEFAULT_WORD_CAP, WindowPoint, complexity,
-                       language_on, rho, spec_from_json, spec_to_json,
-                       subshift_close, subshift_distance)
+from .symbolic import (DEFAULT_WORD_CAP, WindowPoint, _num_from_json,
+                       _num_to_json, complexity, language_on, rho,
+                       spec_from_json, spec_to_json, subshift_close,
+                       subshift_distance)
 from .util import CapExceeded, ConfigError
 
 
@@ -370,20 +371,6 @@ def rotation_spa_analytic(epsilon):
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def _num_to_json(x):
-    if isinstance(x, QuadExact):
-        if x.is_rational:
-            return str(x.as_fraction())
-        return {"a": str(x.a), "b": str(x.b), "d": x.d}
-    return str(Fraction(x))
-
-
-def _num_from_json(doc):
-    if isinstance(doc, dict):
-        return QuadExact(Fraction(doc["a"]), Fraction(doc["b"]), int(doc["d"]))
-    return Fraction(str(doc))
 
 
 def fiber_to_json(T):

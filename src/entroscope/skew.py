@@ -15,11 +15,17 @@ regardless of the fiber.  Hence
 
     sep(skew, n, eps) = sum over base windows u of sep(T, V(u), eps),
 
-which skew_sep_direct evaluates with per-class fiber counts.  The
-independent oracle skew_sep_greedy never uses that reduction: it walks
-explicit representative pairs and groups them by the raw scan data the
-certified metric predicate reads, so a wrong window radius or a wrong
-class count shows up as a mismatch in tests.
+which skew_sep_direct evaluates with per-class fiber counts.  When every
+visited set is an interval fixed up to translation by its size r, and
+the fiber's counts only see that translation class, the windows are
+counted by r through range_histograms with pad rho, just as capacity_A
+counts the words of L_{n,s}; request_histograms asks the engine for
+every n of a run at once.
+
+The independent oracle skew_sep_greedy never uses that reduction: it
+walks explicit representative pairs and groups them by the raw scan data
+the certified metric predicate reads, so a wrong window radius or a
+wrong class count shows up as a mismatch in tests.
 
 capacity_A(n, eps) is the capacity sum_{w in L_{n,s}} spa(T, V(w), eps),
 carried as a bracket end to end, and sandwich_check verifies
@@ -52,6 +58,9 @@ class SkewSystem:
         self.base = base
         self.tau = tau
         self.fiber = fiber
+        # {(r, eps): (count, exact)}: fiber counts over range(r), see
+        # _range_sum
+        self._range_counts = {}
 
     def __repr__(self):
         return "SkewSystem(%r, %r, %r)" % (self.base, self.tau, self.fiber)
@@ -143,13 +152,17 @@ def _require_window_dominates_radius(tau, epsilon):
     return r
 
 
-def skew_sep_direct(sys, n, epsilon, word_cap=DEFAULT_WORD_CAP):
+def skew_sep_direct(sys, n, epsilon, word_cap=DEFAULT_WORD_CAP,
+                    force_enumeration=False):
     """Exact maximal eps,{0..n-1}-separated count of the skew product.
 
-    Enumerates base windows on [-rho, n-1+rho] and adds, per window, the
-    fiber's exact separated count over the eps-ball structure of its
-    visited exponent set.  Needs rho(eps) >= s and a fiber with an exact
-    count (every carrier here except the toral grid).
+    Adds, per base window on [-rho, n-1+rho], the fiber's exact separated
+    count over the eps-ball structure of its visited exponent set.  When
+    words group by range (see _by_range) the windows are counted by the
+    range of their middle n letters through range_histograms with
+    pad = rho, which picks DP or enumeration itself; force_enumeration
+    walks the windows one by one instead.  Needs rho(eps) >= s and a
+    fiber with an exact count (every carrier here except the toral grid).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -158,6 +171,10 @@ def skew_sep_direct(sys, n, epsilon, word_cap=DEFAULT_WORD_CAP):
     if e >= 2:
         # every pair of skew points is eps-close at this range
         return 1
+    if not force_enumeration and _by_range(sys):
+        hist = range_histograms(sys.base, sys.tau, [n], word_cap=word_cap,
+                                pad=r)[n]
+        return _range_sum(sys, hist, e, exact=True)
     words = language_on(sys.base, range(-r, n + r), word_cap=word_cap)
     total = 0
     cache = {}
@@ -296,16 +313,57 @@ class CapacityBracket:
     upper: int
 
 
+def _by_range(sys):
+    """Whether counts may group words by the range r of their visited set.
+
+    A radius-0 rule with steps in {-1, 0, 1} makes every visited set the
+    interval range(r) up to translation, and a translation-invariant
+    fiber gives every translate the same count.
+    """
+    return (interval_steps(sys.tau) is not None
+            and sys.fiber.translation_invariant)
+
+
+def _range_sum(sys, hist, epsilon, exact=False):
+    """sum over r of hist[r] * sep(T, range(r), eps).
+
+    Each fiber count is computed once per system and (r, eps).  With
+    exact set, a fiber that has only a greedy count is a config error.
+    """
+    total = 0
+    for r, cnt in sorted(hist.items()):
+        got = sys._range_counts.get((r, epsilon))
+        if got is None:
+            got = sep_count(sys.fiber, range(r), epsilon)
+            sys._range_counts[(r, epsilon)] = got
+        if exact and not got[1]:
+            raise ConfigError("fiber %r has no exact separated count"
+                              % (sys.fiber,))
+        total += cnt * got[0]
+    return total
+
+
+def request_histograms(sys, ns, epsilons, word_cap=DEFAULT_WORD_CAP):
+    """Ask the range engine once for every n of a run, per distinct pad.
+
+    capacity_A reads pad 0 and skew_sep_direct at eps reads pad rho(eps);
+    one request per pad lets a single pass serve every n.  A no-op when
+    words do not group by range.
+    """
+    if not _by_range(sys):
+        return
+    for pad in sorted({0} | {rho(e) for e in epsilons}):
+        range_histograms(sys.base, sys.tau, ns, word_cap=word_cap, pad=pad)
+
+
 def capacity_A(sys, n, epsilon, word_cap=DEFAULT_WORD_CAP,
                force_enumeration=False):
     """Bracket on A_n(eps) = sum over w in L_{n,s} of spa(T, V(w), eps).
 
     Each word's spanning count is carried as the bracket
     [sep(T, V, 2 eps), sep(T, V, eps)] and the sums keep both endpoints.
-    When every visited set is an interval (a radius-0 rule with steps in
-    {-1, 0, 1}) and the fiber's counts only depend on the translation
-    class of V, the words are grouped by their range r through
-    range_histograms, which picks DP or enumeration itself.
+    When words group by range (see _by_range) they are counted by r
+    through range_histograms, which picks DP or enumeration itself.
     force_enumeration walks the words one by one instead.
     """
     if n < 1:
@@ -314,15 +372,12 @@ def capacity_A(sys, n, epsilon, word_cap=DEFAULT_WORD_CAP,
     if e <= 0:
         raise ValueError("epsilon must be positive")
     tau = sys.tau
-    lower = upper = 0
-    if (not force_enumeration and interval_steps(tau) is not None
-            and sys.fiber.translation_invariant):
+    if not force_enumeration and _by_range(sys):
         dist = range_histograms(sys.base, tau, [n], word_cap=word_cap)[n]
-        for r, cnt in sorted(dist.items()):
-            lo, hi = spa_bracket(sys.fiber, range(r), e)
-            lower += cnt * lo
-            upper += cnt * hi
-        return CapacityBracket(n=n, epsilon=e, lower=lower, upper=upper)
+        return CapacityBracket(n=n, epsilon=e,
+                               lower=_range_sum(sys, dist, 2 * e),
+                               upper=_range_sum(sys, dist, e))
+    lower = upper = 0
     s = tau.radius
     cache = {}
     invariant = sys.fiber.translation_invariant
@@ -370,8 +425,10 @@ def sandwich_check(sys, n_range, epsilon, word_cap=DEFAULT_WORD_CAP):
     if not (0 < e < Fraction(1, 2 ** (s + 1))):
         raise ConfigError("sandwich needs eps in (0, 2^-(s+1)); got %s with s=%d"
                           % (e, s))
+    ns = sorted(set(int(n) for n in n_range))
+    request_histograms(sys, ns, (2 * e, e), word_cap=word_cap)
     rows = []
-    for n in sorted(set(int(n) for n in n_range)):
+    for n in ns:
         a2 = capacity_A(sys, n, 2 * e, word_cap=word_cap)
         ahalf = capacity_A(sys, n, e / 2, word_cap=word_cap)
         skew_lo = skew_sep_direct(sys, n, 2 * e, word_cap=word_cap)

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exactnum import QuadExact, frac_exact
 from .util import CapExceeded, SturmianHorizonError, WindowError
 
@@ -253,6 +251,7 @@ class Sturmian:
         self.alpha = alpha
         self.intercept = intercept
         self.labels = (-1, 1)
+        self._word_cache = {}  # {length: (cut count, words)}
 
     def __repr__(self):
         return "Sturmian(%r, %r)" % (self.alpha, self.intercept)
@@ -294,6 +293,10 @@ class Sturmian:
         if length < 1:
             raise ValueError("length must be >= 1")
         self._check_horizon(length)
+        cached = self._word_cache.get(length)
+        if cached is not None:
+            _check_cap(cached[0], word_cap)
+            return list(cached[1])
         flips = {}
         for p in range(length):
             up = frac_exact(-p * self.alpha)
@@ -318,7 +321,10 @@ class Sturmian:
             cur[p] = sym
         if tuple(cur) != first:
             raise AssertionError("cut walk failed to close up")
-        return sorted(seen)
+        out = sorted(seen)
+        if len(out) * length <= 2 ** 22:
+            self._word_cache[length] = (len(cuts), tuple(out))
+        return out
 
     def count(self, length):
         return len(self.words(length, word_cap=None))
@@ -400,19 +406,6 @@ def language_on(spec, positions, word_cap=DEFAULT_WORD_CAP):
         return spec.words(span, word_cap=word_cap)
     hull_words = spec.words(span, word_cap=word_cap)
     return sorted({tuple(w[i] for i in offsets) for w in hull_words})
-
-
-def word_array(spec, length, word_cap=DEFAULT_WORD_CAP):
-    """The language as a numpy integer matrix, one word per row."""
-    ws = spec.words(length, word_cap=word_cap)
-    if not ws:
-        return np.empty((0, length), dtype=np.int8)
-    flat = [a for w in ws for a in w]
-    if not all(isinstance(a, int) for a in ws[0]):
-        raise TypeError("word_array needs integer labels, not %r" % (ws[0],))
-    lo, hi = min(flat), max(flat)
-    dtype = np.int8 if -128 <= lo and hi <= 127 else np.int64
-    return np.array(ws, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------

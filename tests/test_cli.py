@@ -159,7 +159,8 @@ def test_unknown_flag_is_exit_2(capsys):
 
 def test_cap_exceeded_writes_partial_report(tmp_path, capsys):
     out_dir = tmp_path / "partial"
-    rc = main(["sandwich", "--preset", "tt-inverse", "--cap-words", "4",
+    # the product base is enumerated; tt-inverse's DP needs no words
+    rc = main(["sandwich", "--preset", "sturmian-product", "--cap-words", "4",
                "--out", str(out_dir)])
     assert rc == 3
     err = capsys.readouterr().err
@@ -192,8 +193,8 @@ def _crt_off_by_one(real):
 
 
 def _pass_off_by_one_past_6(real):
-    def crooked(base, vals, ns):
-        out = real(base, vals, ns)
+    def crooked(base, vals, ns, pad):
+        out = real(base, vals, ns, pad)
         for n, hist in out.items():
             if n > 6:
                 hist[1] = hist.get(1, 0) + 1
@@ -218,6 +219,33 @@ def test_distribution_self_check_mismatch_exits_4(monkeypatch, capsys, name,
     assert "internal inconsistency" in err and oracle in err
 
 
+def _pass_off_by_one_padded(real):
+    def crooked(base, vals, ns, pad):
+        out = real(base, vals, ns, pad)
+        if pad:
+            for hist in out.values():
+                hist[1] = hist.get(1, 0) + 1
+        return out
+    return crooked
+
+
+@pytest.mark.parametrize("argv", [
+    ["sep", "--n-range", "2:3"],
+    ["sandwich", "--n-range", "2:3"],
+    ["slow-entropy", "--n-max", "8"],
+])
+def test_sep_self_check_mismatch_exits_4(monkeypatch, capsys, argv):
+    # only skew separated counts read padded histograms, so the capacity
+    # and distribution checks pass and the sep check must catch it
+    from entroscope import cocycle
+    monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
+    monkeypatch.setattr(cocycle, "_walk_pass",
+                        _pass_off_by_one_padded(cocycle._walk_pass))
+    assert main(argv + ["--preset", "tt-inverse"]) == 4
+    err = capsys.readouterr().err
+    assert "internal inconsistency: sep fast path" in err
+
+
 def test_slow_entropy_computes_each_bracket_once(monkeypatch, capsys):
     from entroscope import cli, entropy
     seen = []
@@ -233,4 +261,5 @@ def test_slow_entropy_computes_each_bracket_once(monkeypatch, capsys):
                  "--n-max", "40"]) == 0
     assert sorted(seen) == [5, 10, 20, 40]
     out = capsys.readouterr().out
-    assert "CHECK self-check: PASS (capacity@n=3, distribution@n=6,31)" in out
+    assert ("CHECK self-check: PASS (capacity@n=3, sep@n=3, "
+            "distribution@n=6,31)") in out

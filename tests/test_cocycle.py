@@ -228,9 +228,9 @@ def test_engine_serves_repeat_requests_from_its_memo(monkeypatch):
     passes = []
     real = cocycle._walk_pass
 
-    def counting(base, vals, ns):
+    def counting(base, vals, ns, pad):
         passes.append(sorted(ns))
-        return real(base, vals, ns)
+        return real(base, vals, ns, pad)
 
     monkeypatch.setattr(cocycle, "_walk_pass", counting)
     first = range_histograms(SIGNS, SIGN, [40, 10, 20])
@@ -248,3 +248,62 @@ def test_engine_serves_repeat_requests_from_its_memo(monkeypatch):
     assert range_histograms(SIGNS, SIGN, [20])[20] == first[20]
     range_histograms(SIGNS, SIGN, [10, 50])
     assert passes == [[10, 20, 40], [50]]
+
+
+# -- the padded engine: middle windows of L_{n+2 pad} ---------------------------
+
+def sliced_histogram(base, tau, n, pad):
+    out = Counter()
+    for w in base.words(n + 2 * pad, word_cap=None):
+        out[len(set(ergodic_sums(tau, w[pad:pad + n])[:-1]))] += 1
+    return dict(out)
+
+
+# pad 0-3 against a graph memory K of 1-4: both pad < K, where the start
+# nodes hold steps, and pad >= K, where left paths lead into them
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.lists(st.sampled_from((-1, 1)), min_size=2, max_size=5),
+                max_size=3),
+       STEP, STEP, st.sets(st.integers(1, 8), min_size=1, max_size=4),
+       st.integers(0, 3))
+def test_padded_engine_matches_sliced_enumeration(forbidden, down, up, ns,
+                                                  pad):
+    base = SFT((-1, 1), forbidden)
+    tau = Cocycle({(-1,): down, (1,): up})
+    got = range_histograms(base, tau, ns, pad=pad)
+    for n in ns:
+        assert got[n] == sliced_histogram(base, tau, n, pad), n
+
+
+def test_padded_engine_counts_past_two_primes():
+    # free pad letters on the full shift multiply every count by 2^(2 pad).
+    # At n = 29 one prime bounds L_n but not the padded counts, and at
+    # pad = 16 a node's right weight 2^17 needs more than 16 bits
+    for n, pad in ((29, 3), (5, 16)):
+        assert len(crt_primes(2, n)) == 1 < len(crt_primes(2, n + 2 * pad))
+        got = range_histograms(SIGNS, SIGN, [n], pad=pad)[n]
+        want = walk_range_distribution(SIGNS, n - 1, {-1: -1, 1: 1})
+        assert got == {r: c * 4 ** pad for r, c in want.items()}
+        assert max(got.values()) > crt_primes(2, 1)[0]
+    # once a letter is 1 it stays 1: a small language, two primes all the
+    # same, with pad above the graph's memory of one letter
+    stair = SFT((-1, 1), [(1, -1)])
+    assert len(crt_primes(2, 30 + 2 * 2)) == 2
+    for pad in (0, 1, 2):
+        assert (range_histograms(stair, SIGN, [30], pad=pad)[30]
+                == sliced_histogram(stair, SIGN, 30, pad))
+
+
+def test_padded_engine_slices_enumerated_bases():
+    walk = Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2))
+    for base in (walk, Product(walk, SIGNS)):
+        tau = Cocycle({(a,): a for a in (-1, 1)} if base is walk else
+                      {((a, b),): a for a in (-1, 1) for b in (-1, 1)})
+        for pad in (0, 2):
+            got = range_histograms(base, tau, [3, 5], pad=pad)
+            for n in (3, 5):
+                want = Counter()
+                for w in base.words(n + 2 * pad):
+                    mid = w[pad:pad + n]
+                    want[len(set(ergodic_sums(tau, mid)[:-1]))] += 1
+                assert got[n] == dict(want)

@@ -9,6 +9,7 @@ count is the production path.  They must agree wherever they overlap.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entroscope.cocycle import Cocycle
 from entroscope.exactnum import GOLDEN_MEAN_ALPHA
@@ -170,6 +171,35 @@ def test_direct_on_rotation_fiber_is_exact():
     assert got == words * 4
 
 
+STEP = st.sampled_from((-1, 0, 1))
+
+
+# eps from 1 down to 1/8 reads pads rho = 0..3 off graphs of memory 1-4
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.lists(st.sampled_from((-1, 1)), min_size=2, max_size=5),
+                max_size=3),
+       STEP, STEP, st.integers(1, 6), st.integers(0, 3), st.booleans())
+def test_direct_by_range_matches_enumeration(forbidden, down, up, n, k,
+                                             same_fiber):
+    base = SFT((-1, 1), forbidden)
+    fiber = SymbolicFiber(base if same_fiber else FullShift(2))
+    sys = SkewSystem(base, Cocycle({(-1,): down, (1,): up}), fiber)
+    eps = Fraction(1, 2 ** k)
+    assert (skew_sep_direct(sys, n, eps)
+            == skew_sep_direct(sys, n, eps, force_enumeration=True))
+
+
+def test_direct_by_range_on_sturmian_and_identity_fibers():
+    walk = Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2))
+    for sys in (SkewSystem(walk, SIGN, SymbolicFiber(FullShift(2))),
+                SkewSystem(SIGNS, SIGN, IdentityFiber([0, 1, 3]))):
+        for n in (1, 4, 7):
+            for eps in (HALF, QUARTER):
+                assert (skew_sep_direct(sys, n, eps)
+                        == skew_sep_direct(sys, n, eps,
+                                           force_enumeration=True))
+
+
 # -- capacity ---------------------------------------------------------------
 
 def test_capacity_anchor_and_bracket_order():
@@ -223,6 +253,13 @@ def test_sandwich_full_shift_passes_with_constant_E():
         assert row.a2_lower <= row.a2_upper
         assert row.skew_lo <= row.skew_hi
         assert row.a2_upper <= row.skew_lo  # the certified left inequality
+
+
+def test_sandwich_full_shift_constant_E_past_enumeration():
+    # L_{n+4} at n = 64 is far beyond any word cap; the pass needs none
+    res = sandwich_check(full_sys(), [20, 64], QUARTER, word_cap=4)
+    assert [row.e_inferred for row in res["rows"]] == [16, 16]
+    assert res["pass"]
 
 
 def test_sandwich_golden_base_passes():

@@ -11,7 +11,7 @@ from entroscope.symbolic import (DEFAULT_WORD_CAP, SFT, FullShift, Product,
                                  enumerate_language, language_on, rho,
                                  spec_from_json, spec_to_json, sturmian_code,
                                  subshift_close, subshift_distance,
-                                 word_array, word_from_str, word_to_str)
+                                 word_from_str, word_to_str)
 from entroscope.util import CapExceeded, SturmianHorizonError, WindowError
 
 GOLDEN = SFT(2, [(1, 1)])
@@ -90,6 +90,24 @@ def test_sturmian_rational_angle_horizon():
         per.words(5)
 
 
+def test_sturmian_word_cache_keeps_every_check():
+    walk = Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2))
+    first = walk.words(6)
+    first.clear()  # callers get copies, never the cache itself
+    again = walk.words(6)
+    assert again == Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2)).words(6)
+    # the cap bounds the 12 cut points, on a hit as on the first call
+    with pytest.raises(CapExceeded):
+        walk.words(6, word_cap=11)
+    assert walk.words(6, word_cap=12) == again
+    per = Sturmian(Fraction(2, 5))
+    per.words(4)
+    with pytest.raises(CapExceeded):
+        per.words(4, word_cap=1)
+    with pytest.raises(SturmianHorizonError):
+        per.words(5)
+
+
 def test_sturmian_code_helper_inclusive_window():
     syms = sturmian_code(GOLDEN_MEAN_ALPHA, 0, (-2, 2))
     assert len(syms) == 5
@@ -121,13 +139,6 @@ def test_product_language_is_componentwise():
     ws = prod.words(2)
     assert len(ws) == 4 * 3
     assert all(len(w) == 2 and len(w[0]) == 2 for w in ws)
-
-
-def test_word_array_shapes_and_dtype():
-    arr = word_array(FullShift((-1, 1)), 3)
-    assert arr.shape == (8, 3)
-    assert arr.dtype.name == "int8"
-    assert sorted(map(tuple, arr.tolist())) == FullShift((-1, 1)).words(3)
 
 
 def test_rho_values():
