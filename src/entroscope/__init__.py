@@ -10,16 +10,16 @@ in logarithmic summaries.
 __version__ = "0.1.0"
 
 from .cocycle import (Cocycle, CocycleProfile, c_m, cocycle_from_json,
-                      cocycle_profile, cocycle_to_json, ergodic_sums,
-                      profile_counts, range_distribution, range_histograms,
-                      unbounded_evidence, unbounded_profile,
-                      walk_range_distribution)
+                      cocycle_profile, cocycle_to_json, cover_size,
+                      ergodic_sums, profile_counts, range_distribution,
+                      range_histograms, unbounded_evidence, unbounded_profile,
+                      visited_sets, walk_range_distribution)
 from .entropy import (FAMILIES, Arithmetic, Explicit, ExpScale, Geometric,
                       KEstimate, PolyScale, RangeExpScale, RangeInnerScale,
                       RatioCurve, SlowEntropyReport, bernoulli_seq_entropy,
                       birkhoff_sup, count_bracket, folner_defect,
                       goodwyn_check, h_top_estimate, hamming_ball_count,
-                      hamming_exponent, k_estimate, ratio_curve, sa_size,
+                      hamming_exponent, k_estimate, sa_size,
                       slow_entropy_report)
 from .exactnum import GOLDEN_MEAN_ALPHA, QuadExact, frac_exact, sqrt_exact
 from .fiber import (IdentityFiber, RotationFiber, SymbolicFiber,
@@ -29,9 +29,7 @@ from .fiber import (IdentityFiber, RotationFiber, SymbolicFiber,
                     sep_greedy, spa_bracket)
 from .presets import PRESETS, get_preset, preset_names
 from .skew import (CapacityBracket, SandwichRow, SkewSystem, capacity_A,
-                   point_exponents, sandwich_check, skew_bowen_distance,
-                   skew_orbit, skew_sep_direct, skew_sep_greedy,
-                   skew_sep_pairwise, word_exponents)
+                   sandwich_check, skew_sep_direct, skew_sep_greedy)
 from .symbolic import (DEFAULT_WORD_CAP, SFT, FullShift, Product, Sturmian,
                        WindowPoint, complexity, enumerate_language,
                        language_on, rho, spec_from_json, spec_to_json,

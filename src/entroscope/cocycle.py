@@ -8,6 +8,9 @@ and the profile of w collects the visited set V = {tau^0, ..., tau^{n-1}},
 its size r, the covering ratio c_m(V) at the cocycle's own bound m, and
 q = r * c_m(V) = |V + {0, ..., m-1}|.
 
+ergodic_sums is the one ergodic-sum routine, and visited_sets the one
+loop from words to visited sets, read by every enumerated count.
+
 range_histograms is the one source of r histograms over a language,
 optionally over the middle window of longer words (pad).  For radius-0
 cocycles with steps in {-1, 0, 1} over an SFT or full shift it runs a
@@ -90,11 +93,21 @@ def ergodic_sums(tau, w):
     return tuple(sums)
 
 
+def cover_size(elems, m):
+    """|F + {0..m-1}| for a finite F given as its strictly increasing elements.
+
+    Each consecutive gap g contributes min(g, m) fresh integers and the
+    last element m more.
+    """
+    cover = m
+    for a, b in zip(elems, elems[1:]):
+        cover += min(b - a, m)
+    return cover
+
+
 def c_m(F, m):
     """(is_interval, |F + {0..m-1}| / |F|) for a finite integer set F.
 
-    The cover size is computed from consecutive gaps: each gap g
-    contributes min(g, m) fresh integers and the last element m more.
     The flag reports whether F + {0..m-1} is a full integer interval.
     Arithmetic progressions (range inputs) use the closed form, since
     every gap equals the step.
@@ -109,9 +122,7 @@ def c_m(F, m):
     elems = sorted(set(int(x) for x in F))
     if not elems:
         raise ValueError("F must be nonempty")
-    cover = m
-    for a, b in zip(elems, elems[1:]):
-        cover += min(b - a, m)
+    cover = cover_size(elems, m)
     full = elems[-1] - elems[0] + m
     return cover == full, Fraction(cover, len(elems))
 
@@ -135,11 +146,28 @@ def cocycle_profile(tau, w):
                           r=r, cm=cm, q=r * cm)
 
 
+def visited_sets(spec, tau, n, word_cap=DEFAULT_WORD_CAP, pad=0):
+    """{V: word count} over L_{n+2pad,s}, V read off each word's middle window.
+
+    V = (tau^0, ..., tau^{n-1}) as a sorted tuple of distinct sums along
+    the middle n + 2s letters.  Distinct middles are counted first, so
+    each is summed once however many words share it.
+    """
+    width = n + 2 * tau.radius
+    middles = Counter(w[pad:pad + width]
+                      for w in spec.words(width + 2 * pad, word_cap=word_cap))
+    out = {}
+    for w, cnt in middles.items():
+        V = tuple(sorted(set(ergodic_sums(tau, w)[:-1])))
+        out[V] = out.get(V, 0) + cnt
+    return out
+
+
 # ---------------------------------------------------------------------------
 # range-distribution DP
 
 
-def walk_range_distribution(spec, steps, values, r_max=None):
+def walk_range_distribution(spec, steps, values):
     """Histogram {r: word count} of visited-set sizes over L_{steps+1}.
 
     The reference for range_histograms: the same DP one n at a time, in
@@ -147,9 +175,7 @@ def walk_range_distribution(spec, steps, values, r_max=None):
     in {-1, 0, 1} on a full shift or SFT: every visited set is then an
     integer interval, so the state (graph node, cur - min, max - cur)
     suffices.  steps is n - 1:
-    the last letter of an n-word contributes no step.  With r_max set,
-    all mass with range exceeding r_max is returned under key r_max + 1
-    (ranges only grow along a word, so the bucket is exact).
+    the last letter of an n-word contributes no step.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -178,51 +204,30 @@ def walk_range_distribution(spec, steps, values, r_max=None):
             for a in w[:-1]:
                 sums.append(sums[-1] + vals[a])
             r = max(sums) - min(sums) + 1
-            key = r if r_max is None or r <= r_max else r_max + 1
-            out[key] = out.get(key, 0) + 1
+            out[r] = out.get(r, 0) + 1
         return out
 
-    def bucket(a, b):
-        return None if r_max is None or a + b + 1 <= r_max else True
-
-    # dp: {(node, a, b): count} with a = cur - min, b = max - cur;
-    # overflow: {node: count} once the range has exceeded r_max
+    # dp: {(node, a, b): count} with a = cur - min, b = max - cur
     dp = {}
-    overflow = {}
     for i, u in enumerate(states):
         a = b = 0
         for letter in u:
             v = vals[letter]
             a, b = max(a + v, 0), max(b - v, 0)
-        if bucket(a, b):
-            overflow[i] = overflow.get(i, 0) + 1
-        else:
-            dp[(i, a, b)] = dp.get((i, a, b), 0) + 1
+        dp[(i, a, b)] = dp.get((i, a, b), 0) + 1
     for _ in range(n - 1 - K):
         ndp = {}
-        nov = {}
         for (i, a, b), cnt in dp.items():
             for letter, j in edges[i]:
                 v = vals[letter]
-                na, nb = max(a + v, 0), max(b - v, 0)
-                if bucket(na, nb):
-                    nov[j] = nov.get(j, 0) + cnt
-                else:
-                    key = (j, na, nb)
-                    ndp[key] = ndp.get(key, 0) + cnt
-        for i, cnt in overflow.items():
-            for _letter, j in edges[i]:
-                nov[j] = nov.get(j, 0) + cnt
-        dp, overflow = ndp, nov
+                key = (j, max(a + v, 0), max(b - v, 0))
+                ndp[key] = ndp.get(key, 0) + cnt
+        dp = ndp
     # the final letter of the word carries no step, only multiplicity
     out = {}
     for (i, a, b), cnt in dp.items():
         r = a + b + 1
         out[r] = out.get(r, 0) + cnt * len(edges[i])
-    spill = sum(cnt * len(edges[i]) for i, cnt in overflow.items())
-    if spill:
-        key = r_max + 1
-        out[key] = out.get(key, 0) + spill
     return out
 
 
@@ -302,13 +307,10 @@ def range_histograms(spec, tau, ns, word_cap=DEFAULT_WORD_CAP, pad=0):
 
 
 def _enumerated_histogram(spec, tau, n, word_cap, pad):
-    width = n + 2 * tau.radius
-    middles = Counter(w[pad:pad + width]
-                      for w in spec.words(width + 2 * pad, word_cap=word_cap))
     out = {}
-    for w, cnt in middles.items():
-        r = len(set(ergodic_sums(tau, w)[:-1]))
-        out[r] = out.get(r, 0) + cnt
+    for V, cnt in visited_sets(spec, tau, n, word_cap=word_cap,
+                               pad=pad).items():
+        out[len(V)] = out.get(len(V), 0) + cnt
     return out
 
 
@@ -482,18 +484,9 @@ def _walk_pass(base, vals, ns, pad):
     return out
 
 
-def range_distribution(spec, tau, n, word_cap=DEFAULT_WORD_CAP, r_max=None):
-    """{r: count} over L_{n,s}; with r_max, ranges above it share key r_max + 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    dist = range_histograms(spec, tau, [n], word_cap=word_cap)[n]
-    if r_max is None:
-        return dist
-    out = {}
-    for r, cnt in dist.items():
-        key = r if r <= r_max else r_max + 1
-        out[key] = out.get(key, 0) + cnt
-    return out
+def range_distribution(spec, tau, n, word_cap=DEFAULT_WORD_CAP):
+    """{r: count} over L_{n,s}."""
+    return range_histograms(spec, tau, [n], word_cap=word_cap)[n]
 
 
 def unbounded_profile(spec, tau, N, n, word_cap=DEFAULT_WORD_CAP):
@@ -505,7 +498,7 @@ def unbounded_profile(spec, tau, N, n, word_cap=DEFAULT_WORD_CAP):
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    dist = range_distribution(spec, tau, n, word_cap=word_cap, r_max=None)
+    dist = range_distribution(spec, tau, n, word_cap=word_cap)
     total = sum(dist.values())
     if total == 0:
         raise ValueError("empty language at n=%d" % n)
@@ -531,24 +524,20 @@ def unbounded_evidence(spec, tau, N, n_values, word_cap=DEFAULT_WORD_CAP):
 
 
 def profile_counts(spec, tau, n, word_cap=DEFAULT_WORD_CAP):
-    """{(r, q): count} over L_{n,s} with q = r * c_m(V) as an integer.
+    """{(r, q): count} over L_{n,s} with q = r * c_m(V) = |V + {0..m-1}|.
 
     Steps in {-1, 0, 1} make every visited set an interval, so q is the
     function r + m - 1 of r and the range histogram suffices; otherwise
-    q depends on V itself, and each word of the language is profiled.
+    q depends on V itself and is its cover size.
     """
+    m = tau.bound
     if interval_steps(tau) is not None:
-        m = tau.bound
         dist = range_histograms(spec, tau, [n], word_cap=word_cap)[n]
         return {(r, r + m - 1): cnt for r, cnt in dist.items()}
     out = {}
-    for w in spec.words(n + 2 * tau.radius, word_cap=word_cap):
-        prof = cocycle_profile(tau, w)
-        q = prof.q
-        if q.denominator != 1:
-            raise AssertionError("q = r*c_m should be an integer, got %r" % q)
-        key = (prof.r, int(q))
-        out[key] = out.get(key, 0) + 1
+    for V, cnt in visited_sets(spec, tau, n, word_cap=word_cap).items():
+        key = (len(V), cover_size(V, m))
+        out[key] = out.get(key, 0) + cnt
     return out
 
 

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cocycle import c_m, ergodic_sums, profile_counts
+from .cocycle import c_m, cover_size, ergodic_sums, profile_counts
 from .fiber import spa_bracket
 from .skew import SkewSystem, capacity_A
 from .symbolic import DEFAULT_WORD_CAP
@@ -160,18 +160,6 @@ def count_bracket(target, n, epsilon, word_cap=DEFAULT_WORD_CAP):
     return spa_bracket(target, range(n), epsilon, word_cap=word_cap)
 
 
-def ratio_curve(target, scale, epsilon, n_list, t, word_cap=DEFAULT_WORD_CAP):
-    """Bracketed ratios count / a_n(t), computed in the log domain."""
-    rows = []
-    for n in sorted(set(int(n) for n in n_list)):
-        lo, hi = count_bracket(target, n, epsilon, word_cap)
-        log_scale = scale.log_eval(n, t)
-        rlo = math.exp(log_big(lo) - log_scale) if lo > 0 else 0.0
-        rhi = math.exp(log_big(hi) - log_scale) if hi > 0 else 0.0
-        rows.append((n, rlo, rhi))
-    return RatioCurve(t=float(t), rows=tuple(rows))
-
-
 @dataclass(frozen=True)
 class SlowEntropyReport:
     t_upper: float
@@ -293,18 +281,14 @@ class Explicit:
 def sa_size(A, n, m):
     """|S_A(n, m)| = |{t_i + j : i <= n, 0 <= j < m}|, exactly.
 
-    Same gap arithmetic as the C_m cover: each consecutive gap feeds
-    min(gap, m) fresh integers and the last block m more.
+    The C_m cover of the terms, which are strictly increasing already.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     terms = A.terms(n)
     if not terms:
         raise ValueError("sequence has no terms")
-    cover = m
-    for a, b in zip(terms, terms[1:]):
-        cover += min(b - a, m)
-    return cover
+    return cover_size(terms, m)
 
 
 @dataclass(frozen=True)

@@ -15,20 +15,21 @@ regardless of the fiber.  Hence
 
     sep(skew, n, eps) = sum over base windows u of sep(T, V(u), eps),
 
-which skew_sep_direct evaluates with per-class fiber counts.  When every
-visited set is an interval fixed up to translation by its size r, and
-the fiber's counts only see that translation class, the windows are
-counted by r through range_histograms with pad rho, just as capacity_A
-counts the words of L_{n,s}; request_histograms asks the engine for
-every n of a run at once.
+the base windows being the words of L_{n,s} padded by rho - s letters
+on each side.  capacity_A brackets A_n(eps) = sum over w in L_{n,s} of
+spa(T, V(w), eps) by two such sums over unpadded words.  All of them
+take the fiber classes of the words (_classes), then one sum of fiber
+counts (_fiber_sum, one memo per system).  A class is a visited set,
+translated to start at 0 when the fiber only sees translates; when
+visited sets are intervals it is range(r), counted by range_histograms,
+and request_histograms asks that engine for every n of a run at once.
 
 The independent oracle skew_sep_greedy never uses that reduction: it
 walks explicit representative pairs and groups them by the raw scan data
 the certified metric predicate reads, so a wrong window radius or a
 wrong class count shows up as a mismatch in tests.
 
-capacity_A(n, eps) is the capacity sum_{w in L_{n,s}} spa(T, V(w), eps),
-carried as a bracket end to end, and sandwich_check verifies
+sandwich_check verifies
     A_n(2 eps) <= spa(skew, {0..n-1}, eps) <= E * A_n(eps / 2)
 on finite data, inferring the minimal constant E from the run.
 """
@@ -36,9 +37,10 @@ on finite data, inferring the minimal constant E from the run.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cocycle import Cocycle, interval_steps, range_histograms
-from .fiber import SymbolicFiber, sep_count, spa_bracket
-from .symbolic import DEFAULT_WORD_CAP, WindowPoint, language_on, rho
+from .cocycle import (Cocycle, ergodic_sums, interval_steps, range_histograms,
+                      visited_sets)
+from .fiber import SymbolicFiber, sep_count
+from .symbolic import DEFAULT_WORD_CAP, language_on, rho
 from .util import CapExceeded, ConfigError
 
 
@@ -58,89 +60,11 @@ class SkewSystem:
         self.base = base
         self.tau = tau
         self.fiber = fiber
-        # {(r, eps): (count, exact)}: fiber counts over range(r), see
-        # _range_sum
-        self._range_counts = {}
+        # {(class, eps): (count, exact)}: fiber counts, see _fiber_sum
+        self._fiber_counts = {}
 
     def __repr__(self):
         return "SkewSystem(%r, %r, %r)" % (self.base, self.tau, self.fiber)
-
-
-def word_exponents(tau, w, start, n):
-    """(tau^0, ..., tau^{n-1}) read off a word covering [start, start+len).
-
-    Position j's cocycle window is [j-s, j+s]; the word must cover
-    [-s, n-2+s] so every step through time n-1 is determined.
-    """
-    s = tau.radius
-    if start > -s or start + len(w) < n - 1 + s:
-        raise ValueError("word window [%d, %d) cannot evaluate %d steps"
-                         % (start, start + len(w), n))
-    sums = [0]
-    acc = 0
-    for j in range(n - 1):
-        acc += tau.value(w[j - s - start:j + s - start + 1])
-        sums.append(acc)
-    return tuple(sums)
-
-
-def point_exponents(tau, y, n):
-    """Same as word_exponents but reading a WindowPoint."""
-    s = tau.radius
-    sums = [0]
-    acc = 0
-    for j in range(n - 1):
-        acc += tau.value(tuple(y.get(j + d) for d in range(-s, s + 1)))
-        sums.append(acc)
-    return tuple(sums)
-
-
-def skew_orbit(sys, y, x, n):
-    """States (S^k y, T^{tau^k(y)} x) for k = 0..n-1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    exps = point_exponents(sys.tau, y, n)
-    return [(y.shift(k), sys.fiber.iterate(x, e)) for k, e in enumerate(exps)]
-
-
-def skew_bowen_distance(sys, p, q, n, mode="raw"):
-    """Bowen distance of two skew points over times {0..n-1}.
-
-    raw mode is the definition: the max over k of the product max-metric
-    between the k-th iterates, each orbit using its own exponents.
-    decomposition mode is the split max(base Bowen, fiber Bowen over the
-    visited set); it requires the base points to agree on [-s, n-1+s]
-    (then both orbits share exponents) and raises otherwise.  The two
-    modes agree whenever the raw value is below 2^-s.
-    """
-    y, x = p
-    z, w = q
-    fib = sys.fiber
-    base = SymbolicFiber(sys.base)
-    if mode == "raw":
-        ey = point_exponents(sys.tau, y, n)
-        ez = point_exponents(sys.tau, z, n)
-        best = None
-        for k in range(n):
-            db = base.distance(y.shift(k), z.shift(k))
-            df = fib.distance(fib.iterate(x, ey[k]), fib.iterate(w, ez[k]))
-            step = max(db, df)
-            if best is None or step > best:
-                best = step
-        return best
-    if mode != "decomposition":
-        raise ValueError("mode must be 'raw' or 'decomposition'")
-    s = sys.tau.radius
-    for i in range(-s, n + s):
-        if y.get(i) != z.get(i):
-            raise ValueError("decomposition mode needs base agreement on "
-                             "[%d, %d]; points differ at %d" % (-s, n + s - 1, i))
-    exps = point_exponents(sys.tau, y, n)
-    visited = sorted(set(exps))
-    db = max(base.distance(y.shift(k), z.shift(k)) for k in range(n))
-    df = max(fib.distance(fib.iterate(x, e), fib.iterate(w, e))
-             for e in visited)
-    return max(db, df)
 
 
 def _require_window_dominates_radius(tau, epsilon):
@@ -157,12 +81,10 @@ def skew_sep_direct(sys, n, epsilon, word_cap=DEFAULT_WORD_CAP,
     """Exact maximal eps,{0..n-1}-separated count of the skew product.
 
     Adds, per base window on [-rho, n-1+rho], the fiber's exact separated
-    count over the eps-ball structure of its visited exponent set.  When
-    words group by range (see _by_range) the windows are counted by the
-    range of their middle n letters through range_histograms with
-    pad = rho, which picks DP or enumeration itself; force_enumeration
-    walks the windows one by one instead.  Needs rho(eps) >= s and a
-    fiber with an exact count (every carrier here except the toral grid).
+    count over the eps-ball structure of its visited exponent set: the
+    fiber classes of L_{n,s} padded by rho - s on each side (see
+    _classes).  Needs rho(eps) >= s and a fiber with an exact count
+    (every carrier here except the toral grid).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -171,27 +93,9 @@ def skew_sep_direct(sys, n, epsilon, word_cap=DEFAULT_WORD_CAP,
     if e >= 2:
         # every pair of skew points is eps-close at this range
         return 1
-    if not force_enumeration and _by_range(sys):
-        hist = range_histograms(sys.base, sys.tau, [n], word_cap=word_cap,
-                                pad=r)[n]
-        return _range_sum(sys, hist, e, exact=True)
-    words = language_on(sys.base, range(-r, n + r), word_cap=word_cap)
-    total = 0
-    cache = {}
-    invariant = sys.fiber.translation_invariant
-    for w in words:
-        exps = word_exponents(sys.tau, w, -r, n)
-        visited = tuple(sorted(set(exps)))
-        key = tuple(v - visited[0] for v in visited) if invariant else visited
-        got = cache.get(key)
-        if got is None:
-            got, exact = sep_count(sys.fiber, list(key), e)
-            if not exact:
-                raise ConfigError("fiber %r has no exact separated count"
-                                  % (sys.fiber,))
-            cache[key] = got
-        total += got
-    return total
+    classes = _classes(sys, n, r - sys.tau.radius, word_cap,
+                       force_enumeration)
+    return _fiber_sum(sys, classes, e, force_enumeration, exact=True)
 
 
 def skew_sep_greedy(sys, n, epsilon, margin=None, pair_cap=2 ** 24):
@@ -222,8 +126,9 @@ def skew_sep_greedy(sys, n, epsilon, margin=None, pair_cap=2 ** 24):
     # fiber hull: all exponents any base word can visit, widened by margin
     lo_e = hi_e = 0
     exps_per_word = []
+    cut = margin - sys.tau.radius
     for w in base_words:
-        exps = word_exponents(sys.tau, w, base_lo, n)
+        exps = ergodic_sums(sys.tau, w[cut:len(w) - cut])[:-1]
         exps_per_word.append(exps)
         lo_e = min(lo_e, min(exps))
         hi_e = max(hi_e, max(exps))
@@ -243,62 +148,6 @@ def skew_sep_greedy(sys, n, epsilon, margin=None, pair_cap=2 ** 24):
                                for e in exps)
             groups.add((base_scan, fiber_scan))
     return len(groups)
-
-
-def skew_sep_pairwise(sys, n, epsilon, margin=None, pair_cap=2 ** 22):
-    """Literal greedy with the raw metric predicate, for the tiniest cases.
-
-    This is the slowest and most assumption-free evaluation: candidates
-    are admitted by pairwise certified closeness tests against every
-    accepted pair, exactly as a textbook separated-set construction.
-    It exists to validate skew_sep_greedy's grouping on small instances.
-    """
-    if not isinstance(sys.fiber, SymbolicFiber):
-        raise ConfigError("pairwise skew oracle needs a symbolic fiber")
-    e = Fraction(epsilon)
-    r = _require_window_dominates_radius(sys.tau, e)
-    if margin is None:
-        margin = r + 1
-    base_lo = -margin
-    base_words = language_on(sys.base, range(base_lo, n + margin),
-                             word_cap=None)
-    lo_e = min(0, -(n - 1) * sys.tau.bound) - margin
-    hi_e = max(0, (n - 1) * sys.tau.bound) + margin
-    fiber_words = language_on(sys.fiber.spec, range(lo_e, hi_e + 1),
-                              word_cap=None)
-    fib = sys.fiber
-    base_fib = SymbolicFiber(sys.base)
-
-    def close(p, q):
-        y, x = p
-        z, w = q
-        ey = point_exponents(sys.tau, y, n)
-        ez = point_exponents(sys.tau, z, n)
-        for k in range(n):
-            if not base_fib.distance_le(y.shift(k), z.shift(k), e):
-                return False
-            if not fib.distance_le(fib.iterate(x, ey[k]),
-                                   fib.iterate(w, ez[k]), e):
-                return False
-        return True
-
-    accepted = []
-    checked = 0
-    for w in base_words:
-        y = WindowPoint(base_lo, w)
-        for fw in fiber_words:
-            p = (y, WindowPoint(lo_e, fw))
-            ok = True
-            for q in accepted:
-                checked += 1
-                if checked > pair_cap:
-                    raise CapExceeded("pair budget exceeded")
-                if close(p, q):
-                    ok = False
-                    break
-            if ok:
-                accepted.append(p)
-    return len(accepted)
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +173,42 @@ def _by_range(sys):
             and sys.fiber.translation_invariant)
 
 
-def _range_sum(sys, hist, epsilon, exact=False):
-    """sum over r of hist[r] * sep(T, range(r), eps).
+def _classes(sys, n, pad, word_cap, force_enumeration):
+    """{fiber class: word count} over L_{n+2pad,s}.
 
-    Each fiber count is computed once per system and (r, eps).  With
-    exact set, a fiber that has only a greedy count is a config error.
+    A class is the visited set of a word's middle window, translated to
+    start at 0 when the fiber is translation-invariant.  When words group
+    by range (see _by_range) the class of range r is range(r), counted by
+    range_histograms; force_enumeration reads the visited sets instead.
     """
+    if not force_enumeration and _by_range(sys):
+        hist = range_histograms(sys.base, sys.tau, [n], word_cap=word_cap,
+                                pad=pad)[n]
+        return {range(r): cnt for r, cnt in hist.items()}
+    sets = visited_sets(sys.base, sys.tau, n, word_cap=word_cap, pad=pad)
+    if not sys.fiber.translation_invariant:
+        return sets
+    classes = {}
+    for V, cnt in sets.items():
+        key = tuple(v - V[0] for v in V)
+        classes[key] = classes.get(key, 0) + cnt
+    return classes
+
+
+def _fiber_sum(sys, classes, epsilon, fresh, exact=False):
+    """sum over classes F of count(F) * sep(T, F, eps).
+
+    Each fiber count is computed once per system and (F, eps), or with
+    fresh set once per call, so an oracle run reads no count that the
+    fast path stored.  With exact set, a fiber that has only a greedy
+    count is a config error.
+    """
+    memo = {} if fresh else sys._fiber_counts
     total = 0
-    for r, cnt in sorted(hist.items()):
-        got = sys._range_counts.get((r, epsilon))
+    for F, cnt in classes.items():
+        got = memo.get((F, epsilon))
         if got is None:
-            got = sep_count(sys.fiber, range(r), epsilon)
-            sys._range_counts[(r, epsilon)] = got
+            got = memo[(F, epsilon)] = sep_count(sys.fiber, F, epsilon)
         if exact and not got[1]:
             raise ConfigError("fiber %r has no exact separated count"
                               % (sys.fiber,))
@@ -361,37 +234,19 @@ def capacity_A(sys, n, epsilon, word_cap=DEFAULT_WORD_CAP,
     """Bracket on A_n(eps) = sum over w in L_{n,s} of spa(T, V(w), eps).
 
     Each word's spanning count is carried as the bracket
-    [sep(T, V, 2 eps), sep(T, V, eps)] and the sums keep both endpoints.
-    When words group by range (see _by_range) they are counted by r
-    through range_histograms, which picks DP or enumeration itself.
-    force_enumeration walks the words one by one instead.
+    [sep(T, V, 2 eps), sep(T, V, eps)] and the sums keep both endpoints,
+    over the fiber classes of L_{n,s} (see _classes).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     e = Fraction(epsilon)
     if e <= 0:
         raise ValueError("epsilon must be positive")
-    tau = sys.tau
-    if not force_enumeration and _by_range(sys):
-        dist = range_histograms(sys.base, tau, [n], word_cap=word_cap)[n]
-        return CapacityBracket(n=n, epsilon=e,
-                               lower=_range_sum(sys, dist, 2 * e),
-                               upper=_range_sum(sys, dist, e))
-    lower = upper = 0
-    s = tau.radius
-    cache = {}
-    invariant = sys.fiber.translation_invariant
-    for w in sys.base.words(n + 2 * s, word_cap=word_cap):
-        exps = word_exponents(tau, w, -s, n)
-        visited = tuple(sorted(set(exps)))
-        key = tuple(v - visited[0] for v in visited) if invariant else visited
-        got = cache.get(key)
-        if got is None:
-            got = spa_bracket(sys.fiber, list(key), e)
-            cache[key] = got
-        lower += got[0]
-        upper += got[1]
-    return CapacityBracket(n=n, epsilon=e, lower=lower, upper=upper)
+    classes = _classes(sys, n, 0, word_cap, force_enumeration)
+    return CapacityBracket(
+        n=n, epsilon=e,
+        lower=_fiber_sum(sys, classes, 2 * e, force_enumeration),
+        upper=_fiber_sum(sys, classes, e, force_enumeration))
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,20 @@
 """End-to-end CLI behavior: exit codes, config handling, report files."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import entroscope
 from entroscope.cli import (main, make_scale, parse_int_list, parse_sequence,
                             parse_t_grid)
 from entroscope.cocycle import Cocycle
 from entroscope.entropy import Arithmetic, Explicit, Geometric
+from entroscope.presets import preset_names
 from entroscope.skew import CapacityBracket
 from entroscope.skew import capacity_A as real_capacity_A
 from entroscope.symbolic import FullShift
@@ -118,6 +124,35 @@ def test_run_dispatches_config(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path)]) == 0
     assert (out_dir / "summary.json").exists()
     capsys.readouterr()
+
+
+# -- every preset x command -----------------------------------------------------
+
+PRESET_COMMANDS = ("language", "h-top", "cocycle-stats", "unbounded-profile",
+                   "sep", "sandwich", "slow-entropy", "birkhoff")
+# the pairs other than language (which needs --length, given by no
+# preset: exit 2) that do not exit 0
+PRESET_EXITS = {
+    # eps = 1/2 lies outside the sandwich precondition eps < 2^-(s+1)
+    ("sturmian-walk", "sandwich"): 2,
+    # the inferred E rises with n
+    ("sturmian-product", "sandwich"): 1,
+    # Product.words enumerates the unread full-shift coordinate too, so
+    # L_16 has 2^21 words, past the default cap
+    ("sturmian-product", "unbounded-profile"): 3,
+    ("sturmian-product", "birkhoff"): 3,
+}
+
+
+def test_every_preset_command_exit_code(capsys):
+    got, want = {}, {}
+    for preset in preset_names():
+        for command in PRESET_COMMANDS:
+            got[(preset, command)] = main([command, "--preset", preset])
+            capsys.readouterr()
+            want[(preset, command)] = (2 if command == "language" else
+                                       PRESET_EXITS.get((preset, command), 0))
+    assert got == want
 
 
 # -- exit code 2: configuration problems ---------------------------------------
@@ -263,3 +298,20 @@ def test_slow_entropy_computes_each_bracket_once(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert ("CHECK self-check: PASS (capacity@n=3, sep@n=3, "
             "distribution@n=6,31)") in out
+
+
+# -- the benchmark's tracer -----------------------------------------------------
+
+def test_tracer_wraps_every_layer():
+    # perfbench/tracer.py wraps library names by their module path; a
+    # deleted or renamed name would stop every traced benchmark run
+    root = pathlib.Path(__file__).resolve().parents[1]
+    src = pathlib.Path(entroscope.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, %r); import entroscope.cli; "
+            "from tracer import Tracer; Tracer().install()"
+            % str(root / "perfbench"))
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert "could not wrap" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr

@@ -98,13 +98,9 @@ def test_cocycle_profile_known_word():
     assert prof.q == 3
 
 
-def brute_distribution(spec, tau, n, r_max=None):
-    out = Counter()
-    for w in spec.words(n + 2 * tau.radius):
-        r = cocycle_profile(tau, w).r
-        key = r if r_max is None or r <= r_max else r_max + 1
-        out[key] += 1
-    return dict(out)
+def brute_distribution(spec, tau, n):
+    return dict(Counter(cocycle_profile(tau, w).r
+                        for w in spec.words(n + 2 * tau.radius)))
 
 
 def test_range_dp_matches_enumeration_full_shift():
@@ -125,15 +121,6 @@ def test_range_dp_matches_enumeration_with_zero_steps():
     for n in range(1, 13):
         dp = walk_range_distribution(SIGNS, n - 1, vals)
         assert dp == brute_distribution(SIGNS, lazy, n), n
-
-
-def test_range_dp_overflow_bucket():
-    for n in (6, 9, 12):
-        for r_max in (1, 2, 3):
-            dp = walk_range_distribution(SIGNS, n - 1, {-1: -1, 1: 1},
-                                         r_max=r_max)
-            assert dp == brute_distribution(SIGNS, SIGN, n, r_max=r_max)
-            assert sum(dp.values()) == 2 ** n
 
 
 def test_range_dp_requires_total_small_steps():
@@ -160,6 +147,16 @@ def test_profile_counts_dp_and_enumeration_agree():
         assert fast == dict(slow)
         # steps in {-1, 0, 1} make visited sets intervals: q = r + bound - 1
         assert all(q == r for r, q in fast)  # bound 1
+    # steps of size 2 and a radius-1 rule profile the visited sets instead
+    wide = Cocycle({(a, b, c): a + c - 1 for a in (0, 1) for b in (0, 1)
+                    for c in (0, 1)}, radius=1)
+    for spec, tau in ((SFT((0, 1), [(1, 1)]), Cocycle({(0,): -1, (1,): 2})),
+                      (FullShift(2), wide)):
+        slow = Counter()
+        for w in spec.words(9 + 2 * tau.radius):
+            prof = cocycle_profile(tau, w)
+            slow[(prof.r, prof.q)] += 1
+        assert profile_counts(spec, tau, 9) == dict(slow)
 
 
 def test_unbounded_profile_values():

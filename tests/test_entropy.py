@@ -13,7 +13,7 @@ from entroscope.entropy import (Arithmetic, Explicit, ExpScale, Geometric,
                                 goodwyn_check, h_top_estimate,
                                 hamming_ball_count, hamming_exponent,
                                 interval_family, k_estimate, powers_family,
-                                ratio_curve, sa_size, slow_entropy_report)
+                                sa_size, slow_entropy_report)
 from entroscope.exactnum import GOLDEN_MEAN_ALPHA
 from entroscope.fiber import IdentityFiber, SymbolicFiber
 from entroscope.skew import SkewSystem
@@ -56,9 +56,12 @@ def test_range_scale_log_matches_exact():
 # -- count brackets and ratio curves ------------------------------------------
 
 def test_ratio_curve_full_shift_constants():
-    rc = ratio_curve(SymbolicFiber(FullShift(2)), ExpScale(), Fraction(1, 2),
-                     [10, 20], LOG2)
-    for n, rlo, rhi in rc.rows:
+    for n in (10, 20):
+        rep = slow_entropy_report(SymbolicFiber(FullShift(2)), ExpScale(),
+                                  Fraction(1, 2), n, [LOG2])
+        (curve,) = rep.curves
+        ((row_n, rlo, rhi),) = curve.rows
+        assert row_n == n
         assert math.isclose(rlo, 1.0, rel_tol=1e-9)
         assert math.isclose(rhi, 4.0, rel_tol=1e-9)  # the 2 rho window margin
 

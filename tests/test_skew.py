@@ -1,9 +1,11 @@
-"""Skew products: exponents, Bowen metric, separated counts, the sandwich.
+"""Skew products: orbits, Bowen metric, separated counts, the sandwich.
 
 The three separated-count evaluations form a verification tower: the
-pairwise greedy is assumption-free but tiny-case only, the grouping
-greedy is brute force over explicit representatives, and the direct
-count is the production path.  They must agree wherever they overlap.
+pairwise greedy (in skew_oracles.py) is assumption-free but tiny-case
+only, the grouping greedy is brute force over explicit representatives,
+and the direct count is the production path, over range histograms or
+over the visited sets of enumerated words.  They must agree wherever
+they overlap.
 """
 
 from fractions import Fraction
@@ -11,15 +13,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entroscope.cli import self_check_skew
 from entroscope.cocycle import Cocycle
 from entroscope.exactnum import GOLDEN_MEAN_ALPHA
 from entroscope.fiber import IdentityFiber, RotationFiber, SymbolicFiber
-from entroscope.skew import (SkewSystem, capacity_A, point_exponents,
-                             sandwich_check, skew_bowen_distance, skew_orbit,
-                             skew_sep_direct, skew_sep_greedy,
-                             skew_sep_pairwise, word_exponents)
+from entroscope.skew import (SkewSystem, capacity_A, sandwich_check,
+                             skew_sep_direct, skew_sep_greedy)
 from entroscope.symbolic import SFT, FullShift, Sturmian, WindowPoint
-from entroscope.util import CapExceeded, ConfigError
+from entroscope.util import CapExceeded, ConfigError, OracleMismatch
+from skew_oracles import skew_bowen_distance, skew_orbit, skew_sep_pairwise
 
 SIGN = Cocycle({(-1,): -1, (1,): 1})
 SIGNS = FullShift((-1, 1))
@@ -37,7 +39,7 @@ def golden_sys():
     return SkewSystem(GOLDEN, SIGN, SymbolicFiber(FullShift(2)))
 
 
-# -- construction and exponents ---------------------------------------------
+# -- construction and orbits ------------------------------------------------
 
 def test_system_validation():
     with pytest.raises(TypeError):
@@ -46,28 +48,6 @@ def test_system_validation():
         # rule keyed on the wrong alphabet is not total over the base
         SkewSystem(SIGNS, Cocycle({(0,): 1, (1,): 1}),
                    SymbolicFiber(FullShift(2)))
-
-
-def test_word_exponents_sign_walk():
-    assert word_exponents(SIGN, (1, 1, -1, 1), 0, 5) == (0, 1, 2, 1, 2)
-    assert word_exponents(SIGN, (-1, -1), 0, 3) == (0, -1, -2)
-    with pytest.raises(ValueError):
-        word_exponents(SIGN, (1, 1), 0, 4)  # two symbols, three steps
-
-
-def test_word_exponents_radius_one():
-    wide = Cocycle({(a, b, c): b for a in (0, 1) for b in (0, 1)
-                    for c in (0, 1)}, radius=1)
-    # word covers [-1, 4): positions 0..2 have full windows
-    assert word_exponents(wide, (1, 0, 1, 1, 0), -1, 3) == (0, 0, 1)
-    with pytest.raises(ValueError):
-        word_exponents(wide, (1, 0, 1), 0, 3)  # start must be <= -s
-
-
-def test_point_exponents_matches_word_exponents():
-    w = (1, -1, -1, 1, 1, -1)
-    y = WindowPoint(0, w)
-    assert point_exponents(SIGN, y, 6) == word_exponents(SIGN, w, 0, 6)
 
 
 def test_skew_orbit_shape():
@@ -198,6 +178,49 @@ def test_direct_by_range_on_sturmian_and_identity_fibers():
                 assert (skew_sep_direct(sys, n, eps)
                         == skew_sep_direct(sys, n, eps,
                                            force_enumeration=True))
+
+
+# -- counts outside the range engine ----------------------------------------
+
+# a radius-1 rule on the full 2-shift and a step of 2 on the golden mean:
+# neither groups visited sets by range, so both read cocycle.visited_sets
+RADIUS_ONE = Cocycle({(a, b, c): a + c - 1 for a in (0, 1) for b in (0, 1)
+                      for c in (0, 1)}, radius=1)
+STEP_TWO = Cocycle({(0,): -1, (1,): 2})
+
+
+def visited_set_systems():
+    fiber = SymbolicFiber(FullShift(2))
+    return [(SkewSystem(FullShift(2), RADIUS_ONE, fiber),
+             {HALF: (1, 2, 3), QUARTER: (1, 2)}),
+            (SkewSystem(SFT((0, 1), [(1, 1)]), STEP_TWO, fiber),
+             {HALF: (1, 2, 3, 4), QUARTER: (1, 2, 3)})]
+
+
+def test_visited_set_counts_match_greedy_and_enumeration():
+    for sys, ns in visited_set_systems():
+        # one system for every n and eps, so later counts read the memo
+        # that earlier ones filled
+        for eps, n_list in ns.items():
+            for n in n_list:
+                assert skew_sep_direct(sys, n, eps) == skew_sep_greedy(
+                    sys, n, eps)
+                assert capacity_A(sys, n, eps) == capacity_A(
+                    sys, n, eps, force_enumeration=True)
+        filled = dict(sys._fiber_counts)
+        skew_sep_direct(sys, 2, HALF)
+        assert sys._fiber_counts == filled
+
+
+def test_self_check_reads_no_memoized_fiber_count():
+    for sys, _ns in visited_set_systems() + [(full_sys(), None)]:
+        assert self_check_skew(sys, QUARTER, 2 ** 20) == ["capacity@n=3",
+                                                          "sep@n=3"]
+        key = next(iter(sys._fiber_counts))
+        count, exact = sys._fiber_counts[key]
+        sys._fiber_counts[key] = (count + 1, exact)
+        with pytest.raises(OracleMismatch):
+            self_check_skew(sys, QUARTER, 2 ** 20)
 
 
 # -- capacity ---------------------------------------------------------------
