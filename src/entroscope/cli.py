@@ -18,6 +18,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 from .cocycle import (cocycle_from_json, cocycle_profile, cocycle_to_json,
                       crt_primes, interval_steps, profile_counts,
@@ -32,14 +33,16 @@ from .fiber import fiber_from_json, fiber_to_json
 from .presets import float_grid, get_preset, preset_names
 from .reports import (Report, curves_table, distribution_table, k_table,
                       pairs_table, profile_table, sandwich_table, words_table)
-from .skew import (SkewSystem, capacity_A, request_histograms, sandwich_check,
-                   skew_sep_direct)
-from .symbolic import (DEFAULT_WORD_CAP, spec_from_json, spec_to_json,
+from .skew import (SkewSystem, by_range, capacity_A, request_histograms,
+                   sandwich_check, skew_sep_direct, skew_sep_greedy)
+from .symbolic import (DEFAULT_WORD_CAP, rho, spec_from_json, spec_to_json,
                        word_to_str)
 from .util import (CapExceeded, ConfigError, OracleMismatch,
                    SturmianHorizonError, log_big)
 
 DEFAULT_PAIR_CAP = 2 ** 24
+# the self-check's greedy skew count stays within about half a second
+SELF_CHECK_PAIRS = 2 ** 18
 
 _REQUIRED = object()
 
@@ -253,25 +256,36 @@ def echo_params(ctx):
 # runtime self-checks (fast path vs defining enumeration; exit 4)
 
 
-def self_check_skew(system, epsilon, word_cap):
+def self_check_skew(system, epsilon, word_cap, pair_cap=SELF_CHECK_PAIRS):
     """Recompute capacity_A and skew_sep_direct at n = 3 by enumeration.
 
-    Returns a note per check made.  A check is skipped where its count is
-    out of reach: a cap, a Sturmian horizon, or a system without exact
-    skew counts.
+    Where words do not group by range, the fast path and the enumeration
+    read the same visited sets, so skew_sep_direct is also compared with
+    the independent skew_sep_greedy (on the narrowest hulls its scan
+    allows, within pair_cap representative pairs).  Returns a note per
+    check made.  A check is skipped where its count is out of reach: a
+    cap, a Sturmian horizon, or a system without exact skew counts.
     """
     n = 3
+    checks = [("capacity", capacity_A, "enumeration",
+               partial(capacity_A, force_enumeration=True)),
+              ("sep", skew_sep_direct, "enumeration",
+               partial(skew_sep_direct, force_enumeration=True))]
+    if not by_range(system):
+        def greedy(sys, n, eps, word_cap):
+            return skew_sep_greedy(sys, n, eps, margin=rho(eps),
+                                   pair_cap=pair_cap)
+        checks.append(("greedy", skew_sep_direct, "greedy count", greedy))
     notes = []
-    for name, count in (("capacity", capacity_A), ("sep", skew_sep_direct)):
+    for name, count, oracle_name, oracle in checks:
         try:
             fast = count(system, n, epsilon, word_cap=word_cap)
-            slow = count(system, n, epsilon, word_cap=word_cap,
-                         force_enumeration=True)
+            slow = oracle(system, n, epsilon, word_cap=word_cap)
         except (CapExceeded, SturmianHorizonError, ConfigError):
             continue
         if fast != slow:
-            raise OracleMismatch("%s fast path %r != enumeration %r at n=%d"
-                                 % (name, fast, slow, n))
+            raise OracleMismatch("%s fast path %r != %s %r at n=%d"
+                                 % (name, fast, oracle_name, slow, n))
         notes.append("%s@n=%d" % (name, n))
     return notes
 
@@ -309,7 +323,8 @@ def run_self_checks(args, ctx, report, skew=False, distribution=False):
     notes = []
     if skew and "system" in ctx:
         notes += self_check_skew(ctx["system"], param(ctx, "epsilon"),
-                                 ctx["word_cap"])
+                                 ctx["word_cap"],
+                                 min(ctx["pair_cap"], SELF_CHECK_PAIRS))
     if distribution and "base" in ctx and "tau" in ctx:
         ns = self_check_distribution(ctx["base"], ctx["tau"], ctx["word_cap"])
         if ns is not None:
@@ -475,6 +490,21 @@ def _cmd_slow_entropy(args, ctx, report):
                  rep.n_max, rep.label))
     report.add_verdict("slow-entropy", "OBSERVED", detail)
     print(detail)
+    edges = ("grid %.4g..%.4g: t_upper %s, t_lower %s"
+             % (min(grid), max(grid),
+                _grid_edge(rep.saturated_upper, rep.empty_upper),
+                _grid_edge(rep.saturated_lower, rep.empty_lower)))
+    report.add_verdict("slow-entropy-grid", "OBSERVED", edges)
+    print(edges)
+
+
+def _grid_edge(saturated, empty):
+    """Where a slow-entropy crossing sits relative to its t grid."""
+    if saturated:
+        return "saturated (crossing at or above the top)"
+    if empty:
+        return "empty (no grid t clears the threshold)"
+    return "inside"
 
 
 def _cmd_h_top(args, ctx, report):

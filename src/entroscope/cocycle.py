@@ -25,6 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .symbolic import (DEFAULT_WORD_CAP, SFT, FullShift,
                        word_from_str, word_to_str)
@@ -78,19 +79,20 @@ def ergodic_sums(tau, w):
 
     Index i of the word is position i - s; the window of time j spans
     tuple indices j .. j + 2s, so all of tau^0 .. tau^n are determined.
+    The windows are the columns of 2s + 1 shifted slices.
     """
     s = tau.radius
-    width = 2 * s + 1
     n = len(w) - 2 * s
     if n < 1:
         raise ValueError("word of length %d too short for radius %d"
                          % (len(w), s))
-    sums = [0]
-    acc = 0
-    for j in range(n):
-        acc += tau.value(w[j:j + width])
-        sums.append(acc)
-    return tuple(sums)
+    windows = zip(*(w[i:i + n] for i in range(2 * s + 1)))
+    try:
+        return tuple(accumulate(map(tau.rule.__getitem__, windows),
+                                initial=0))
+    except KeyError as exc:
+        missing = exc.args[0]
+    tau.value(missing)  # raises the ConfigError naming the window
 
 
 def cover_size(elems, m):
@@ -284,13 +286,13 @@ def range_histograms(spec, tau, ns, word_cap=DEFAULT_WORD_CAP, pad=0):
     if pad < 0:
         raise ValueError("pad must be >= 0")
     vals = walk_rule(spec, tau)
-    key = (repr(spec), tau.radius, tuple(sorted(tau.rule.items())),
-           None if vals is not None else word_cap, pad)
-    memo = _HISTOGRAMS.setdefault(key, {})
+    memo = _histogram_memo(spec, tau, None if vals is not None else word_cap,
+                           pad)
     todo = [n for n in ns if n not in memo]
     if vals is None:
         for n in todo:
-            memo[n] = _enumerated_histogram(spec, tau, n, word_cap, pad)
+            memo[n] = _histogram(visited_sets(spec, tau, n, word_cap=word_cap,
+                                              pad=pad))
     elif todo:
         base = spec if isinstance(spec, SFT) else SFT(spec.labels, [])
         missing = [a for a in base.labels if a not in vals]
@@ -299,17 +301,27 @@ def range_histograms(spec, tau, ns, word_cap=DEFAULT_WORD_CAP, pad=0):
         K = base.context
         for n in todo:
             if n + pad <= K:
-                memo[n] = _enumerated_histogram(base, tau, n, None, pad)
+                memo[n] = _histogram(visited_sets(base, tau, n, word_cap=None,
+                                                  pad=pad))
         passed = [n for n in todo if n + pad > K]
         if passed:
             memo.update(_walk_pass(base, vals, passed, pad))
     return {n: dict(memo[n]) for n in ns}
 
 
-def _enumerated_histogram(spec, tau, n, word_cap, pad):
+def _histogram_memo(spec, tau, cap, pad):
+    """The {n: {r: count}} memo of range_histograms for one request shape.
+
+    cap is the word cap of enumerated histograms, None for the DP's.
+    """
+    key = (repr(spec), tau.radius, tuple(sorted(tau.rule.items())), cap, pad)
+    return _HISTOGRAMS.setdefault(key, {})
+
+
+def _histogram(sets):
+    """{r: count} from {visited set: count}."""
     out = {}
-    for V, cnt in visited_sets(spec, tau, n, word_cap=word_cap,
-                               pad=pad).items():
+    for V, cnt in sets.items():
         out[len(V)] = out.get(len(V), 0) + cnt
     return out
 
@@ -528,14 +540,19 @@ def profile_counts(spec, tau, n, word_cap=DEFAULT_WORD_CAP):
 
     Steps in {-1, 0, 1} make every visited set an interval, so q is the
     function r + m - 1 of r and the range histogram suffices; otherwise
-    q depends on V itself and is its cover size.
+    q depends on V itself and is its cover size, and the r histogram of
+    the same visited sets goes into range_histograms' memo, so a later
+    range_distribution at this n enumerates nothing.
     """
     m = tau.bound
     if interval_steps(tau) is not None:
         dist = range_histograms(spec, tau, [n], word_cap=word_cap)[n]
         return {(r, r + m - 1): cnt for r, cnt in dist.items()}
+    sets = visited_sets(spec, tau, n, word_cap=word_cap)
+    _histogram_memo(spec, tau, word_cap, 0).setdefault(
+        n, _histogram(sets))
     out = {}
-    for V, cnt in visited_sets(spec, tau, n, word_cap=word_cap).items():
+    for V, cnt in sets.items():
         key = (len(V), cover_size(V, m))
         out[key] = out.get(key, 0) + cnt
     return out

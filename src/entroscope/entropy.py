@@ -169,6 +169,8 @@ class SlowEntropyReport:
     n_max: int
     empty_upper: bool
     empty_lower: bool
+    saturated_upper: bool
+    saturated_lower: bool
     label: str = "finite-n diagnostic, not a limit"
 
 
@@ -181,9 +183,11 @@ def slow_entropy_report(target, scale, epsilon, n_max, t_grid,
     exceeds the threshold (the finite-n stand-in for limsup > 0);
     t_lower uses the lower ratios.  When no grid point clears the
     threshold the defining set is empty at this resolution and the grid
-    minimum is reported with the corresponding empty flag set.  A caller
-    already holding count_bracket(target, n_max, epsilon) passes it as
-    bracket.
+    minimum is reported with the corresponding empty flag set.  When the
+    grid maximum still clears it, the crossing lies at or above the top
+    of the grid: the maximum is reported with the saturated flag set.  A
+    caller already holding count_bracket(target, n_max, epsilon) passes
+    it as bracket.
     """
     grid = sorted(float(t) for t in t_grid)
     if not grid:
@@ -207,7 +211,8 @@ def slow_entropy_report(target, scale, epsilon, n_max, t_grid,
         t_upper=max(up) if up else grid[0],
         t_lower=max(low) if low else grid[0],
         curves=curves, threshold=float(threshold), n_max=int(n_max),
-        empty_upper=not up, empty_lower=not low)
+        empty_upper=not up, empty_lower=not low,
+        saturated_upper=grid[-1] in up, saturated_lower=grid[-1] in low)
 
 
 def h_top_estimate(fiber, epsilon, n_max, word_cap=DEFAULT_WORD_CAP):

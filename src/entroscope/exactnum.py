@@ -4,8 +4,9 @@ Coefficients a, b are rationals and d is a square-free nonnegative integer.
 Every comparison, floor, and fractional part is decided without floating
 point, which is what boundary-sensitive circle codings need: whether
 frac(x0 + n*alpha) falls left or right of a cut must never depend on
-rounding.  Floats appear only as throwaway first guesses for floor, and
-every guess is corrected by exact sign tests.
+rounding.  Floor is an integer formula (isqrt of b^2 d over a common
+denominator).  Callers may use float(x) as a sort key, but only to
+propose an order that exact comparisons then accept or reject.
 """
 
 from fractions import Fraction
@@ -21,6 +22,27 @@ def _square_free(d):
             s *= f
         f += 1
     return s, d
+
+
+def _sign(a, b, d):
+    """Exact sign of a + b*sqrt(d) for rationals a, b and square-free d.
+
+    b != 0 implies sqrt(d) irrational, so the value is never zero unless
+    a = b = 0; when a and b have opposite signs the comparison reduces to
+    the rational comparison a^2 vs b^2*d.
+    """
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    lhs, rhs = a * a, b * b * d
+    if a > 0:
+        return 1 if lhs > rhs else -1
+    return 1 if rhs > lhs else -1
 
 
 class QuadExact:
@@ -75,27 +97,6 @@ class QuadExact:
         if isinstance(x, (int, Fraction)):
             return QuadExact(x)
         return NotImplemented
-
-    def _sign(self):
-        """Exact sign of a + b*sqrt(d).
-
-        After normalization b != 0 implies sqrt(d) irrational, so the value
-        is never zero unless a = b = 0; when a and b have opposite signs the
-        comparison reduces to the integer comparison a^2 vs b^2*d.
-        """
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs, rhs = a * a, b * b * self.d
-        if a > 0:
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
 
     # -- arithmetic ---------------------------------------------------
 
@@ -174,29 +175,34 @@ class QuadExact:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
-    def __lt__(self, other):
+    def _compare(self, other):
+        """Exact sign of self - other (NotImplemented for foreign types).
+
+        The difference is never built as a QuadExact: its coefficients go
+        straight to the sign test.
+        """
         o = self._coerce(other)
         if o is NotImplemented:
-            return NotImplemented
-        return (self - o)._sign() < 0
+            return o
+        if self.b != 0 and o.b != 0 and self.d != o.d:
+            raise ValueError("mixed radicands %d and %d" % (self.d, o.d))
+        return _sign(self.a - o.a, self.b - o.b, self.d or o.d)
+
+    def __lt__(self, other):
+        c = self._compare(other)
+        return c if c is NotImplemented else c < 0
 
     def __le__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o)._sign() <= 0
+        c = self._compare(other)
+        return c if c is NotImplemented else c <= 0
 
     def __gt__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o)._sign() > 0
+        c = self._compare(other)
+        return c if c is NotImplemented else c > 0
 
     def __ge__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o)._sign() >= 0
+        c = self._compare(other)
+        return c if c is NotImplemented else c >= 0
 
     # -- rounding ------------------------------------------------------
 
@@ -204,19 +210,33 @@ class QuadExact:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 
     def __floor__(self):
-        if self.b == 0:
-            return math.floor(self.a)
-        g = math.floor(float(self))
-        # the float guess can be off by one near an integer; fix exactly
-        while self < g:
-            g -= 1
-        while self >= g + 1:
-            g += 1
-        return g
+        """Exact floor from integers alone.
+
+        Over a common denominator q the value is (A + B sqrt(d)) / q.
+        B sqrt(d) is irrational, so with f its floor (isqrt(B^2 d) when
+        B > 0, -isqrt(B^2 d) - 1 when B < 0) the value lies strictly
+        inside ((A + f) / q, (A + f + 1) / q), which holds no integer.
+        """
+        a, b = self.a, self.b
+        if b == 0:
+            return math.floor(a)
+        q = math.lcm(a.denominator, b.denominator)
+        A = a.numerator * (q // a.denominator)
+        B = b.numerator * (q // b.denominator)
+        f = math.isqrt(B * B * self.d)
+        if B < 0:
+            f = -f - 1
+        return (A + f) // q
 
     def frac(self):
         """Fractional part, exactly: self - floor(self), in [0, 1)."""
-        return self - math.floor(self)
+        if self.b == 0:
+            return QuadExact(self.a - math.floor(self.a))
+        out = object.__new__(QuadExact)
+        object.__setattr__(out, "a", self.a - math.floor(self))
+        object.__setattr__(out, "b", self.b)
+        object.__setattr__(out, "d", self.d)
+        return out
 
     def __repr__(self):
         if self.b == 0:

@@ -162,7 +162,7 @@ class CapacityBracket:
     upper: int
 
 
-def _by_range(sys):
+def by_range(sys):
     """Whether counts may group words by the range r of their visited set.
 
     A radius-0 rule with steps in {-1, 0, 1} makes every visited set the
@@ -178,10 +178,10 @@ def _classes(sys, n, pad, word_cap, force_enumeration):
 
     A class is the visited set of a word's middle window, translated to
     start at 0 when the fiber is translation-invariant.  When words group
-    by range (see _by_range) the class of range r is range(r), counted by
+    by range (see by_range) the class of range r is range(r), counted by
     range_histograms; force_enumeration reads the visited sets instead.
     """
-    if not force_enumeration and _by_range(sys):
+    if not force_enumeration and by_range(sys):
         hist = range_histograms(sys.base, sys.tau, [n], word_cap=word_cap,
                                 pad=pad)[n]
         return {range(r): cnt for r, cnt in hist.items()}
@@ -223,7 +223,7 @@ def request_histograms(sys, ns, epsilons, word_cap=DEFAULT_WORD_CAP):
     one request per pad lets a single pass serve every n.  A no-op when
     words do not group by range.
     """
-    if not _by_range(sys):
+    if not by_range(sys):
         return
     for pad in sorted({0} | {rho(e) for e in epsilons}):
         range_histograms(sys.base, sys.tau, ns, word_cap=word_cap, pad=pad)

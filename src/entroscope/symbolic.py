@@ -288,7 +288,10 @@ class Sturmian:
         One cell's word is evaluated directly; the rest follow by flipping
         the symbols attached to each crossed cut.  Boundary points code like
         the cell on their right, so sampling every cell witnesses the whole
-        closure.
+        closure.  The cuts are sorted by float keys and the order is then
+        certified by exact comparisons of adjacent pairs (a list is sorted
+        iff every adjacent pair is); if any pair fails, the exact sort
+        decides.
         """
         if length < 1:
             raise ValueError("length must be >= 1")
@@ -303,8 +306,10 @@ class Sturmian:
             dn = frac_exact(self.intercept - p * self.alpha)
             flips.setdefault(up, []).append((p, 1))
             flips.setdefault(dn, []).append((p, -1))
-        cuts = sorted(flips)
-        _check_cap(len(cuts), word_cap)
+        _check_cap(len(flips), word_cap)
+        cuts = sorted(flips, key=float)
+        if not all(map(QuadExact.__lt__, cuts, cuts[1:])):
+            cuts = sorted(flips)
         if len(cuts) > 1:
             first_sample = (cuts[0] + cuts[1]) / 2
         else:

@@ -281,6 +281,54 @@ def test_sep_self_check_mismatch_exits_4(monkeypatch, capsys, argv):
     assert "internal inconsistency: sep fast path" in err
 
 
+def _step_two_sep_job(tmp_path):
+    # a step of 2 over the golden mean: no range grouping, so the fast
+    # path and the enumeration read the same visited sets
+    cfg = tmp_path / "step2.json"
+    cfg.write_text(json.dumps({
+        "command": "sep",
+        "system": {"base": {"variant": "sft", "alphabet": [0, 1],
+                            "forbidden": ["11"]},
+                   "tau": {"radius": 0, "rule": {"0": -1, "1": 2}},
+                   "fiber": {"variant": "symbolic",
+                             "spec": {"variant": "full",
+                                      "alphabet": [0, 1]}}},
+        "parameters": {"epsilon": "1/4", "n_range": [2, 3]}}))
+    return ["run", "--config", str(cfg)]
+
+
+def _class_count_off_by_one(real):
+    def crooked(*args, **kwargs):
+        out = real(*args, **kwargs)
+        first = min(out)
+        out[first] += 1
+        return out
+    return crooked
+
+
+def _pad_dropped(real):
+    def crooked(spec, tau, n, word_cap=2 ** 20, pad=0):
+        return real(spec, tau, n, word_cap=word_cap)
+    return crooked
+
+
+def test_step_two_self_check_runs_the_greedy_count(tmp_path, capsys):
+    assert main(_step_two_sep_job(tmp_path)) == 0
+    assert ("CHECK self-check: PASS (capacity@n=3, sep@n=3, greedy@n=3)"
+            in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("plant", [_class_count_off_by_one, _pad_dropped])
+def test_step_two_class_fault_exits_4(monkeypatch, tmp_path, capsys, plant):
+    # the fault reaches the fast path and its enumeration alike; only the
+    # greedy count over explicit representatives can see it
+    from entroscope import skew
+    monkeypatch.setattr(skew, "visited_sets", plant(skew.visited_sets))
+    assert main(_step_two_sep_job(tmp_path)) == 4
+    err = capsys.readouterr().err
+    assert "internal inconsistency: greedy fast path" in err
+
+
 def test_slow_entropy_computes_each_bracket_once(monkeypatch, capsys):
     from entroscope import cli, entropy
     seen = []

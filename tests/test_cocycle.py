@@ -59,6 +59,13 @@ def test_ergodic_sums_radius_one_uses_centered_windows():
         ergodic_sums(tau, (1, 0))
 
 
+def test_ergodic_sums_name_an_undefined_window():
+    tau = Cocycle({(0, 0, 0): 1, (0, 0, 1): -1, (0, 1, 0): 2}, radius=1)
+    assert ergodic_sums(tau, (0, 0, 0, 1, 0)) == (0, 1, 0, 2)
+    with pytest.raises(ConfigError, match=r"window \(0, 1, 1\)"):
+        ergodic_sums(tau, (0, 0, 1, 1, 0))
+
+
 def test_c_m_examples():
     assert c_m({0, 1, 2}, 1) == (True, Fraction(1))
     assert c_m({0, 1, 2}, 2) == (True, Fraction(4, 3))
@@ -157,6 +164,33 @@ def test_profile_counts_dp_and_enumeration_agree():
             prof = cocycle_profile(tau, w)
             slow[(prof.r, prof.q)] += 1
         assert profile_counts(spec, tau, 9) == dict(slow)
+
+
+def test_cocycle_stats_enumerates_each_length_once(monkeypatch, tmp_path,
+                                                  capsys):
+    # a radius-1 rule is outside the range engine: the profile table and
+    # the distribution table read the same enumeration of L_{n+2}
+    import json
+    from entroscope.cli import main
+    wide = Cocycle({(a, b, c): a + c - 1 for a in (0, 1) for b in (0, 1)
+                    for c in (0, 1)}, radius=1)
+    monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
+    asked = Counter()
+    real = FullShift.words
+
+    def counting(self, length, word_cap=None):
+        asked[length] += 1
+        return real(self, length, word_cap=word_cap)
+
+    monkeypatch.setattr(FullShift, "words", counting)
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({
+        "command": "cocycle-stats",
+        "system": {"base": {"variant": "full", "alphabet": [0, 1]},
+                   "tau": cocycle_to_json(wide)}}))
+    assert main(["run", "--config", str(cfg), "--n-range", "2:7"]) == 0
+    capsys.readouterr()
+    assert asked == {n + 2: 1 for n in range(2, 8)}
 
 
 def test_unbounded_profile_values():

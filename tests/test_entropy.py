@@ -16,6 +16,7 @@ from entroscope.entropy import (Arithmetic, Explicit, ExpScale, Geometric,
                                 sa_size, slow_entropy_report)
 from entroscope.exactnum import GOLDEN_MEAN_ALPHA
 from entroscope.fiber import IdentityFiber, SymbolicFiber
+from entroscope.presets import get_preset
 from entroscope.skew import SkewSystem
 from entroscope.symbolic import SFT, FullShift, Sturmian
 
@@ -95,9 +96,30 @@ def test_slow_entropy_empty_flags_on_bounded_system():
     rep = slow_entropy_report(ident, ExpScale(), Fraction(1, 4), 40,
                               [0.5, 1.0])
     assert rep.empty_upper and rep.empty_lower
+    assert not rep.saturated_upper and not rep.saturated_lower
     assert rep.t_upper == rep.t_lower == 0.5  # grid minimum, flagged empty
     with pytest.raises(ValueError):
         slow_entropy_report(ident, ExpScale(), Fraction(1, 4), 40, [])
+
+
+@pytest.mark.parametrize("preset, saturated", [("sturmian-walk", True),
+                                               ("tt-inverse", False)])
+def test_slow_entropy_flags_a_top_of_grid_answer(preset, saturated, capsys):
+    # the Sturmian walk's ratios still clear the threshold at t = 1.1, the
+    # top of the preset grid; tt-inverse crosses inside it
+    from entroscope.cli import main
+    assert main(["slow-entropy", "--preset", preset, "--n-max", "40",
+                 "--no-self-check"]) == 0
+    out = capsys.readouterr().out
+    p = get_preset(preset)
+    rep = slow_entropy_report(p["system"], RangeExpScale(p["base"], p["tau"]),
+                              p["epsilon"], 40, p["t_grid"])
+    assert rep.saturated_upper == rep.saturated_lower == saturated
+    assert (rep.t_upper == max(p["t_grid"])) == saturated
+    assert not rep.empty_upper and not rep.empty_lower
+    side = "saturated (crossing at or above the top)" if saturated else "inside"
+    assert ("CHECK slow-entropy-grid: OBSERVED (grid 0.3..1.1: t_upper %s, "
+            "t_lower %s)" % (side, side)) in out
 
 
 # -- topological entropy brackets ----------------------------------------------

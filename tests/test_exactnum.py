@@ -103,3 +103,50 @@ def test_hash_consistent_with_equality():
     assert hash(QuadExact(Fraction(3, 2))) == hash(QuadExact(Fraction(3, 2)))
     s = {sqrt_exact(5), sqrt_exact(5), QuadExact(1)}
     assert len(s) == 2
+
+
+def _near_integer(k, b, d):
+    """k + b (sqrt(d) - s) with s a 20-digit truncation of sqrt(d).
+
+    The value sits within |b| * 1e-20 of the integer k, above it for
+    b > 0 and below it for b < 0.
+    """
+    s = Fraction(math.isqrt(d * 10 ** 40), 10 ** 20)
+    return QuadExact(k - b * s, b, d)
+
+
+coefs = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+# square-free and not: 8 = 4*2, 12 = 4*3, 18 = 9*2, 50 = 25*2, 72 = 36*2
+radicands = st.sampled_from([2, 3, 5, 7, 8, 12, 13, 18, 50, 72, 1001])
+
+
+@given(coefs, coefs, radicands, st.integers(-5, 5), st.booleans())
+def test_floor_brackets_the_value_exactly(a, b, d, k, near):
+    if b == 0:
+        b = Fraction(-1, 3)
+    x = _near_integer(k, b, d) if near else QuadExact(a, b, d)
+    if near:
+        assert abs(float(x) - k) < 1e-12
+    g = math.floor(x)
+    assert QuadExact(g) <= x < QuadExact(g + 1)
+    f = x.frac()
+    assert 0 <= f < 1 and f + g == x
+
+
+def test_floor_at_both_sides_of_an_integer():
+    # 140/99 < sqrt(2) < 99/70, both within 1e-4 of it
+    assert math.floor(sqrt_exact(2) - Fraction(140, 99)) == 0
+    assert math.floor(sqrt_exact(2) - Fraction(99, 70)) == -1
+    assert math.floor(_near_integer(3, Fraction(-7, 2), 8)) == 2
+    assert math.floor(_near_integer(3, Fraction(7, 2), 8)) == 3
+
+
+def test_comparisons_stay_in_one_field():
+    # comparisons build no difference, yet refuse to mix irrationals
+    with pytest.raises(ValueError):
+        sqrt_exact(2) < sqrt_exact(3)
+    with pytest.raises(TypeError):
+        QuadExact(1) < 1.5
+    assert sqrt_exact(8) > 2 * sqrt_exact(2) - Fraction(1, 10 ** 30)
+    assert not sqrt_exact(8) < 2 * sqrt_exact(2)
+    assert Fraction(1) <= sqrt_exact(2) - Fraction(2, 5)

@@ -213,9 +213,11 @@ def test_visited_set_counts_match_greedy_and_enumeration():
 
 
 def test_self_check_reads_no_memoized_fiber_count():
-    for sys, _ns in visited_set_systems() + [(full_sys(), None)]:
-        assert self_check_skew(sys, QUARTER, 2 ** 20) == ["capacity@n=3",
-                                                          "sep@n=3"]
+    # off the range engine the greedy count is checked as well
+    checks = [(sys, ["capacity@n=3", "sep@n=3", "greedy@n=3"])
+              for sys, _ns in visited_set_systems()]
+    for sys, notes in checks + [(full_sys(), ["capacity@n=3", "sep@n=3"])]:
+        assert self_check_skew(sys, QUARTER, 2 ** 20) == notes
         key = next(iter(sys._fiber_counts))
         count, exact = sys._fiber_counts[key]
         sys._fiber_counts[key] = (count + 1, exact)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entroscope.exactnum import GOLDEN_MEAN_ALPHA, QuadExact
+from entroscope.exactnum import GOLDEN_MEAN_ALPHA, QuadExact, frac_exact
 from entroscope.symbolic import (DEFAULT_WORD_CAP, SFT, FullShift, Product,
                                  Sturmian, WindowPoint, complexity,
                                  enumerate_language, language_on, rho,
@@ -81,6 +81,58 @@ def test_sturmian_words_agree_with_direct_coding():
     for num in range(7):
         x0 = Fraction(num, 7)
         assert walk.code(x0, range(6)) in ws
+
+
+def words_by_cells(spec, length):
+    """Reference Sturmian language: code one point of every cell.
+
+    The cuts are sorted exactly; the word is constant on each cell
+    between neighbouring cuts (the last cell wraps past 1), so coding
+    each cell's midpoint gives every word, with no cut walk.
+    """
+    cuts = sorted({frac_exact(c - p * spec.alpha)
+                   for p in range(length) for c in (0, spec.intercept)})
+    mids = [(a + b) / 2 for a, b in zip(cuts, cuts[1:] + [cuts[0] + 1])]
+    return sorted({spec.code(x, range(length)) for x in mids})
+
+
+quad_coefs = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+nonzero_coefs = quad_coefs.filter(lambda b: b != 0)
+intercepts = st.one_of(
+    st.tuples(st.just("rational"),
+              st.fractions(min_value=0, max_value=1, max_denominator=20)
+              .filter(lambda c: 0 < c < 1)),
+    # {k * alpha}: the two cut families share points
+    st.tuples(st.just("shared"), st.integers(1, 6)),
+    st.tuples(st.just("quadratic"), st.tuples(quad_coefs, nonzero_coefs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(quad_coefs, nonzero_coefs, st.sampled_from([2, 3, 5, 7, 8, 13]),
+       intercepts, st.integers(1, 9))
+def test_sturmian_words_match_cell_reference(a, b, d, intercept, length):
+    alpha = QuadExact(a, b, d)
+    kind, value = intercept
+    if kind == "rational":
+        intercept = value
+    elif kind == "shared":
+        intercept = (value * alpha).frac()
+    else:
+        intercept = QuadExact(value[0], value[1], d).frac()
+    spec = Sturmian(alpha, intercept)
+    assert spec.words(length) == words_by_cells(spec, length)
+
+
+def test_sturmian_float_ties_take_the_exact_sort():
+    # cuts 1/2 - p/(2^60 + 1) and 1 - p/(2^60 + 1) collide as floats
+    spec = Sturmian(Fraction(1, 2 ** 60 + 1), Fraction(1, 2))
+    cuts = sorted({frac_exact(c - p * spec.alpha)
+                   for p in range(4) for c in (0, spec.intercept)},
+                  key=float)
+    assert not all(x < y for x, y in zip(cuts, cuts[1:]))
+    words = spec.words(4)
+    assert words == words_by_cells(spec, 4)
+    assert len(words) == 2 * 4
 
 
 def test_sturmian_rational_angle_horizon():
