@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import partial
 
 from .cocycle import (cocycle_from_json, cocycle_profile, cocycle_to_json,
-                      crt_primes, interval_steps, profile_counts,
+                      interval_steps, profile_counts,
                       range_distribution, range_histograms,
                       unbounded_evidence, walk_range_distribution, walk_rule)
 from .entropy import (FAMILIES, Arithmetic, Explicit, ExpScale, Geometric,
@@ -294,27 +294,28 @@ def self_check_distribution(base, tau, word_cap):
     """Recompute two DP range histograms independently and compare.
 
     n = 6 is checked against brute-force enumeration, and the smallest n
-    whose counts need two CRT primes against the dict DP.  Returns the
-    checked n, or None when the histograms are not computed by the DP.
+    with |A|^n >= 2^31, where counts no longer fit 31 bits, against the
+    dict DP (n = 31 on two letters, 20 on three).  Returns the checked
+    n, or None when the histograms are not computed by the DP.
     """
     vals = walk_rule(base, tau)
     if vals is None:
         return None
     n = 6
-    n_crt = 1
-    while len(crt_primes(len(base.labels), n_crt)) < 2:
-        n_crt += 1
-    hists = range_histograms(base, tau, [n, n_crt], word_cap=word_cap)
+    n_big = 1
+    while len(base.labels) ** n_big < 2 ** 31:
+        n_big += 1
+    hists = range_histograms(base, tau, [n, n_big], word_cap=word_cap)
     brute = Counter(cocycle_profile(tau, w).r
                     for w in base.words(n + 2 * tau.radius, word_cap=word_cap))
     if hists[n] != dict(brute):
         raise OracleMismatch("range distribution fast path %r != brute %r "
                              "at n=%d" % (hists[n], dict(brute), n))
-    oracle = walk_range_distribution(base, n_crt - 1, vals)
-    if hists[n_crt] != oracle:
+    oracle = walk_range_distribution(base, n_big - 1, vals)
+    if hists[n_big] != oracle:
         raise OracleMismatch("range distribution fast path %r != dict DP %r "
-                             "at n=%d" % (hists[n_crt], oracle, n_crt))
-    return (n, n_crt)
+                             "at n=%d" % (hists[n_big], oracle, n_big))
+    return (n, n_big)
 
 
 def run_self_checks(args, ctx, report, skew=False, distribution=False):

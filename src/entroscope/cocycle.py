@@ -13,15 +13,17 @@ loop from words to visited sets, read by every enumerated count.
 
 range_histograms is the one source of r histograms over a language,
 optionally over the middle window of longer words (pad).  For radius-0
-cocycles with steps in {-1, 0, 1} over an SFT or full shift it runs a
-dynamic program over (graph node, cur - min, max - cur) instead of
-enumerating words: one vectorized pass serves every requested n, in
-residues modulo word-size primes rebuilt exactly by the CRT.  Results
-are memoized per process.  walk_range_distribution, the same DP on
-Python dicts of big integers, is the oracle it is checked against.
+cocycles with steps in {-1, 0, 1} over an SFT or full shift it counts
+by strips instead of enumerating words: for each width w it counts the
+walks that stay inside [0, w] from each start, with each graph node's
+positions packed as fields of one exact Python integer, and the range
+histogram is a second difference of those counts in w.  One pass per
+width serves every requested n.  Results are memoized per process.
+walk_range_distribution, a dynamic program over (graph node,
+cur - min, max - cur) on dicts of Python integers, is the independent
+oracle it is checked against.
 """
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -172,11 +174,12 @@ def visited_sets(spec, tau, n, word_cap=DEFAULT_WORD_CAP, pad=0):
 def walk_range_distribution(spec, steps, values):
     """Histogram {r: word count} of visited-set sizes over L_{steps+1}.
 
-    The reference for range_histograms: the same DP one n at a time, in
-    dicts of Python integers.  Valid for radius-0 step rules with values
-    in {-1, 0, 1} on a full shift or SFT: every visited set is then an
-    integer interval, so the state (graph node, cur - min, max - cur)
-    suffices.  steps is n - 1:
+    The oracle for range_histograms, one n at a time in dicts of Python
+    integers, and a different formulation from its strip counts: it
+    tracks each walk's own extent rather than walks inside fixed strips.
+    Valid for radius-0 step rules with values in {-1, 0, 1} on a full
+    shift or SFT: every visited set is then an integer interval, so the
+    state (graph node, cur - min, max - cur) suffices.  steps is n - 1:
     the last letter of an n-word contributes no step.
     """
     if steps < 0:
@@ -326,60 +329,6 @@ def _histogram(sets):
     return out
 
 
-# Residues are int64 below 2^31.  A step adds at most 2 residues per
-# in-edge of a node into one entry, and an emission sums one product below
-# 2^47 per node (see _walk_pass), so nothing comes near 2^63 on any graph
-# with fewer than 2^16 nodes, far more than fit in memory at useful n.
-_PRIMES = []
-
-
-def _is_prime(m):
-    """Miller-Rabin with bases 2, 3, 5, 7: exact for odd m below 3.2e9."""
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def crt_primes(k, n):
-    """The largest primes below 2^31, as many as the bound k^n needs.
-
-    No count over L_n of a k-letter base exceeds k^n, so once the
-    primes' product passes k^n the residues fix the count (CRT).
-    """
-    bound = k ** n
-    out = []
-    prod = 1
-    while prod <= bound:
-        if len(out) == len(_PRIMES):
-            cand = (_PRIMES[-1] if _PRIMES else 2 ** 31 + 1) - 2
-            while not _is_prime(cand):
-                cand -= 2
-            _PRIMES.append(cand)
-        out.append(_PRIMES[len(out)])
-        prod *= out[-1]
-    return out
-
-
-def _crt(columns, primes):
-    """Exact values from their residues: columns[i][j] is value j mod primes[i]."""
-    M = math.prod(primes)
-    coef = [(M // p) * pow(M // p, -1, p) for p in primes]
-    return [sum(x * c for x, c in zip(parts, coef)) % M
-            for parts in zip(*columns)]
-
-
 def _path_counts(edges, length, into):
     """Paths of the given length into (into=True) or out of each node."""
     counts = [1] * len(edges)
@@ -395,104 +344,121 @@ def _path_counts(edges, length, into):
     return counts
 
 
+def _field_bits(k, top, pad):
+    """Bits of one packed strip field, for windows up to top on k letters.
+
+    A field counts (word prefix, start) pairs at one position of one
+    node, or of the sum of a node's in-edges: fewer than the
+    (top + 1) * k^(top + 2 pad) pairs of all words and starts, so no
+    field carries into the next.  One bit is spare.
+    """
+    return ((top + 1) * k ** (top + 2 * pad)).bit_length() + 1
+
+
 def _walk_pass(base, vals, ns, pad):
     """{n: {r: count}} for every n in ns, all with n + pad beyond base.context.
 
-    Counts the words of L_{n+2pad} by the range of their middle n-window.
-    The state after k steps is the table D[node, a, b] of weighted word
-    counts with a = cur - min and b = max - cur.  It starts at each node
-    with the steps among the node's own letters (its last K - pad, when
-    pad < K) and with the node's left weight: the number of words of
-    length max(K, pad) ending in it, that is paths of length
-    max(0, pad - K) into it.  A middle window's last letter carries no
-    step, and pad more letters follow it, so once the window's n - 1
-    steps are taken, the sum of D weighted by each node's paths of length
-    pad + 1 out of it, along the anti-diagonal a + b = r - 1, is the
-    count of range r.  At pad = 0 the left weights are 1 and the right
-    ones the out-degrees.  One pass to max(ns) therefore serves every n.
-    Counts run as residues modulo crt_primes, one prime at a time in two
-    swapped int64 buffers, and are rebuilt exactly at the end.
-    """
-    import numpy as np  # only the range pass needs it
+    Counts the words of L_{n+2pad} by the range of their middle n-window,
+    by strip counting.  T_n(w) counts the pairs (word, start x0) whose
+    middle walk from x0 stays inside [0, w]; a walk of range r fits from
+    max(0, w + 2 - r) starts, so #(range <= r) = T_n(r - 1) - T_n(r - 2)
+    and the histogram is its difference in r.  _strip_counts gives
+    T_n(w) for every n in one pass, so w = 0 .. max(ns) - 1 serve every n.
 
+    The walk starts at each node with the steps among the node's own
+    letters (its last K - pad, when pad < K) and with the node's left
+    weight: the number of words of length max(K, pad) ending in it, that
+    is paths of length max(0, pad - K) into it.  A middle window's last
+    letter carries no step, and pad more letters follow it, so once the
+    window's n - 1 steps are taken each node counts with its right
+    weight, its paths of length pad + 1 out of it.  At pad = 0 the left
+    weights are 1 and the right ones the out-degrees.
+    """
     states, edges = base.graph()
     if not states:
         return {n: {} for n in ns}
     K = base.context
     own = max(0, K - pad)  # steps among the start nodes' letters
     top = max(ns)
-    size = len(states)
     left = _path_counts(edges, max(0, pad - K), into=True)
     right = _path_counts(edges, pad + 1, into=False)
-    # in-edges by step value, split into groups whose targets are distinct
-    # so one fancy-indexed add per group is exact
-    groups = {}
+    # in-edges of each node grouped by step: a group's sources are summed,
+    # then shifted once
+    ins = [{} for _ in states]
     for i, row in enumerate(edges):
         for label, j in row:
-            layers = groups.setdefault(vals[label], [])
-            for src, dst in layers:
-                if j not in dst:
-                    break
-            else:
-                src, dst = [], []
-                layers.append((src, dst))
-            src.append(i)
-            dst.append(j)
-    moves = [(v, np.array(src), np.array(dst))
-             for v in sorted(groups) for src, dst in groups[v]]
-    first = []
-    for i, u in enumerate(states):
-        a = b = 0
-        for letter in u[K - own:]:
-            v = vals[letter]
-            a, b = max(a + v, 0), max(b - v, 0)
-        first.append((i, a, b))
-    first = tuple(np.array(first).T)
-    emit = {n - 1 - own: n for n in ns}
-    primes = crt_primes(len(base.labels), top + 2 * pad)
-    columns = {n: [] for n in ns}
-    # a, b <= k <= top - 1 after k steps
-    cur = np.zeros((size, top, top), dtype=np.int64)
-    nxt = np.zeros_like(cur)
-    for p in primes:
-        # a right weight and an entry are each below 2^31, so the weights
-        # go in 16-bit halves and every product stays below 2^47
-        weights = np.array([w % p for w in right], dtype=np.int64)
-        low, high = weights & 0xFFFF, weights >> 16
-        cur[...] = 0
-        cur[first] = [w % p for w in left]
-        m = own + 1  # side of the square holding every nonzero entry
-        for t in range(top - own):
-            if t in emit:
-                block = cur[:, :m, :m]
-                w = np.tensordot(low, block, axes=1) % p
-                if high.any():
-                    w = (w + np.tensordot(high, block, axes=1) % p
-                         * 0x10000) % p
-                # row a shifted right by a puts a + b in one column
-                diag = (np.pad(w, ((0, 0), (0, m))).ravel()[:m * (2 * m - 1)]
-                        .reshape(m, 2 * m - 1).sum(axis=0)[:m] % p)
-                columns[emit[t]].append(diag.tolist())
-            if t == top - 1 - own:
-                break
-            nxt[:, :m + 1, :m + 1] = 0
-            for v, src, dst in moves:
-                q = cur[src, :m, :m]
-                if v == 0:
-                    nxt[dst, :m, :m] += q
-                elif v == 1:
-                    nxt[dst, 1:m + 1, :m - 1] += q[:, :, 1:]
-                    nxt[dst, 1:m + 1, 0] += q[:, :, 0]
-                else:
-                    nxt[dst, :m - 1, 1:m + 1] += q[:, 1:, :]
-                    nxt[dst, 0, 1:m + 1] += q[:, 0, :]
-            nxt[:, :m + 1, :m + 1] %= p
-            cur, nxt = nxt, cur
-            m += 1
+            ins[j].setdefault(vals[label], []).append(i)
+    moves = [sorted(groups.items()) for groups in ins]
+    starts = [[vals[a] for a in u[K - own:]] for u in states]
+    F = _field_bits(len(base.labels), top, pad)
+    strips = {n: [0, 0] for n in ns}  # T_n(-2) = T_n(-1) = 0
+    for w in range(top):
+        emit = {n - 1 - own: n for n in ns if n > w}
+        for n, T in _strip_counts(w, F, moves, starts, left, right,
+                                  emit).items():
+            strips[n].append(T)
     out = {}
     for n in ns:
-        counts = _crt(columns[n], primes)
-        out[n] = {r: c for r, c in enumerate(counts, start=1) if c}
+        T = strips[n]
+        at_most = [T[r + 1] - T[r] for r in range(n + 1)]  # range <= r
+        out[n] = {r: at_most[r] - at_most[r - 1] for r in range(1, n + 1)
+                  if at_most[r] != at_most[r - 1]}
+    return out
+
+
+def _strip_counts(width, F, moves, starts, left, right, emit):
+    """{n: T_n(width)} for n in emit.values(), from one walk of the graph.
+
+    Each node holds the positions 0..width of its weighted walks as one
+    int of F-bit fields (position x in bits F x .. F x + F - 1), and
+    beside it their total, its mass.  A +1 step shifts the fields up and
+    masks off the one leaving the strip, a -1 step shifts them down; the
+    field that falls off is subtracted from the mass.  A node starts with
+    its left weight at every position, then takes the steps of its own
+    letters.  After emit's step counts t, T_n(width) is the sum of each
+    node's mass times its right weight.
+    """
+    low = (1 << F) - 1
+    mask = (1 << F * (width + 1)) - 1
+    hi = F * width  # the shift that exposes the top field
+    ones = mask // low  # a 1 in every field
+    cs, ms = [], []
+    for steps, weight in zip(starts, left):
+        c, m = weight * ones, weight * (width + 1)
+        for v in steps:
+            if v > 0:
+                c, m = (c << F) & mask, m - (c >> hi)
+            elif v < 0:
+                c, m = c >> F, m - (c & low)
+        cs.append(c)
+        ms.append(m)
+    out = {}
+    last = max(emit)
+    for t in range(last + 1):
+        if t in emit:
+            out[emit[t]] = sum(m * r for m, r in zip(ms, right))
+            if t == last:
+                break
+        nc, nm = [], []
+        for groups in moves:
+            c_to = None
+            for v, srcs in groups:
+                c, m = cs[srcs[0]], ms[srcs[0]]
+                for i in srcs[1:]:
+                    c += cs[i]
+                    m += ms[i]
+                if v > 0:
+                    c, m = (c << F) & mask, m - (c >> hi)
+                elif v < 0:
+                    c, m = c >> F, m - (c & low)
+                if c_to is None:
+                    c_to, m_to = c, m
+                else:
+                    c_to += c
+                    m_to += m
+            nc.append(c_to)
+            nm.append(m_to)
+        cs, ms = nc, nm
     return out
 
 

@@ -20,10 +20,11 @@ rho(eps) = min{k >= 0 : 2^-k <= eps}.
 
 import itertools
 import math
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import QuadExact, frac_exact
+from .exactnum import QuadExact
 from .util import CapExceeded, SturmianHorizonError, WindowError
 
 DEFAULT_WORD_CAP = 2 ** 20
@@ -252,6 +253,11 @@ class Sturmian:
         self.intercept = intercept
         self.labels = (-1, 1)
         self._word_cache = {}  # {length: (cut count, words)}
+        # the cuts of the longest window so far (see _cuts)
+        self._cut_order = []
+        self._flips = {}  # {cut: [(p, symbol), ...]}, p increasing
+        self._cut_len = 0
+        self._next_cuts = (QuadExact(0), intercept)  # those of p = _cut_len
 
     def __repr__(self):
         return "Sturmian(%r, %r)" % (self.alpha, self.intercept)
@@ -279,19 +285,50 @@ class Sturmian:
             out.append(1 if u < self.intercept else -1)
         return tuple(out)
 
+    def _cuts(self, length, word_cap):
+        """(cuts, flips) of the window [0, length), the cuts in exact order.
+
+        The cut {-p*alpha} turns symbol p to +1 and {intercept - p*alpha}
+        turns it to -1; flips maps each distinct cut to its (p, symbol)
+        pairs.  The cuts of p are those of p - 1 moved back by alpha.  The
+        instance keeps the cuts of its longest window so far and extends
+        them by two per position, checks the new count against the cap,
+        then places each new cut: exact comparisons with the neighbours at
+        its float value's place certify that place, or an exact bisection
+        decides.  A shorter window takes the cuts with a flip inside it.
+        """
+        order, flips = self._cut_order, self._flips
+        if length < self._cut_len:
+            order = [c for c in order if flips[c][0][0] < length]
+            flips = {c: [f for f in flips[c] if f[0] < length] for c in order}
+        added, nxt = {}, self._next_cuts
+        for p in range(self._cut_len, length):
+            for cut, sym in zip(nxt, (1, -1)):
+                added.setdefault(cut, []).append((p, sym))
+            nxt = tuple((c - self.alpha).frac() for c in nxt)
+        _check_cap(len(order) + sum(c not in flips for c in added), word_cap)
+        for cut, more in added.items():
+            if cut in flips:
+                flips[cut] += more
+                continue
+            i = bisect(order, float(cut), key=float)
+            if not ((i == 0 or order[i - 1] < cut)
+                    and (i == len(order) or cut < order[i])):
+                i = bisect(order, cut)
+            order.insert(i, cut)
+            flips[cut] = more
+        self._next_cuts = nxt
+        self._cut_len = max(self._cut_len, length)
+        return order, flips
+
     def words(self, length, word_cap=DEFAULT_WORD_CAP):
         """Every word of the orbit closure, via the exact cut-point walk.
 
         The word of x is constant on each cell of the circle partition cut
-        by {-p*alpha} (crossing it turns symbol p to +1) and
-        {intercept - p*alpha} (turns symbol p to -1), p over the window.
-        One cell's word is evaluated directly; the rest follow by flipping
-        the symbols attached to each crossed cut.  Boundary points code like
-        the cell on their right, so sampling every cell witnesses the whole
-        closure.  The cuts are sorted by float keys and the order is then
-        certified by exact comparisons of adjacent pairs (a list is sorted
-        iff every adjacent pair is); if any pair fails, the exact sort
-        decides.
+        by the points of _cuts.  One cell's word is evaluated directly; the
+        rest follow by flipping the symbols attached to each crossed cut.
+        Boundary points code like the cell on their right, so sampling
+        every cell witnesses the whole closure.
         """
         if length < 1:
             raise ValueError("length must be >= 1")
@@ -300,16 +337,7 @@ class Sturmian:
         if cached is not None:
             _check_cap(cached[0], word_cap)
             return list(cached[1])
-        flips = {}
-        for p in range(length):
-            up = frac_exact(-p * self.alpha)
-            dn = frac_exact(self.intercept - p * self.alpha)
-            flips.setdefault(up, []).append((p, 1))
-            flips.setdefault(dn, []).append((p, -1))
-        _check_cap(len(flips), word_cap)
-        cuts = sorted(flips, key=float)
-        if not all(map(QuadExact.__lt__, cuts, cuts[1:])):
-            cuts = sorted(flips)
+        cuts, flips = self._cuts(length, word_cap)
         if len(cuts) > 1:
             first_sample = (cuts[0] + cuts[1]) / 2
         else:

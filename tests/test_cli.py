@@ -221,9 +221,10 @@ def test_oracle_mismatch_exits_4(monkeypatch, capsys):
     assert "internal inconsistency" in capsys.readouterr().err
 
 
-def _crt_off_by_one(real):
-    def crooked(columns, primes):
-        return [v + (len(primes) > 1) for v in real(columns, primes)]
+def _strip_off_by_one(real):
+    def crooked(width, *args):
+        out = real(width, *args)
+        return {n: T + (width == 2) for n, T in out.items()}
     return crooked
 
 
@@ -238,9 +239,9 @@ def _pass_off_by_one_past_6(real):
 
 
 @pytest.mark.parametrize("name, plant, oracle", [
-    # a fault in two-prime rebuilds; the check's one pass to n = 31 uses
-    # two primes for n = 6 as well, so brute force sees it first
-    ("_crt", _crt_off_by_one, "brute"),
+    # one strip count off, at width 2 for every n; the check's one pass
+    # to n = 31 serves n = 6 as well, so brute force sees it first
+    ("_strip_counts", _strip_off_by_one, "brute"),
     # a fault past n = 6, where only the dict DP can see it
     ("_walk_pass", _pass_off_by_one_past_6, "dict DP"),
 ])
@@ -346,6 +347,23 @@ def test_slow_entropy_computes_each_bracket_once(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert ("CHECK self-check: PASS (capacity@n=3, sep@n=3, "
             "distribution@n=6,31)") in out
+
+
+def test_range_commands_run_without_numpy(tmp_path):
+    # the range engine counts in Python integers, so no CLI command
+    # loads numpy (a test dependency only)
+    src = pathlib.Path(entroscope.__file__).resolve().parents[1]
+    code = ("import sys; from entroscope.cli import main; "
+            "assert main(['slow-entropy', '--preset', 'tt-inverse', "
+            "'--n-max', '40', '--out', %r]) == 0; "
+            "assert main(['sep', '--preset', 'tt-inverse', "
+            "'--n-range', '2:6', '--out', %r]) == 0; "
+            "assert 'numpy' not in sys.modules, 'numpy imported'"
+            % (str(tmp_path / "se"), str(tmp_path / "sep")))
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- the benchmark's tracer -----------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from entroscope import cocycle
 from entroscope.cocycle import (Cocycle, c_m, cocycle_from_json,
                                 cocycle_profile, cocycle_to_json,
-                                crt_primes, ergodic_sums, profile_counts,
+                                ergodic_sums, profile_counts,
                                 range_distribution, range_histograms,
                                 unbounded_evidence, unbounded_profile,
                                 walk_range_distribution)
@@ -235,23 +235,47 @@ STEP = st.sampled_from((-1, 0, 1))
        STEP, STEP, st.sets(st.integers(1, 24), max_size=3),
        st.integers(31, 36))
 def test_engine_matches_dict_dp_on_random_sfts(forbidden, down, up, ns,
-                                               n_crt):
+                                               n_big):
     base = SFT((-1, 1), forbidden)
     tau = Cocycle({(-1,): down, (1,): up})
-    assert len(crt_primes(2, n_crt)) >= 2  # CRT combines two primes here
-    got = range_histograms(base, tau, ns | {n_crt})
-    for n in ns | {n_crt}:
+    # counts up to 2^n_big: past 31 bits, in strip fields past 32 bits
+    assert cocycle._field_bits(2, n_big, 0) > 32
+    got = range_histograms(base, tau, ns | {n_big})
+    for n in ns | {n_big}:
         assert got[n] == walk_range_distribution(base, n - 1,
                                                  tau.step_values()), n
 
 
-def test_engine_counts_past_one_prime_exactly():
-    # at n = 64 single counts of the sign walk exceed 2^31
-    p = crt_primes(2, 1)[0]
-    got = range_histograms(SIGNS, SIGN, [64])[64]
+# three letters with steps -1, 0 and 1: the 0-step move, and fields sized
+# for 3^n; n = 20 is the first n with 3^n >= 2^31
+@settings(deadline=None, max_examples=15)
+@given(st.lists(st.lists(st.sampled_from((0, 1, 2)), min_size=2, max_size=3),
+                max_size=3),
+       st.permutations((-1, 0, 1)), st.sets(st.integers(1, 12), max_size=3),
+       st.integers(20, 22))
+def test_engine_matches_dict_dp_on_three_letters(forbidden, steps, ns, n_big):
+    base = SFT((0, 1, 2), forbidden)
+    vals = dict(zip((0, 1, 2), steps))
+    tau = Cocycle({(a,): v for a, v in vals.items()})
+    assert 3 ** n_big >= 2 ** 31
+    assert cocycle._field_bits(3, n_big, 0) > 32
+    got = range_histograms(base, tau, ns | {n_big})
+    for n in ns | {n_big}:
+        assert got[n] == walk_range_distribution(base, n - 1, vals), n
+
+
+def test_engine_counts_past_64_bits_exactly():
+    # at n = 64 single counts of the sign walk exceed 2^31, the total is
+    # 2^64, and a strip field holds more than 64 bits
+    assert cocycle._field_bits(2, 64, 0) > 64
+    hists = range_histograms(SIGNS, SIGN, [64, 200])
+    got = hists[64]
     want = walk_range_distribution(SIGNS, 63, {-1: -1, 1: 1})
-    assert got == want and max(want.values()) > p
+    assert got == want and max(want.values()) > 2 ** 31
     assert sum(got.values()) == 2 ** 64
+    # every step moves, so no range is below 2
+    assert sum(hists[200].values()) == 2 ** 200
+    assert min(hists[200]) == 2 and max(hists[200]) == 200
 
 
 def test_engine_serves_repeat_requests_from_its_memo(monkeypatch):
@@ -306,20 +330,23 @@ def test_padded_engine_matches_sliced_enumeration(forbidden, down, up, ns,
         assert got[n] == sliced_histogram(base, tau, n, pad), n
 
 
-def test_padded_engine_counts_past_two_primes():
+def test_padded_engine_counts_in_wide_fields():
     # free pad letters on the full shift multiply every count by 2^(2 pad).
-    # At n = 29 one prime bounds L_n but not the padded counts, and at
-    # pad = 16 a node's right weight 2^17 needs more than 16 bits
+    # At n = 29 the counts of L_n fit 31 bits but the padded ones do not,
+    # and at pad = 16 a node's right weight is 2^17
     for n, pad in ((29, 3), (5, 16)):
-        assert len(crt_primes(2, n)) == 1 < len(crt_primes(2, n + 2 * pad))
+        assert 2 ** n < 2 ** 31 < 2 ** (n + 2 * pad)
+        assert cocycle._field_bits(2, n, pad) > 32
         got = range_histograms(SIGNS, SIGN, [n], pad=pad)[n]
         want = walk_range_distribution(SIGNS, n - 1, {-1: -1, 1: 1})
         assert got == {r: c * 4 ** pad for r, c in want.items()}
-        assert max(got.values()) > crt_primes(2, 1)[0]
-    # once a letter is 1 it stays 1: a small language, two primes all the
-    # same, with pad above the graph's memory of one letter
+        assert max(got.values()) > 2 ** 31
+    # once a letter is 1 it stays 1: a small language, in fields sized for
+    # 2^34 words all the same, with pad above the graph's memory of one
+    # letter
     stair = SFT((-1, 1), [(1, -1)])
-    assert len(crt_primes(2, 30 + 2 * 2)) == 2
+    assert stair.count(30 + 2 * 2) < 2 ** 6
+    assert cocycle._field_bits(2, 30, 2) > 34
     for pad in (0, 1, 2):
         assert (range_histograms(stair, SIGN, [30], pad=pad)[30]
                 == sliced_histogram(stair, SIGN, 30, pad))

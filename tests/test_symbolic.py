@@ -96,6 +96,56 @@ def words_by_cells(spec, length):
     return sorted({spec.code(x, range(length)) for x in mids})
 
 
+def words_by_cut_walk(spec, length):
+    """Reference Sturmian language: the cut walk built from scratch.
+
+    Every cut of the window is computed directly, the cuts are sorted
+    exactly, and the walk flips symbols across them from one coded cell.
+    """
+    flips = {}
+    for p in range(length):
+        flips.setdefault(frac_exact(-p * spec.alpha), []).append((p, 1))
+        flips.setdefault(frac_exact(spec.intercept - p * spec.alpha),
+                         []).append((p, -1))
+    cuts = sorted(flips)
+    sample = ((cuts[0] + cuts[1]) / 2 if len(cuts) > 1
+              else cuts[0] + Fraction(1, 2))
+    cur = list(spec.code(sample, range(length)))
+    seen = {tuple(cur)}
+    for c in cuts[1:] + cuts[:1]:
+        for p, sym in flips[c]:
+            cur[p] = sym
+        seen.add(tuple(cur))
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("intercept", [Fraction(1, 2), None])
+def test_incremental_cuts_match_walk_from_scratch(intercept):
+    # sturmian-walk (intercept 1/2) and the default intercept, whose two
+    # cut families share points; lengths up, then down, then at random,
+    # so the kept cuts are extended, filtered and extended again
+    lengths = (list(range(1, 61)), list(range(60, 0, -1)),
+               [7, 31, 2, 60, 45, 1, 59, 13])
+    for order in lengths:
+        spec = Sturmian(GOLDEN_MEAN_ALPHA, intercept)
+        for length in order:
+            assert spec.words(length) == words_by_cut_walk(spec, length), \
+                length
+
+
+def test_incremental_cuts_survive_a_cap_refusal():
+    walk = Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2))
+    walk.words(5)
+    # 40 cut points at length 20: refused before any is kept
+    with pytest.raises(CapExceeded):
+        walk.words(20, word_cap=39)
+    # 6 cut points at length 3, read off the 10 kept ones
+    with pytest.raises(CapExceeded):
+        walk.words(3, word_cap=5)
+    assert walk.words(3, word_cap=6) == words_by_cut_walk(walk, 3)
+    assert walk.words(20, word_cap=40) == words_by_cut_walk(walk, 20)
+
+
 quad_coefs = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 nonzero_coefs = quad_coefs.filter(lambda b: b != 0)
 intercepts = st.one_of(
