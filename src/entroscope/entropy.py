@@ -28,7 +28,7 @@ from fractions import Fraction
 from .cocycle import c_m, cover_size, ergodic_sums, profile_counts
 from .fiber import spa_bracket
 from .skew import SkewSystem, capacity_A
-from .symbolic import DEFAULT_WORD_CAP
+from .symbolic import DEFAULT_WORD_CAP, Sturmian
 from .util import log_big, log_sum_exp
 
 
@@ -453,10 +453,14 @@ def birkhoff_sup(spec, tau, n, word_cap=DEFAULT_WORD_CAP):
 
     Decay in n witnesses uniform convergence of the ergodic averages to
     zero, the zero-entropy criterion's hypothesis; the full shift with a
-    coordinate cocycle stays at 1 forever, as it should.
+    coordinate cocycle stays at 1 forever, as it should.  On a Sturmian
+    base the sums stream along the cells of its cut walk and no word
+    list is built (_cell_sum_max); every other base loops over its words.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if isinstance(spec, Sturmian):
+        return Fraction(_cell_sum_max(spec, tau, n, word_cap), n)
     s = tau.radius
     best = None
     for w in spec.words(n + 2 * s, word_cap=word_cap):
@@ -466,3 +470,28 @@ def birkhoff_sup(spec, tau, n, word_cap=DEFAULT_WORD_CAP):
     if best is None:
         raise ValueError("empty language at n=%d" % n)
     return Fraction(best, n)
+
+
+def _cell_sum_max(spec, tau, n, word_cap):
+    """max |tau^n| over the words of Sturmian.cells(n + 2s).
+
+    A flip at word index p changes only the window values j in
+    [p - 2s, p], so each crossed cut recomputes those and moves the
+    running total by their change.  The word is already flipped at every
+    crossed position, so a window shared by two flips is recomputed to
+    the same value and moves the total once.
+    """
+    width = 2 * tau.radius + 1
+    cells = spec.cells(n + width - 1, word_cap)
+    cur, _ = next(cells)
+    vals = [tau.value(cur[j:j + width]) for j in range(n)]
+    total = sum(vals)
+    best = abs(total)
+    for cur, crossed in cells:
+        for p, _ in crossed:
+            for j in range(max(0, p - width + 1), min(p + 1, n)):
+                v = tau.value(cur[j:j + width])
+                total += v - vals[j]
+                vals[j] = v
+        best = max(best, abs(total))
+    return best

@@ -4,9 +4,13 @@ Coefficients a, b are rationals and d is a square-free nonnegative integer.
 Every comparison, floor, and fractional part is decided without floating
 point, which is what boundary-sensitive circle codings need: whether
 frac(x0 + n*alpha) falls left or right of a cut must never depend on
-rounding.  Floor is an integer formula (isqrt of b^2 d over a common
-denominator).  Callers may use float(x) as a sort key, but only to
-propose an order that exact comparisons then accept or reject.
+rounding.  Floor is an integer formula, floor_coords: isqrt of B^2 d
+over a common denominator q.  Loops that step many numbers of one field
+skip the QuadExact objects altogether: integer_coords writes each number
+as (A + B sqrt(d)) / q with one q and d for all of them, floor_coords
+floors that, and _sign orders integer differences.  Callers may use a
+float value as a sort key, but only to propose an order that exact
+comparisons then accept or reject.
 """
 
 from fractions import Fraction
@@ -210,23 +214,13 @@ class QuadExact:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 
     def __floor__(self):
-        """Exact floor from integers alone.
-
-        Over a common denominator q the value is (A + B sqrt(d)) / q.
-        B sqrt(d) is irrational, so with f its floor (isqrt(B^2 d) when
-        B > 0, -isqrt(B^2 d) - 1 when B < 0) the value lies strictly
-        inside ((A + f) / q, (A + f + 1) / q), which holds no integer.
-        """
+        """Exact floor from integers alone (floor_coords)."""
         a, b = self.a, self.b
         if b == 0:
             return math.floor(a)
         q = math.lcm(a.denominator, b.denominator)
-        A = a.numerator * (q // a.denominator)
-        B = b.numerator * (q // b.denominator)
-        f = math.isqrt(B * B * self.d)
-        if B < 0:
-            f = -f - 1
-        return (A + f) // q
+        return floor_coords(a.numerator * (q // a.denominator),
+                            b.numerator * (q // b.denominator), q, self.d)
 
     def frac(self):
         """Fractional part, exactly: self - floor(self), in [0, 1)."""
@@ -242,6 +236,41 @@ class QuadExact:
         if self.b == 0:
             return "QuadExact(%s)" % (self.a,)
         return "QuadExact(%s, %s, %d)" % (self.a, self.b, self.d)
+
+
+def integer_coords(values):
+    """(q, d, [(A, B), ...]): each value as (A + B sqrt(d)) / q.
+
+    values are QuadExact, Fraction or int; q is the lcm of all their
+    coefficient denominators and d the one radicand among the irrational
+    ones (0 if every value is rational).  Two irrational values with
+    different radicands raise ValueError.
+    """
+    vals = [v if isinstance(v, QuadExact) else QuadExact(v) for v in values]
+    radicands = {v.d for v in vals if v.b != 0}
+    if len(radicands) > 1:
+        raise ValueError("mixed radicands %s"
+                         % " and ".join(map(str, sorted(radicands))))
+    d = radicands.pop() if radicands else 0
+    q = math.lcm(*(c.denominator for v in vals for c in (v.a, v.b)))
+    return q, d, [(v.a.numerator * (q // v.a.denominator),
+                   v.b.numerator * (q // v.b.denominator)) for v in vals]
+
+
+def floor_coords(A, B, q, d):
+    """floor((A + B sqrt(d)) / q) for integers A, B, q > 0, d square-free.
+
+    With B != 0, B sqrt(d) is irrational, so with f its floor
+    (isqrt(B^2 d) when B > 0, -isqrt(B^2 d) - 1 when B < 0) the value
+    lies strictly inside ((A + f) / q, (A + f + 1) / q), which holds no
+    integer.
+    """
+    if B == 0:
+        return A // q
+    f = math.isqrt(B * B * d)
+    if B < 0:
+        f = -f - 1
+    return (A + f) // q
 
 
 def sqrt_exact(d):

@@ -60,7 +60,7 @@ class SkewSystem:
         self.base = base
         self.tau = tau
         self.fiber = fiber
-        # {(class, eps): (count, exact)}: fiber counts, see _fiber_sum
+        # {eps: {class: (count, exact)}}: fiber counts, see _fiber_sum
         self._fiber_counts = {}
 
     def __repr__(self):
@@ -200,15 +200,16 @@ def _fiber_sum(sys, classes, epsilon, fresh, exact=False):
 
     Each fiber count is computed once per system and (F, eps), or with
     fresh set once per call, so an oracle run reads no count that the
-    fast path stored.  With exact set, a fiber that has only a greedy
-    count is a config error.
+    fast path stored.  The memo holds one dict per eps, keyed by class,
+    so a lookup hashes no Fraction.  With exact set, a fiber that has
+    only a greedy count is a config error.
     """
-    memo = {} if fresh else sys._fiber_counts
+    memo = {} if fresh else sys._fiber_counts.setdefault(epsilon, {})
     total = 0
     for F, cnt in classes.items():
-        got = memo.get((F, epsilon))
+        got = memo.get(F)
         if got is None:
-            got = memo[(F, epsilon)] = sep_count(sys.fiber, F, epsilon)
+            got = memo[F] = sep_count(sys.fiber, F, epsilon)
         if exact and not got[1]:
             raise ConfigError("fiber %r has no exact separated count"
                               % (sys.fiber,))

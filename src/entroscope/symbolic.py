@@ -23,8 +23,9 @@ import math
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
-from .exactnum import QuadExact
+from .exactnum import QuadExact, _sign, floor_coords, integer_coords
 from .util import CapExceeded, SturmianHorizonError, WindowError
 
 DEFAULT_WORD_CAP = 2 ** 20
@@ -232,7 +233,11 @@ class Sturmian:
 
     alpha may be a Fraction (periodic orbit; enumeration is only valid on
     windows shorter than the denominator and raises past that horizon) or
-    a QuadExact with irrational part (no horizon).
+    a QuadExact with irrational part (no horizon).  alpha and the
+    intercept must share one quadratic field.  The coder and the cut walk
+    run on integer coordinates: every number they touch is
+    (A + B sqrt(d)) / q with q and d fixed per instance
+    (exactnum.integer_coords), so they build no QuadExact or Fraction.
     """
 
     variant = "sturmian"
@@ -251,13 +256,18 @@ class Sturmian:
             raise ValueError("intercept must lie strictly inside (0, 1)")
         self.alpha = alpha
         self.intercept = intercept
+        # mixed radicands raise here, not at the first walk
+        self._q, self._d, (self._alpha_c, self._intercept_c) = \
+            integer_coords((alpha, intercept))
+        self._root = math.sqrt(self._d)
         self.labels = (-1, 1)
         self._word_cache = {}  # {length: (cut count, words)}
         # the cuts of the longest window so far (see _cuts)
-        self._cut_order = []
+        self._cut_order = []  # (A, B) pairs in exact order
+        self._cut_hints = []  # their float values, the bisection hints
         self._flips = {}  # {cut: [(p, symbol), ...]}, p increasing
         self._cut_len = 0
-        self._next_cuts = (QuadExact(0), intercept)  # those of p = _cut_len
+        self._next_cuts = ((0, 0), self._intercept_c)  # those of p = _cut_len
 
     def __repr__(self):
         return "Sturmian(%r, %r)" % (self.alpha, self.intercept)
@@ -276,91 +286,129 @@ class Sturmian:
                 % (length, q))
 
     def code(self, x0, positions):
-        """Symbols (+1/-1) of the point x0 at the given positions."""
-        if not isinstance(x0, QuadExact):
-            x0 = QuadExact(Fraction(x0))
-        out = []
-        for p in positions:
-            u = (x0 + p * self.alpha).frac()
-            out.append(1 if u < self.intercept else -1)
-        return tuple(out)
+        """Symbols (+1/-1) of the point x0 at the given positions.
+
+        x0 is a Fraction or a QuadExact in the field of alpha and the
+        intercept (any one field when both are rational).
+        """
+        q, d, (x, alpha, intercept) = integer_coords(
+            (x0, self.alpha, self.intercept))
+        return _rotation_code(x, alpha, intercept, q, d, positions)
 
     def _cuts(self, length, word_cap):
         """(cuts, flips) of the window [0, length), the cuts in exact order.
 
-        The cut {-p*alpha} turns symbol p to +1 and {intercept - p*alpha}
-        turns it to -1; flips maps each distinct cut to its (p, symbol)
-        pairs.  The cuts of p are those of p - 1 moved back by alpha.  The
-        instance keeps the cuts of its longest window so far and extends
-        them by two per position, checks the new count against the cap,
-        then places each new cut: exact comparisons with the neighbours at
-        its float value's place certify that place, or an exact bisection
-        decides.  A shorter window takes the cuts with a flip inside it.
+        A cut is an (A, B) pair, the point (A + B sqrt(d)) / q.  The cut
+        {-p*alpha} turns symbol p to +1 and {intercept - p*alpha} turns it
+        to -1; flips maps each distinct cut to its (p, symbol) pairs.  The
+        cuts of p are those of p - 1 moved back by alpha, reduced mod 1
+        by the integer floor formula.  The instance keeps the cuts of its
+        longest window so far and extends them by two per position,
+        checks the new count against the cap, then places each new cut:
+        exact comparisons with the neighbours at its float value's place
+        certify that place, or an exact bisection decides.  A shorter
+        window takes the cuts with a flip inside it.
         """
         order, flips = self._cut_order, self._flips
         if length < self._cut_len:
             order = [c for c in order if flips[c][0][0] < length]
             flips = {c: [f for f in flips[c] if f[0] < length] for c in order}
+        q, d, (a_A, a_B) = self._q, self._d, self._alpha_c
         added, nxt = {}, self._next_cuts
         for p in range(self._cut_len, length):
-            for cut, sym in zip(nxt, (1, -1)):
-                added.setdefault(cut, []).append((p, sym))
-            nxt = tuple((c - self.alpha).frac() for c in nxt)
+            moved = []
+            for (A, B), sym in zip(nxt, (1, -1)):
+                added.setdefault((A, B), []).append((p, sym))
+                A, B = A - a_A, B - a_B
+                moved.append((A - q * floor_coords(A, B, q, d), B))
+            nxt = tuple(moved)
         _check_cap(len(order) + sum(c not in flips for c in added), word_cap)
+        hints = self._cut_hints
+        exact = cmp_to_key(lambda u, v: _sign(u[0] - v[0], u[1] - v[1], d))
         for cut, more in added.items():
             if cut in flips:
                 flips[cut] += more
                 continue
-            i = bisect(order, float(cut), key=float)
-            if not ((i == 0 or order[i - 1] < cut)
-                    and (i == len(order) or cut < order[i])):
-                i = bisect(order, cut)
+            hint = (cut[0] + cut[1] * self._root) / q
+            i = bisect(hints, hint)
+            key = exact(cut)
+            if not ((i == 0 or exact(order[i - 1]) < key)
+                    and (i == len(order) or key < exact(order[i]))):
+                i = bisect(order, key, key=exact)
             order.insert(i, cut)
+            hints.insert(i, hint)
             flips[cut] = more
         self._next_cuts = nxt
         self._cut_len = max(self._cut_len, length)
         return order, flips
 
-    def words(self, length, word_cap=DEFAULT_WORD_CAP):
-        """Every word of the orbit closure, via the exact cut-point walk.
+    def cells(self, length, word_cap=DEFAULT_WORD_CAP):
+        """Walk the cells of the window [0, length) once around the circle.
 
         The word of x is constant on each cell of the circle partition cut
-        by the points of _cuts.  One cell's word is evaluated directly; the
-        rest follow by flipping the symbols attached to each crossed cut.
-        Boundary points code like the cell on their right, so sampling
-        every cell witnesses the whole closure.
+        by the points of _cuts.  Yields (word, crossed) per cell in cut
+        order: first the first cell's word, coded directly at its left
+        cut (boundary points code like the cell on their right), with no
+        flips; then, per later cut, the word after flipping the symbols
+        attached to it and those (p, symbol) flips.  word is one list
+        updated in place: copy it to keep it.  The horizon and cap checks
+        run at the first step; once the walk is exhausted, crossing the
+        first cut again must land back on the first cell.
         """
         if length < 1:
             raise ValueError("length must be >= 1")
         self._check_horizon(length)
-        cached = self._word_cache.get(length)
-        if cached is not None:
-            _check_cap(cached[0], word_cap)
-            return list(cached[1])
         cuts, flips = self._cuts(length, word_cap)
-        if len(cuts) > 1:
-            first_sample = (cuts[0] + cuts[1]) / 2
-        else:
-            first_sample = cuts[0] + Fraction(1, 2)
-        first = self.code(first_sample, range(length))
-        cur = list(first)
-        seen = {first}
+        cur = list(_rotation_code(cuts[0], self._alpha_c, self._intercept_c,
+                                  self._q, self._d, range(length)))
+        first = tuple(cur)
+        yield cur, ()
         for c in cuts[1:]:
-            for p, sym in flips[c]:
+            crossed = flips[c]
+            for p, sym in crossed:
                 cur[p] = sym
-            seen.add(tuple(cur))
-        # walking across the first cut must land back on the first cell
+            yield cur, crossed
         for p, sym in flips[cuts[0]]:
             cur[p] = sym
         if tuple(cur) != first:
             raise AssertionError("cut walk failed to close up")
+
+    def words(self, length, word_cap=DEFAULT_WORD_CAP):
+        """Every word of the orbit closure: the distinct words of cells.
+
+        Sampling every cell witnesses the whole closure.
+        """
+        cached = self._word_cache.get(length)
+        if cached is not None:
+            _check_cap(cached[0], word_cap)
+            return list(cached[1])
+        seen = set()
+        count = 0
+        for cur, _ in self.cells(length, word_cap):
+            seen.add(tuple(cur))
+            count += 1
         out = sorted(seen)
         if len(out) * length <= 2 ** 22:
-            self._word_cache[length] = (len(cuts), tuple(out))
+            self._word_cache[length] = (count, tuple(out))
         return out
 
     def count(self, length):
         return len(self.words(length, word_cap=None))
+
+
+def _rotation_code(x, alpha, intercept, q, d, positions):
+    """Symbols of the point x at the given positions, in integer coordinates.
+
+    x, alpha and intercept are (A, B) pairs over q and d; symbol p is +1
+    iff frac(x + p*alpha) lies below the intercept.
+    """
+    (x_A, x_B), (a_A, a_B), (c_A, c_B) = x, alpha, intercept
+    out = []
+    for p in positions:
+        A, B = x_A + p * a_A, x_B + p * a_B
+        A -= q * floor_coords(A, B, q, d)
+        out.append(1 if _sign(A - c_A, B - c_B, d) < 0 else -1)
+    return tuple(out)
 
 
 class Product:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from entroscope.cocycle import Cocycle
+from entroscope.cocycle import Cocycle, ergodic_sums
 from entroscope.entropy import (Arithmetic, Explicit, ExpScale, Geometric,
                                 PolyScale, RangeExpScale, RangeInnerScale,
                                 bernoulli_seq_entropy, birkhoff_sup,
@@ -19,6 +19,7 @@ from entroscope.fiber import IdentityFiber, SymbolicFiber
 from entroscope.presets import get_preset
 from entroscope.skew import SkewSystem
 from entroscope.symbolic import SFT, FullShift, Sturmian
+from entroscope.util import CapExceeded, SturmianHorizonError
 
 SIGN = Cocycle({(-1,): -1, (1,): 1})
 SIGNS = FullShift((-1, 1))
@@ -283,3 +284,58 @@ def test_birkhoff_sturmian_walk_decays():
     assert birkhoff_sup(walk, SIGN, 5) == Fraction(1, 5)
     assert birkhoff_sup(walk, SIGN, 25) == Fraction(3, 25)
     assert birkhoff_sup(walk, SIGN, 500) == Fraction(1, 125)
+
+
+# radius 1, values in -2..2, so flips change up to three window values
+TRIPLE = Cocycle({(a, b, c): a * b + c for a in (-1, 1) for b in (-1, 1)
+                  for c in (-1, 1)}, radius=1)
+STURMIAN_BASES = (lambda: Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2)),
+                  lambda: Sturmian(GOLDEN_MEAN_ALPHA),
+                  lambda: Sturmian(Fraction(8, 21), Fraction(1, 2)),
+                  lambda: Sturmian(Fraction(8, 21)))
+
+
+def birkhoff_by_words(spec, tau, n, word_cap):
+    """The word loop: max |tau^n| over an explicit word list."""
+    words = spec.words(n + 2 * tau.radius, word_cap=word_cap)
+    return Fraction(max(abs(ergodic_sums(tau, w)[-1]) for w in words), n)
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except (CapExceeded, SturmianHorizonError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("tau", [SIGN, TRIPLE])
+def test_birkhoff_streamed_on_cells_matches_word_loop(tau):
+    for make in STURMIAN_BASES:
+        spec = make()
+        for n in range(1, 19):
+            assert birkhoff_sup(spec, tau, n) == \
+                birkhoff_by_words(spec, tau, n, None), (spec, n)
+
+
+@pytest.mark.parametrize("tau", [SIGN, TRIPLE])
+def test_birkhoff_streamed_refuses_the_same_requests(tau):
+    # fresh instances, so each request places its own cuts; the rational
+    # angle has period 21, so its last lengths pass the horizon
+    for make in STURMIAN_BASES:
+        for n in (3, 8, 19, 20, 25):
+            for cap in (None, n, n + 2 * tau.radius, 2 * n, 2 * n + 4):
+                got = outcome(lambda: birkhoff_sup(make(), tau, n,
+                                                   word_cap=cap))
+                want = outcome(lambda: birkhoff_by_words(make(), tau, n,
+                                                         cap))
+                assert got == want, (make(), n, cap)
+
+
+def test_birkhoff_sturmian_walk_streams_at_ten_thousand(monkeypatch):
+    def no_words(*_args, **_kwargs):
+        raise AssertionError("birkhoff_sup built a word list")
+
+    walk = get_preset("sturmian-walk")
+    monkeypatch.setattr(Sturmian, "words", no_words)
+    assert birkhoff_sup(walk["base"], walk["tau"], 10 ** 4) == \
+        Fraction(3, 5000)

@@ -207,7 +207,7 @@ def test_visited_set_counts_match_greedy_and_enumeration():
                     sys, n, eps)
                 assert capacity_A(sys, n, eps) == capacity_A(
                     sys, n, eps, force_enumeration=True)
-        filled = dict(sys._fiber_counts)
+        filled = {e: dict(m) for e, m in sys._fiber_counts.items()}
         skew_sep_direct(sys, 2, HALF)
         assert sys._fiber_counts == filled
 
@@ -218,9 +218,10 @@ def test_self_check_reads_no_memoized_fiber_count():
               for sys, _ns in visited_set_systems()]
     for sys, notes in checks + [(full_sys(), ["capacity@n=3", "sep@n=3"])]:
         assert self_check_skew(sys, QUARTER, 2 ** 20) == notes
-        key = next(iter(sys._fiber_counts))
-        count, exact = sys._fiber_counts[key]
-        sys._fiber_counts[key] = (count + 1, exact)
+        memo = next(iter(sys._fiber_counts.values()))
+        key = next(iter(memo))
+        count, exact = memo[key]
+        memo[key] = (count + 1, exact)
         with pytest.raises(OracleMismatch):
             self_check_skew(sys, QUARTER, 2 ** 20)
 

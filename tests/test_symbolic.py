@@ -83,6 +83,21 @@ def test_sturmian_words_agree_with_direct_coding():
         assert walk.code(x0, range(6)) in ws
 
 
+def code_by_quadexact(spec, x0, positions):
+    """Reference coder: symbols of x0 placed with QuadExact arithmetic.
+
+    Shares nothing with the integer coordinates of Sturmian.code, so the
+    references below do not lean on the coder under test.
+    """
+    if not isinstance(x0, QuadExact):
+        x0 = QuadExact(Fraction(x0))
+    out = []
+    for p in positions:
+        u = (x0 + p * spec.alpha).frac()
+        out.append(1 if u < spec.intercept else -1)
+    return tuple(out)
+
+
 def words_by_cells(spec, length):
     """Reference Sturmian language: code one point of every cell.
 
@@ -93,7 +108,7 @@ def words_by_cells(spec, length):
     cuts = sorted({frac_exact(c - p * spec.alpha)
                    for p in range(length) for c in (0, spec.intercept)})
     mids = [(a + b) / 2 for a, b in zip(cuts, cuts[1:] + [cuts[0] + 1])]
-    return sorted({spec.code(x, range(length)) for x in mids})
+    return sorted({code_by_quadexact(spec, x, range(length)) for x in mids})
 
 
 def words_by_cut_walk(spec, length):
@@ -110,7 +125,7 @@ def words_by_cut_walk(spec, length):
     cuts = sorted(flips)
     sample = ((cuts[0] + cuts[1]) / 2 if len(cuts) > 1
               else cuts[0] + Fraction(1, 2))
-    cur = list(spec.code(sample, range(length)))
+    cur = list(code_by_quadexact(spec, sample, range(length)))
     seen = {tuple(cur)}
     for c in cuts[1:] + cuts[:1]:
         for p, sym in flips[c]:
@@ -185,6 +200,44 @@ def test_sturmian_float_ties_take_the_exact_sort():
     assert len(words) == 2 * 4
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.just(GOLDEN_MEAN_ALPHA),
+                 st.fractions(min_value=0, max_value=1, max_denominator=40)
+                 .filter(lambda a: 0 < a < 1)),
+       st.sampled_from([Fraction(1, 2), None]),
+       st.one_of(quad_coefs,
+                 st.tuples(quad_coefs, nonzero_coefs)
+                 .map(lambda ab: QuadExact(ab[0], ab[1], 5))),
+       st.integers(1, 30))
+def test_code_matches_quadexact_reference(alpha, intercept, x0, length):
+    spec = Sturmian(alpha, intercept)
+    assert spec.code(x0, range(length)) == \
+        code_by_quadexact(spec, x0, range(length))
+
+
+def test_sturmian_fields_are_checked_at_construction():
+    # alpha in Q(sqrt 5), intercept in Q(sqrt 2): no common coordinates
+    with pytest.raises(ValueError):
+        Sturmian(GOLDEN_MEAN_ALPHA, QuadExact(0, Fraction(1, 2), 2))
+    with pytest.raises(ValueError):
+        Sturmian(QuadExact(0, Fraction(1, 3), 2),
+                 QuadExact(Fraction(1, 2), Fraction(1, 10), 5))
+    # a rational alpha takes the field of x0
+    per = Sturmian(Fraction(2, 5), Fraction(1, 2))
+    x0 = QuadExact(0, Fraction(1, 3), 7)
+    assert per.code(x0, range(-3, 9)) == \
+        code_by_quadexact(per, x0, range(-3, 9))
+    # an irrational intercept with a rational alpha fixes the field too
+    tilted = Sturmian(Fraction(2, 5), QuadExact(0, Fraction(1, 3), 2))
+    assert tilted.code(Fraction(1, 7), range(8)) == \
+        code_by_quadexact(tilted, Fraction(1, 7), range(8))
+    # x0 in a third field
+    with pytest.raises(ValueError):
+        Sturmian(GOLDEN_MEAN_ALPHA).code(QuadExact(0, 1, 3), range(4))
+    with pytest.raises(ValueError):
+        tilted.code(QuadExact(0, Fraction(1, 3), 7), range(4))
+
+
 def test_sturmian_rational_angle_horizon():
     per = Sturmian(Fraction(2, 5))
     assert len(per.words(4)) > 0
@@ -213,8 +266,9 @@ def test_sturmian_word_cache_keeps_every_check():
 def test_sturmian_code_helper_inclusive_window():
     syms = sturmian_code(GOLDEN_MEAN_ALPHA, 0, (-2, 2))
     assert len(syms) == 5
-    direct = Sturmian(GOLDEN_MEAN_ALPHA).code(0, range(-2, 3))
-    assert tuple(syms) == direct
+    spec = Sturmian(GOLDEN_MEAN_ALPHA)
+    direct = spec.code(0, range(-2, 3))
+    assert tuple(syms) == direct == code_by_quadexact(spec, 0, range(-2, 3))
 
 
 def test_enumerate_language_margin():
