@@ -12,8 +12,9 @@ __version__ = "0.1.0"
 from .cocycle import (Cocycle, CocycleProfile, c_m, cocycle_from_json,
                       cocycle_profile, cocycle_to_json, cover_size,
                       ergodic_sums, profile_counts, range_distribution,
-                      range_histograms, unbounded_evidence, unbounded_profile,
-                      visited_sets, walk_range_distribution)
+                      range_histograms, read_factor, unbounded_evidence,
+                      unbounded_profile, visited_sets,
+                      walk_range_distribution)
 from .entropy import (FAMILIES, Arithmetic, Explicit, ExpScale, Geometric,
                       KEstimate, PolyScale, RangeExpScale, RangeInnerScale,
                       RatioCurve, SlowEntropyReport, bernoulli_seq_entropy,

@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import partial
 
 from .cocycle import (cocycle_from_json, cocycle_profile, cocycle_to_json,
-                      interval_steps, profile_counts,
-                      range_distribution, range_histograms,
+                      dropped_count, interval_steps, profile_counts,
+                      range_distribution, range_histograms, read_factor,
                       unbounded_evidence, walk_range_distribution, walk_rule)
 from .entropy import (FAMILIES, Arithmetic, Explicit, ExpScale, Geometric,
                       PolyScale, RangeExpScale, RangeInnerScale, birkhoff_sup,
@@ -35,8 +35,8 @@ from .reports import (Report, curves_table, distribution_table, k_table,
                       pairs_table, profile_table, sandwich_table, words_table)
 from .skew import (SkewSystem, by_range, capacity_A, request_histograms,
                    sandwich_check, skew_sep_direct, skew_sep_greedy)
-from .symbolic import (DEFAULT_WORD_CAP, rho, spec_from_json, spec_to_json,
-                       word_to_str)
+from .symbolic import (DEFAULT_WORD_CAP, Sturmian, rho, spec_from_json,
+                       spec_to_json, word_to_str)
 from .util import (CapExceeded, ConfigError, OracleMismatch,
                    SturmianHorizonError, log_big)
 
@@ -293,17 +293,21 @@ def self_check_skew(system, epsilon, word_cap, pair_cap=SELF_CHECK_PAIRS):
 def self_check_distribution(base, tau, word_cap):
     """Recompute two DP range histograms independently and compare.
 
-    n = 6 is checked against brute-force enumeration, and the smallest n
-    with |A|^n >= 2^31, where counts no longer fit 31 bits, against the
-    dict DP (n = 31 on two letters, 20 on three).  Returns the checked
-    n, or None when the histograms are not computed by the DP.
+    The DP runs on the factor the rule reads (read_factor), A its
+    alphabet.  n = 6 is checked against brute-force enumeration of the
+    base's own words (a product's raw pairs), and the smallest n with
+    |A|^n >= 2^31, where counts no longer fit 31 bits, against the dict
+    DP on the factor times the dropped factors' words (n = 31 on two
+    letters, 20 on three).  Returns the checked n, or None when the
+    histograms are not computed by the DP.
     """
-    vals = walk_rule(base, tau)
+    factor, rule, dropped = read_factor(base, tau)
+    vals = walk_rule(factor, rule)
     if vals is None:
         return None
     n = 6
     n_big = 1
-    while len(base.labels) ** n_big < 2 ** 31:
+    while len(factor.labels) ** n_big < 2 ** 31:
         n_big += 1
     hists = range_histograms(base, tau, [n, n_big], word_cap=word_cap)
     brute = Counter(cocycle_profile(tau, w).r
@@ -311,11 +315,36 @@ def self_check_distribution(base, tau, word_cap):
     if hists[n] != dict(brute):
         raise OracleMismatch("range distribution fast path %r != brute %r "
                              "at n=%d" % (hists[n], dict(brute), n))
-    oracle = walk_range_distribution(base, n_big - 1, vals)
+    k = dropped_count(dropped, n_big + 2 * tau.radius)
+    oracle = {r: cnt * k for r, cnt in
+              walk_range_distribution(factor, n_big - 1, vals).items()}
     if hists[n_big] != oracle:
         raise OracleMismatch("range distribution fast path %r != dict DP %r "
                              "at n=%d" % (hists[n_big], oracle, n_big))
     return (n, n_big)
+
+
+def _record_counting(report, base, tau, system=None, sup=False):
+    """Note in summary.json's meta which base a command counted on.
+
+    read_factor is the base the counts ran over (cocycle.read_factor),
+    dropped_factors the product factors the rule ignores, whose word
+    counts multiply every count.  histograms says whether range
+    histograms come from strip counts or from enumerated words (for skew
+    counts also the latter when words do not group by range); for the
+    Birkhoff sup, sup says whether it streamed a Sturmian cell walk.
+    """
+    factor, rule, dropped = read_factor(base, tau)
+    if sup:
+        path = {"sup": "cell walk" if isinstance(factor, Sturmian)
+                else "enumeration"}
+    else:
+        strips = (walk_rule(factor, rule) is not None
+                  and (system is None or by_range(system)))
+        path = {"histograms": "strips" if strips else "enumeration"}
+    report.meta["counted_on"] = dict(
+        path, read_factor=spec_to_json(factor),
+        dropped_factors=[spec_to_json(f) for f in dropped])
 
 
 def run_self_checks(args, ctx, report, skew=False, distribution=False):
@@ -362,15 +391,20 @@ def _cmd_language(args, ctx, report):
 def _cmd_cocycle_stats(args, ctx, report):
     base = need(ctx, "base", "a base subshift")
     tau = need(ctx, "tau", "a cocycle")
-    ns = param(ctx, "n_range", [2, 3, 4, 5, 6])
+    ns = sorted(set(param(ctx, "n_range", [2, 3, 4, 5, 6])))
+    n_top = param(ctx, "n", max(ns))
+    _record_counting(report, base, tau)
     run_self_checks(args, ctx, report, distribution=True)
+    if walk_rule(*read_factor(base, tau)[:2]) is not None:
+        # one strip pass for both tables; enumerated histograms gain
+        # nothing from a joint request
+        range_histograms(base, tau, ns + [n_top], word_cap=ctx["word_cap"])
     entries = []
-    for n in sorted(set(ns)):
+    for n in ns:
         for (r, q), count in sorted(
                 profile_counts(base, tau, n, word_cap=ctx["word_cap"]).items()):
             entries.append((n, r, q, count))
     report.add_table("profiles", *profile_table(entries))
-    n_top = param(ctx, "n", max(ns))
     dist = range_distribution(base, tau, n_top, word_cap=ctx["word_cap"])
     report.add_table("distribution", *distribution_table(dist))
     total = sum(dist.values())
@@ -390,6 +424,7 @@ def _cmd_unbounded_profile(args, ctx, report):
     # toward 1 is the visible evidence
     reach = param(ctx, "reach", 2 * max(1, tau.bound) + 1)
     ns = param(ctx, "n_list", [4, 8, 12, 16])
+    _record_counting(report, base, tau)
     ev = unbounded_evidence(base, tau, reach, ns, word_cap=ctx["word_cap"])
     report.add_table("unbounded", *pairs_table(ev["curve"],
                                                ("n", "proportion")))
@@ -406,6 +441,7 @@ def _cmd_sep(args, ctx, report):
     system = need(ctx, "system", "a full skew system")
     epsilon = param(ctx, "epsilon")
     ns = sorted(set(param(ctx, "n_range", [param(ctx, "n", 4)])))
+    _record_counting(report, system.base, system.tau, system)
     run_self_checks(args, ctx, report, skew=True)
     request_histograms(system, ns, (epsilon, 2 * epsilon),
                        word_cap=ctx["word_cap"])
@@ -435,6 +471,7 @@ def _cmd_sandwich(args, ctx, report):
     system = need(ctx, "system", "a full skew system")
     epsilon = param(ctx, "epsilon")
     ns = param(ctx, "n_range")
+    _record_counting(report, system.base, system.tau, system)
     run_self_checks(args, ctx, report, skew=True)
     result = sandwich_check(system, ns, epsilon, word_cap=ctx["word_cap"])
     report.add_table("sandwich", *sandwich_table(result))
@@ -458,6 +495,8 @@ def _cmd_slow_entropy(args, ctx, report):
     n_max = param(ctx, "n_max")
     grid = param(ctx, "t_grid")
     threshold = param(ctx, "threshold", 1e-3)
+    if base is not None and tau is not None:
+        _record_counting(report, base, tau, ctx.get("system"))
     if isinstance(target, SkewSystem):
         run_self_checks(args, ctx, report, skew=True, distribution=True)
     # the report at n_max and a second look at how the ratios move in n,
@@ -584,6 +623,7 @@ def _cmd_birkhoff(args, ctx, report):
     base = need(ctx, "base", "a base subshift")
     tau = need(ctx, "tau", "a cocycle")
     ns = sorted(set(param(ctx, "n_list", [8, 12, 16])))
+    _record_counting(report, base, tau, sup=True)
     rows = [(n, v, float(v)) for n, v in
             ((n, birkhoff_sup(base, tau, n, word_cap=ctx["word_cap"]))
              for n in ns)]

@@ -11,27 +11,36 @@ q = r * c_m(V) = |V + {0, ..., m-1}|.
 ergodic_sums is the one ergodic-sum routine, and visited_sets the one
 loop from words to visited sets, read by every enumerated count.
 
+read_factor reduces a product base to the factor the rule reads: the
+rule is rewritten on that factor, and every count over the product is
+the same count over the factor times the word counts of the dropped
+factors (dropped_count).  range_histograms, the visited-set branch of
+profile_counts, the fiber classes of skew and the Birkhoff sup all
+count through it; visited_sets itself enumerates whatever base it is
+given, so enumeration of the raw product stays the oracle.
+
 range_histograms is the one source of r histograms over a language,
 optionally over the middle window of longer words (pad).  For radius-0
-cocycles with steps in {-1, 0, 1} over an SFT or full shift it counts
-by strips instead of enumerating words: for each width w it counts the
-walks that stay inside [0, w] from each start, with each graph node's
-positions packed as fields of one exact Python integer, and the range
-histogram is a second difference of those counts in w.  One pass per
-width serves every requested n.  Results are memoized per process.
-walk_range_distribution, a dynamic program over (graph node,
-cur - min, max - cur) on dicts of Python integers, is the independent
-oracle it is checked against.
+cocycles with steps in {-1, 0, 1} over an SFT or full shift (after
+read_factor) it counts by strips instead of enumerating words: for each
+width w it counts the walks that stay inside [0, w] from each start,
+with each graph node's positions packed as fields of one exact Python
+integer, and the range histogram is a second difference of those
+counts in w.  One pass per width serves every requested n.  Results
+are memoized per process.  walk_range_distribution, a dynamic program
+over (graph node, cur - min, max - cur) on dicts of Python integers, is
+the independent oracle it is checked against.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import prod
 
-from .symbolic import (DEFAULT_WORD_CAP, SFT, FullShift,
+from .symbolic import (DEFAULT_WORD_CAP, SFT, FullShift, Product,
                        word_from_str, word_to_str)
-from .util import ConfigError
+from .util import CapExceeded, ConfigError, SturmianHorizonError
 
 
 class Cocycle:
@@ -168,6 +177,80 @@ def visited_sets(spec, tau, n, word_cap=DEFAULT_WORD_CAP, pad=0):
 
 
 # ---------------------------------------------------------------------------
+# the factor a rule reads
+
+
+# {(base definition, rule definition): (read factor, its rule, dropped
+# factors)}, see read_factor.  Process-wide, like _HISTOGRAMS.
+_READ_FACTORS = {}
+
+
+def read_factor(spec, tau):
+    """(base, rule, dropped factors): the factor of a product base tau reads.
+
+    While the base is a Product whose rule is defined on every window of
+    its language (length 2s + 1) and constant across one factor's
+    windows, that factor is dropped and the rule rewritten on the other;
+    nested products reduce one level at a time.  The words of L_n of a
+    product are the pairs of words of its factors, so every count over
+    the product is the same count over the read factor times the dropped
+    factors' dropped_count, and every max over words is the same max.
+    Any other (spec, tau) comes back as it is with no dropped factors: a
+    rule reading both coordinates, or undefined on some window, keeps
+    the product, its enumeration and its errors.  Computed once per
+    definition of the base and the rule.
+    """
+    if not isinstance(spec, Product):
+        return spec, tau, ()
+    key = _definition(spec, tau)
+    got = _READ_FACTORS.get(key)
+    if got is None:
+        dropped = []
+        while isinstance(spec, Product):
+            step = _drop_factor(spec, tau)
+            if step is None:
+                break
+            spec, tau, ignored = step
+            dropped.append(ignored)
+        got = _READ_FACTORS[key] = (spec, tau, tuple(dropped))
+    return got
+
+
+def _drop_factor(spec, tau):
+    """(kept factor, rule on its windows, dropped factor), or None.
+
+    A total rule has a key for each pair of factor windows, so a factor
+    with more windows than the rule has keys (or none at all) leaves
+    the product as it is; so does a factor whose windows cannot be
+    enumerated (a Sturmian horizon), which the unreduced path reports.
+    The right factor is dropped first when the rule reads neither.
+    """
+    width = 2 * tau.radius + 1
+    try:
+        left, right = (f.words(width, word_cap=len(tau.rule))
+                       for f in (spec.left, spec.right))
+    except (CapExceeded, SturmianHorizonError):
+        return None
+    if not left or not right or len(left) * len(right) > len(tau.rule):
+        return None
+    table = [[tau.rule.get(tuple(zip(u, v))) for v in right] for u in left]
+    if any(None in row for row in table):
+        return None
+    for kept, windows, rows, ignored in (
+            (spec.left, left, table, spec.right),
+            (spec.right, right, list(zip(*table)), spec.left)):
+        if all(len(set(row)) == 1 for row in rows):
+            rule = {w: row[0] for w, row in zip(windows, rows)}
+            return kept, Cocycle(rule, tau.radius), ignored
+    return None
+
+
+def dropped_count(dropped, length):
+    """Words of the given length in the product of the dropped factors."""
+    return prod(f.count(length) for f in dropped)
+
+
+# ---------------------------------------------------------------------------
 # range-distribution DP
 
 
@@ -193,9 +276,7 @@ def walk_range_distribution(spec, steps, values):
         base = spec
     else:
         raise ValueError("walk DP needs a full shift or SFT base")
-    missing = [a for a in base.labels if a not in vals]
-    if missing:
-        raise ConfigError("step rule undefined on labels %r" % (missing,))
+    _check_steps(base, vals)
     n = steps + 1
     states, edges = base.graph()
     if not states:
@@ -234,6 +315,18 @@ def walk_range_distribution(spec, steps, values):
         r = a + b + 1
         out[r] = out.get(r, 0) + cnt * len(edges[i])
     return out
+
+
+def _check_steps(base, vals):
+    """A step rule must cover each letter of the SFT's language.
+
+    Letters on no edge of the trimmed graph occur in no word, so a rule
+    rewritten on a factor's language (read_factor) need not name them.
+    """
+    live = {a for row in base.graph()[1] for a, _ in row}
+    missing = [a for a in base.labels if a in live and a not in vals]
+    if missing:
+        raise ConfigError("step rule undefined on labels %r" % (missing,))
 
 
 def interval_steps(tau):
@@ -275,19 +368,22 @@ def range_histograms(spec, tau, ns, word_cap=DEFAULT_WORD_CAP, pad=0):
     With pad = 0 the words are L_{n,s}.  With pad = p they are the words
     of L_{n+2p,s}, each counted by the range of its middle window of
     n (+ 2s) letters: the base windows a skew separated count at
-    rho(eps) = p ranges over.  Histograms are kept for the life of the
-    process, keyed by what the base and the rule are (their definitions),
-    so equal systems built twice share them.  On the DP's domain (see
-    walk_rule) the requested n with n + pad beyond the graph's memory K
-    come from one pass of _walk_pass to the largest of them; shorter
-    windows and every other system are enumerated word by word.  Each
-    call returns fresh dicts.
+    rho(eps) = p ranges over.  The histograms are those of the factor
+    the rule reads (read_factor), scaled by the dropped factors' word
+    count, so word_cap bounds the read factor's words.  They are kept
+    for the life of the process, keyed by what the read factor and its
+    rule are (their definitions), so equal systems built twice share
+    them.  On the DP's domain (see walk_rule) the requested n with
+    n + pad beyond the graph's memory K come from one pass of _walk_pass
+    to the largest of them; shorter windows and every other system are
+    enumerated word by word.  Each call returns fresh dicts.
     """
     ns = sorted(set(int(n) for n in ns))
     if ns and ns[0] < 1:
         raise ValueError("n must be >= 1")
     if pad < 0:
         raise ValueError("pad must be >= 0")
+    spec, tau, dropped = read_factor(spec, tau)
     vals = walk_rule(spec, tau)
     memo = _histogram_memo(spec, tau, None if vals is not None else word_cap,
                            pad)
@@ -298,9 +394,7 @@ def range_histograms(spec, tau, ns, word_cap=DEFAULT_WORD_CAP, pad=0):
                                               pad=pad))
     elif todo:
         base = spec if isinstance(spec, SFT) else SFT(spec.labels, [])
-        missing = [a for a in base.labels if a not in vals]
-        if missing:
-            raise ConfigError("step rule undefined on labels %r" % (missing,))
+        _check_steps(base, vals)
         K = base.context
         for n in todo:
             if n + pad <= K:
@@ -309,16 +403,28 @@ def range_histograms(spec, tau, ns, word_cap=DEFAULT_WORD_CAP, pad=0):
         passed = [n for n in todo if n + pad > K]
         if passed:
             memo.update(_walk_pass(base, vals, passed, pad))
-    return {n: dict(memo[n]) for n in ns}
+    extra = 2 * tau.radius + 2 * pad  # letters of a word beyond n
+    return {n: _scaled(memo[n], dropped_count(dropped, n + extra))
+            for n in ns}
+
+
+def _definition(spec, tau):
+    """What a base and a rule are, as a dict key."""
+    return repr(spec), tau.radius, tuple(sorted(tau.rule.items()))
 
 
 def _histogram_memo(spec, tau, cap, pad):
     """The {n: {r: count}} memo of range_histograms for one request shape.
 
-    cap is the word cap of enumerated histograms, None for the DP's.
+    spec and tau are a read factor and its rule (see read_factor); cap
+    is the word cap of enumerated histograms, None for the DP's.
     """
-    key = (repr(spec), tau.radius, tuple(sorted(tau.rule.items())), cap, pad)
-    return _HISTOGRAMS.setdefault(key, {})
+    return _HISTOGRAMS.setdefault(_definition(spec, tau) + (cap, pad), {})
+
+
+def _scaled(counts, k):
+    """A fresh {key: count * k}."""
+    return {key: cnt * k for key, cnt in counts.items()}
 
 
 def _histogram(sets):
@@ -506,22 +612,25 @@ def profile_counts(spec, tau, n, word_cap=DEFAULT_WORD_CAP):
 
     Steps in {-1, 0, 1} make every visited set an interval, so q is the
     function r + m - 1 of r and the range histogram suffices; otherwise
-    q depends on V itself and is its cover size, and the r histogram of
-    the same visited sets goes into range_histograms' memo, so a later
-    range_distribution at this n enumerates nothing.
+    q depends on V itself and is its cover size.  The visited sets are
+    those of the factor the rule reads (read_factor), each counted times
+    the dropped factors' words, and their r histogram goes into
+    range_histograms' memo, so a later range_distribution at this n
+    enumerates nothing.
     """
     m = tau.bound
     if interval_steps(tau) is not None:
         dist = range_histograms(spec, tau, [n], word_cap=word_cap)[n]
         return {(r, r + m - 1): cnt for r, cnt in dist.items()}
-    sets = visited_sets(spec, tau, n, word_cap=word_cap)
-    _histogram_memo(spec, tau, word_cap, 0).setdefault(
+    base, rule, dropped = read_factor(spec, tau)
+    sets = visited_sets(base, rule, n, word_cap=word_cap)
+    _histogram_memo(base, rule, word_cap, 0).setdefault(
         n, _histogram(sets))
     out = {}
     for V, cnt in sets.items():
         key = (len(V), cover_size(V, m))
         out[key] = out.get(key, 0) + cnt
-    return out
+    return _scaled(out, dropped_count(dropped, n + 2 * tau.radius))
 
 
 # ---------------------------------------------------------------------------

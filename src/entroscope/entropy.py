@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cocycle import c_m, cover_size, ergodic_sums, profile_counts
+from .cocycle import (c_m, cover_size, ergodic_sums, profile_counts,
+                      read_factor)
 from .fiber import spa_bracket
 from .skew import SkewSystem, capacity_A
 from .symbolic import DEFAULT_WORD_CAP, Sturmian
@@ -453,12 +454,15 @@ def birkhoff_sup(spec, tau, n, word_cap=DEFAULT_WORD_CAP):
 
     Decay in n witnesses uniform convergence of the ergodic averages to
     zero, the zero-entropy criterion's hypothesis; the full shift with a
-    coordinate cocycle stays at 1 forever, as it should.  On a Sturmian
-    base the sums stream along the cells of its cut walk and no word
-    list is built (_cell_sum_max); every other base loops over its words.
+    coordinate cocycle stays at 1 forever, as it should.  The max is
+    taken over the factor the rule reads (read_factor): the dropped
+    factors change no sum.  On a Sturmian factor the sums stream along
+    the cells of its cut walk and no word list is built (_cell_sum_max);
+    every other base loops over its words.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    spec, tau, _ = read_factor(spec, tau)
     if isinstance(spec, Sturmian):
         return Fraction(_cell_sum_max(spec, tau, n, word_cap), n)
     s = tau.radius

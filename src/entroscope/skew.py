@@ -23,8 +23,12 @@ counts (_fiber_sum, one memo per system).  A class is a visited set,
 translated to start at 0 when the fiber only sees translates; when
 visited sets are intervals it is range(r), counted by range_histograms,
 and request_histograms asks that engine for every n of a run at once.
+On a product base whose rule reads one factor, the classes are those
+of that factor (cocycle.read_factor), each counted times the words of
+the factors the rule ignores; the fiber sees only the visited set, so
+the sums are exactly those over the product's own words.
 
-The independent oracle skew_sep_greedy never uses that reduction: it
+The independent oracle skew_sep_greedy uses neither reduction: it
 walks explicit representative pairs and groups them by the raw scan data
 the certified metric predicate reads, so a wrong window radius or a
 wrong class count shows up as a mismatch in tests.
@@ -37,8 +41,8 @@ on finite data, inferring the minimal constant E from the run.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cocycle import (Cocycle, ergodic_sums, interval_steps, range_histograms,
-                      visited_sets)
+from .cocycle import (Cocycle, dropped_count, ergodic_sums, interval_steps,
+                      range_histograms, read_factor, visited_sets)
 from .fiber import SymbolicFiber, sep_count
 from .symbolic import DEFAULT_WORD_CAP, language_on, rho
 from .util import CapExceeded, ConfigError
@@ -179,19 +183,26 @@ def _classes(sys, n, pad, word_cap, force_enumeration):
     A class is the visited set of a word's middle window, translated to
     start at 0 when the fiber is translation-invariant.  When words group
     by range (see by_range) the class of range r is range(r), counted by
-    range_histograms; force_enumeration reads the visited sets instead.
+    range_histograms; otherwise the visited sets of the factor the rule
+    reads (read_factor) are counted times the dropped factors' words.
+    force_enumeration reads the visited sets of the raw base instead.
     """
-    if not force_enumeration and by_range(sys):
+    if force_enumeration:
+        base, tau, dropped = sys.base, sys.tau, ()
+    elif by_range(sys):
         hist = range_histograms(sys.base, sys.tau, [n], word_cap=word_cap,
                                 pad=pad)[n]
         return {range(r): cnt for r, cnt in hist.items()}
-    sets = visited_sets(sys.base, sys.tau, n, word_cap=word_cap, pad=pad)
+    else:
+        base, tau, dropped = read_factor(sys.base, sys.tau)
+    k = dropped_count(dropped, n + 2 * tau.radius + 2 * pad)
+    sets = visited_sets(base, tau, n, word_cap=word_cap, pad=pad)
     if not sys.fiber.translation_invariant:
-        return sets
+        return {V: cnt * k for V, cnt in sets.items()}
     classes = {}
     for V, cnt in sets.items():
         key = tuple(v - V[0] for v in V)
-        classes[key] = classes.get(key, 0) + cnt
+        classes[key] = classes.get(key, 0) + cnt * k
     return classes
 
 

@@ -137,10 +137,6 @@ PRESET_EXITS = {
     ("sturmian-walk", "sandwich"): 2,
     # the inferred E rises with n
     ("sturmian-product", "sandwich"): 1,
-    # Product.words enumerates the unread full-shift coordinate too, so
-    # L_16 has 2^21 words, past the default cap
-    ("sturmian-product", "unbounded-profile"): 3,
-    ("sturmian-product", "birkhoff"): 3,
 }
 
 
@@ -153,6 +149,98 @@ def test_every_preset_command_exit_code(capsys):
             want[(preset, command)] = (2 if command == "language" else
                                        PRESET_EXITS.get((preset, command), 0))
     assert got == want
+
+
+def _csvs(out_dir):
+    return {p.name: p.read_text() for p in out_dir.glob("*.csv")}
+
+
+@pytest.mark.parametrize("command, table", [
+    ("unbounded-profile", "unbounded.csv"), ("birkhoff", "birkhoff.csv")])
+def test_product_commands_count_on_the_read_factor(tmp_path, capsys, command,
+                                                   table):
+    # the step reads the rotation coordinate of sturmian-product only, so
+    # its proportions and sups are those of sturmian-walk, the same
+    # rotation coding under the same step
+    got = {}
+    for preset in ("sturmian-product", "sturmian-walk"):
+        assert main([command, "--preset", preset,
+                     "--out", str(tmp_path / preset)]) == 0
+        got[preset] = _csvs(tmp_path / preset)
+    capsys.readouterr()
+    assert got["sturmian-product"] == got["sturmian-walk"]
+    summary = json.loads((tmp_path / "sturmian-product" /
+                          "summary.json").read_text())
+    counted = summary["meta"]["counted_on"]
+    assert counted["read_factor"]["variant"] == "sturmian"
+    assert counted["dropped_factors"] == [{"variant": "full",
+                                           "alphabet": [-1, 1]}]
+    # and at n = 4 and 8 they are those of the raw product words
+    from entroscope.cocycle import ergodic_sums
+    from entroscope.presets import get_preset
+    from entroscope.reports import cell
+    preset = get_preset("sturmian-product")
+    base, tau = preset["base"], preset["tau"]
+    rows = []
+    for n in (4, 8):
+        sums = [ergodic_sums(tau, w) for w in base.words(n)]
+        if command == "birkhoff":
+            best = Fraction(max(abs(e[-1]) for e in sums), n)
+            row = (n, best, float(best))
+        else:
+            hit = sum(max(e[:-1]) - min(e[:-1]) + 1 >= 3 for e in sums)
+            row = (n, Fraction(hit, len(sums)))
+        rows.append(",".join(map(cell, row)))
+    assert main([command, "--preset", "sturmian-product", "--n-list", "4,8",
+                 "--out", str(tmp_path / "raw")]) == 0
+    capsys.readouterr()
+    assert _csvs(tmp_path / "raw")[table].splitlines()[1:] == rows
+
+
+def test_product_sandwich_keeps_its_rising_constant(tmp_path, capsys):
+    # counted on the rotation factor, the sandwich is the same as when
+    # the product's words were enumerated: the inferred E rises at n = 5
+    assert main(["sandwich", "--preset", "sturmian-product",
+                 "--out", str(tmp_path)]) == 1
+    capsys.readouterr()
+    rows = (tmp_path / "sandwich.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    col = header.index("e_inferred")
+    assert [r.split(",")[col] for r in rows[1:]] == ["48", "32", "88/3",
+                                                     "30"]
+
+
+def test_summary_names_the_counted_base(tmp_path, capsys):
+    for preset, histograms in (("tt-inverse", "strips"),
+                               ("sturmian-product", "enumeration")):
+        out_dir = tmp_path / preset
+        assert main(["sep", "--preset", preset, "--n-range", "2:3",
+                     "--out", str(out_dir)]) == 0
+        meta = json.loads((out_dir / "summary.json").read_text())["meta"]
+        assert meta["counted_on"]["histograms"] == histograms
+    assert meta["counted_on"]["read_factor"]["variant"] == "sturmian"
+    assert main(["birkhoff", "--preset", "sturmian-product", "--n-list", "4",
+                 "--out", str(tmp_path / "b")]) == 0
+    meta = json.loads((tmp_path / "b" / "summary.json").read_text())["meta"]
+    assert meta["counted_on"]["sup"] == "cell walk"
+    capsys.readouterr()
+
+
+def test_cocycle_stats_asks_the_range_engine_once(monkeypatch, capsys):
+    from entroscope import cocycle
+    monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
+    passes = []
+    real = cocycle._walk_pass
+
+    def counting(base, vals, ns, pad):
+        passes.append(sorted(ns))
+        return real(base, vals, ns, pad)
+
+    monkeypatch.setattr(cocycle, "_walk_pass", counting)
+    assert main(["cocycle-stats", "--preset", "tt-inverse", "--n-range",
+                 "2:40", "--n", "50", "--no-self-check"]) == 0
+    capsys.readouterr()
+    assert passes == [list(range(2, 41)) + [50]]
 
 
 # -- exit code 2: configuration problems ---------------------------------------
@@ -194,7 +282,8 @@ def test_unknown_flag_is_exit_2(capsys):
 
 def test_cap_exceeded_writes_partial_report(tmp_path, capsys):
     out_dir = tmp_path / "partial"
-    # the product base is enumerated; tt-inverse's DP needs no words
+    # the product's rotation factor is enumerated (4 cells is too few);
+    # tt-inverse's DP needs no words
     rc = main(["sandwich", "--preset", "sturmian-product", "--cap-words", "4",
                "--out", str(out_dir)])
     assert rc == 3
