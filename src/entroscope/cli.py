@@ -20,24 +20,16 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 
-from .cocycle import (cocycle_from_json, cocycle_profile, cocycle_to_json,
-                      dropped_count, interval_steps, profile_counts,
-                      range_distribution, range_histograms, read_factor,
-                      unbounded_evidence, walk_range_distribution, walk_rule)
-from .entropy import (FAMILIES, Arithmetic, Explicit, ExpScale, Geometric,
-                      PolyScale, RangeExpScale, RangeInnerScale, birkhoff_sup,
-                      count_bracket, folner_defect, goodwyn_check,
-                      h_top_estimate, hamming_ball_count, hamming_exponent,
-                      k_estimate, slow_entropy_report)
-from .fiber import fiber_from_json, fiber_to_json
-from .presets import float_grid, get_preset, preset_names
+# the subshift and skew-product modules load lazily (see the package
+# docstring): binding them as modules and calling them qualified leaves
+# them unloaded until a command reads a system
+from . import cocycle, entropy, fiber, presets, skew, symbolic
 from .reports import (Report, curves_table, distribution_table, k_table,
                       pairs_table, profile_table, sandwich_table, words_table)
-from .skew import (SkewSystem, by_range, capacity_A, request_histograms,
-                   sandwich_check, skew_sep_direct, skew_sep_greedy)
-from .symbolic import (DEFAULT_WORD_CAP, Sturmian, rho, spec_from_json,
-                       spec_to_json, word_to_str)
-from .util import (CapExceeded, ConfigError, OracleMismatch,
+from .sequence import (FAMILIES, Arithmetic, Explicit, Geometric,
+                       folner_defect, goodwyn_check, hamming_ball_count,
+                       hamming_exponent, k_estimate)
+from .util import (DEFAULT_WORD_CAP, CapExceeded, ConfigError, OracleMismatch,
                    SturmianHorizonError, log_big)
 
 DEFAULT_PAIR_CAP = 2 ** 24
@@ -78,7 +70,7 @@ def parse_t_grid(text):
         start, stop, step = (float(p) for p in parts)
         if step <= 0 or stop < start:
             raise ConfigError("degenerate t grid %r" % text)
-        return float_grid(start, stop, step)
+        return presets.float_grid(start, stop, step)
     out = [float(p) for p in text.split(",") if p.strip()]
     if not out:
         raise ConfigError("empty t grid %r" % text)
@@ -114,16 +106,16 @@ def parse_sequence(text):
 def make_scale(name, base, tau, word_cap):
     """Scale object from its CLI token."""
     if name == "exp":
-        return ExpScale()
+        return entropy.ExpScale()
     if name == "poly":
-        return PolyScale()
+        return entropy.PolyScale()
     if name in ("range-exp", "range-inner"):
         if base is None or tau is None:
             raise ConfigError("scale %r needs a base subshift and a cocycle"
                               % name)
         if name == "range-exp":
-            return RangeExpScale(base, tau, word_cap=word_cap)
-        return RangeInnerScale(base, tau, word_cap=word_cap)
+            return entropy.RangeExpScale(base, tau, word_cap=word_cap)
+        return entropy.RangeInnerScale(base, tau, word_cap=word_cap)
     raise ConfigError("unknown scale %r (known: exp, poly, range-exp, "
                       "range-inner)" % name)
 
@@ -137,8 +129,9 @@ _PARAM_PARSERS = {
     "threshold": float,
     "n_range": lambda v: [int(x) for x in v],
     "n_list": lambda v: [int(x) for x in v],
-    "t_grid": lambda v: (float_grid(float(v["start"]), float(v["stop"]),
-                                    float(v["step"]))
+    "t_grid": lambda v: (presets.float_grid(float(v["start"]),
+                                            float(v["stop"]),
+                                            float(v["step"]))
                          if isinstance(v, dict) else [float(x) for x in v]),
     "scale": str, "family": str, "sequence": str, "mode": str,
 }
@@ -155,7 +148,7 @@ def apply_config(ctx, doc):
             raise ConfigError("unknown config key %r (known: %s)"
                               % (key, ", ".join(_CONFIG_KEYS)))
     if "preset" in doc:
-        ctx.update(get_preset(doc["preset"]))
+        ctx.update(presets.get_preset(doc["preset"]))
     system = doc.get("system", {})
     if system:
         for key in system:
@@ -163,11 +156,11 @@ def apply_config(ctx, doc):
                 raise ConfigError("unknown system key %r" % key)
         try:
             if "base" in system:
-                ctx["base"] = spec_from_json(system["base"])
+                ctx["base"] = symbolic.spec_from_json(system["base"])
             if "tau" in system:
-                ctx["tau"] = cocycle_from_json(system["tau"])
+                ctx["tau"] = cocycle.cocycle_from_json(system["tau"])
             if "fiber" in system:
-                ctx["fiber"] = fiber_from_json(system["fiber"])
+                ctx["fiber"] = fiber.fiber_from_json(system["fiber"])
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError("bad system descriptor: %s" % exc)
         ctx.pop("system", None)
@@ -195,7 +188,7 @@ def load_context(args):
     """Context from preset, then config file, then flag overrides."""
     ctx = {"word_cap": DEFAULT_WORD_CAP, "pair_cap": DEFAULT_PAIR_CAP}
     if getattr(args, "preset", None):
-        ctx.update(get_preset(args.preset))
+        ctx.update(presets.get_preset(args.preset))
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
@@ -215,7 +208,8 @@ def load_context(args):
         if key in ctx and not ctx[key]:
             raise ConfigError("%s must be nonempty" % key)
     if all(k in ctx for k in ("base", "tau", "fiber")) and "system" not in ctx:
-        ctx["system"] = SkewSystem(ctx["base"], ctx["tau"], ctx["fiber"])
+        ctx["system"] = skew.SkewSystem(ctx["base"], ctx["tau"],
+                                        ctx["fiber"])
     return ctx
 
 
@@ -240,8 +234,9 @@ def echo_params(ctx):
     for key, value in sorted(ctx.items(), key=lambda kv: kv[0]):
         if key in ("base", "tau", "fiber"):
             try:
-                codec = {"base": spec_to_json, "tau": cocycle_to_json,
-                         "fiber": fiber_to_json}[key]
+                codec = {"base": symbolic.spec_to_json,
+                         "tau": cocycle.cocycle_to_json,
+                         "fiber": fiber.fiber_to_json}[key]
                 out[key] = codec(value)
             except TypeError:
                 out[key] = repr(value)
@@ -267,15 +262,17 @@ def self_check_skew(system, epsilon, word_cap, pair_cap=SELF_CHECK_PAIRS):
     cap, a Sturmian horizon, or a system without exact skew counts.
     """
     n = 3
-    checks = [("capacity", capacity_A, "enumeration",
-               partial(capacity_A, force_enumeration=True)),
-              ("sep", skew_sep_direct, "enumeration",
-               partial(skew_sep_direct, force_enumeration=True))]
-    if not by_range(system):
+    checks = [("capacity", skew.capacity_A, "enumeration",
+               partial(skew.capacity_A, force_enumeration=True)),
+              ("sep", skew.skew_sep_direct, "enumeration",
+               partial(skew.skew_sep_direct, force_enumeration=True))]
+    if not skew.by_range(system):
         def greedy(sys, n, eps, word_cap):
-            return skew_sep_greedy(sys, n, eps, margin=rho(eps),
-                                   pair_cap=pair_cap)
-        checks.append(("greedy", skew_sep_direct, "greedy count", greedy))
+            return skew.skew_sep_greedy(sys, n, eps,
+                                        margin=symbolic.rho(eps),
+                                        pair_cap=pair_cap)
+        checks.append(("greedy", skew.skew_sep_direct, "greedy count",
+                       greedy))
     notes = []
     for name, count, oracle_name, oracle in checks:
         try:
@@ -293,7 +290,7 @@ def self_check_skew(system, epsilon, word_cap, pair_cap=SELF_CHECK_PAIRS):
 def self_check_distribution(base, tau, word_cap):
     """Recompute two DP range histograms independently and compare.
 
-    The DP runs on the factor the rule reads (read_factor), A its
+    The DP runs on the factor the rule reads (cocycle.read_factor), A its
     alphabet.  n = 6 is checked against brute-force enumeration of the
     base's own words (a product's raw pairs), and the smallest n with
     |A|^n >= 2^31, where counts no longer fit 31 bits, against the dict
@@ -301,23 +298,24 @@ def self_check_distribution(base, tau, word_cap):
     letters, 20 on three).  Returns the checked n, or None when the
     histograms are not computed by the DP.
     """
-    factor, rule, dropped = read_factor(base, tau)
-    vals = walk_rule(factor, rule)
+    factor, rule, dropped = cocycle.read_factor(base, tau)
+    vals = cocycle.walk_rule(factor, rule)
     if vals is None:
         return None
     n = 6
     n_big = 1
     while len(factor.labels) ** n_big < 2 ** 31:
         n_big += 1
-    hists = range_histograms(base, tau, [n, n_big], word_cap=word_cap)
-    brute = Counter(cocycle_profile(tau, w).r
+    hists = cocycle.range_histograms(base, tau, [n, n_big],
+                                     word_cap=word_cap)
+    brute = Counter(cocycle.cocycle_profile(tau, w).r
                     for w in base.words(n + 2 * tau.radius, word_cap=word_cap))
     if hists[n] != dict(brute):
         raise OracleMismatch("range distribution fast path %r != brute %r "
                              "at n=%d" % (hists[n], dict(brute), n))
-    k = dropped_count(dropped, n_big + 2 * tau.radius)
-    oracle = {r: cnt * k for r, cnt in
-              walk_range_distribution(factor, n_big - 1, vals).items()}
+    k = cocycle.dropped_count(dropped, n_big + 2 * tau.radius)
+    dp = cocycle.walk_range_distribution(factor, n_big - 1, vals)
+    oracle = {r: cnt * k for r, cnt in dp.items()}
     if hists[n_big] != oracle:
         raise OracleMismatch("range distribution fast path %r != dict DP %r "
                              "at n=%d" % (hists[n_big], oracle, n_big))
@@ -332,26 +330,26 @@ def _record_counting(report, base, tau, system=None, sup=False):
     counts multiply every count.  histograms says whether range
     histograms come from strip counts or from enumerated words (for skew
     counts also the latter when words do not group by range); for the
-    Birkhoff sup, sup says whether it streamed a Sturmian cell walk.
+    Birkhoff sup, sup names its path (entropy.sup_path).
     """
-    factor, rule, dropped = read_factor(base, tau)
+    factor, rule, dropped = cocycle.read_factor(base, tau)
     if sup:
-        path = {"sup": "cell walk" if isinstance(factor, Sturmian)
-                else "enumeration"}
+        path = {"sup": entropy.sup_path(factor, rule)}
     else:
-        strips = (walk_rule(factor, rule) is not None
-                  and (system is None or by_range(system)))
+        strips = (cocycle.walk_rule(factor, rule) is not None
+                  and (system is None or skew.by_range(system)))
         path = {"histograms": "strips" if strips else "enumeration"}
     report.meta["counted_on"] = dict(
-        path, read_factor=spec_to_json(factor),
-        dropped_factors=[spec_to_json(f) for f in dropped])
+        path, read_factor=symbolic.spec_to_json(factor),
+        dropped_factors=[symbolic.spec_to_json(f) for f in dropped])
 
 
-def run_self_checks(args, ctx, report, skew=False, distribution=False):
+def run_self_checks(args, ctx, report, skew_counts=False,
+                    distribution=False):
     if getattr(args, "no_self_check", False):
         return
     notes = []
-    if skew and "system" in ctx:
+    if skew_counts and "system" in ctx:
         notes += self_check_skew(ctx["system"], param(ctx, "epsilon"),
                                  ctx["word_cap"],
                                  min(ctx["pair_cap"], SELF_CHECK_PAIRS))
@@ -370,7 +368,7 @@ def run_self_checks(args, ctx, report, skew=False, distribution=False):
 def _word_formatter(words):
     """One formatter for the whole listing, so the column stays uniform."""
     if all(isinstance(a, int) and 0 <= a <= 9 for w in words for a in w):
-        return word_to_str
+        return symbolic.word_to_str
     return lambda w: ",".join(str(a) for a in w)
 
 
@@ -395,17 +393,19 @@ def _cmd_cocycle_stats(args, ctx, report):
     n_top = param(ctx, "n", max(ns))
     _record_counting(report, base, tau)
     run_self_checks(args, ctx, report, distribution=True)
-    if walk_rule(*read_factor(base, tau)[:2]) is not None:
+    if cocycle.walk_rule(*cocycle.read_factor(base, tau)[:2]) is not None:
         # one strip pass for both tables; enumerated histograms gain
         # nothing from a joint request
-        range_histograms(base, tau, ns + [n_top], word_cap=ctx["word_cap"])
+        cocycle.range_histograms(base, tau, ns + [n_top],
+                                 word_cap=ctx["word_cap"])
     entries = []
     for n in ns:
-        for (r, q), count in sorted(
-                profile_counts(base, tau, n, word_cap=ctx["word_cap"]).items()):
+        counts = cocycle.profile_counts(base, tau, n, word_cap=ctx["word_cap"])
+        for (r, q), count in sorted(counts.items()):
             entries.append((n, r, q, count))
     report.add_table("profiles", *profile_table(entries))
-    dist = range_distribution(base, tau, n_top, word_cap=ctx["word_cap"])
+    dist = cocycle.range_distribution(base, tau, n_top,
+                                      word_cap=ctx["word_cap"])
     report.add_table("distribution", *distribution_table(dist))
     total = sum(dist.values())
     mean_r = sum(r * c for r, c in dist.items()) / total
@@ -425,7 +425,8 @@ def _cmd_unbounded_profile(args, ctx, report):
     reach = param(ctx, "reach", 2 * max(1, tau.bound) + 1)
     ns = param(ctx, "n_list", [4, 8, 12, 16])
     _record_counting(report, base, tau)
-    ev = unbounded_evidence(base, tau, reach, ns, word_cap=ctx["word_cap"])
+    ev = cocycle.unbounded_evidence(base, tau, reach, ns,
+                                    word_cap=ctx["word_cap"])
     report.add_table("unbounded", *pairs_table(ev["curve"],
                                                ("n", "proportion")))
     detail = ("reach %d, n up to %d, %snondecreasing from start"
@@ -442,15 +443,16 @@ def _cmd_sep(args, ctx, report):
     epsilon = param(ctx, "epsilon")
     ns = sorted(set(param(ctx, "n_range", [param(ctx, "n", 4)])))
     _record_counting(report, system.base, system.tau, system)
-    run_self_checks(args, ctx, report, skew=True)
-    request_histograms(system, ns, (epsilon, 2 * epsilon),
-                       word_cap=ctx["word_cap"])
+    run_self_checks(args, ctx, report, skew_counts=True)
+    skew.request_histograms(system, ns, (epsilon, 2 * epsilon),
+                            word_cap=ctx["word_cap"])
     rows = []
     for n in ns:
-        sep = skew_sep_direct(system, n, epsilon, word_cap=ctx["word_cap"])
-        sep2 = skew_sep_direct(system, n, 2 * epsilon,
-                               word_cap=ctx["word_cap"])
-        cap = capacity_A(system, n, epsilon, word_cap=ctx["word_cap"])
+        sep = skew.skew_sep_direct(system, n, epsilon,
+                                   word_cap=ctx["word_cap"])
+        sep2 = skew.skew_sep_direct(system, n, 2 * epsilon,
+                                    word_cap=ctx["word_cap"])
+        cap = skew.capacity_A(system, n, epsilon, word_cap=ctx["word_cap"])
         rows.append((n, epsilon, sep, sep2, cap.lower, cap.upper))
     report.add_table("sep", ("n", "epsilon", "sep", "sep_2eps",
                              "capacity_lower", "capacity_upper"), rows)
@@ -472,8 +474,9 @@ def _cmd_sandwich(args, ctx, report):
     epsilon = param(ctx, "epsilon")
     ns = param(ctx, "n_range")
     _record_counting(report, system.base, system.tau, system)
-    run_self_checks(args, ctx, report, skew=True)
-    result = sandwich_check(system, ns, epsilon, word_cap=ctx["word_cap"])
+    run_self_checks(args, ctx, report, skew_counts=True)
+    result = skew.sandwich_check(system, ns, epsilon,
+                                 word_cap=ctx["word_cap"])
     report.add_table("sandwich", *sandwich_table(result))
     verdict = "PASS" if result["pass"] else "FAIL"
     detail = ("left certified %s, inferred E nonincreasing %s"
@@ -497,22 +500,24 @@ def _cmd_slow_entropy(args, ctx, report):
     threshold = param(ctx, "threshold", 1e-3)
     if base is not None and tau is not None:
         _record_counting(report, base, tau, ctx.get("system"))
-    if isinstance(target, SkewSystem):
-        run_self_checks(args, ctx, report, skew=True, distribution=True)
+    if isinstance(target, skew.SkewSystem):
+        run_self_checks(args, ctx, report, skew_counts=True,
+                        distribution=True)
     # the report at n_max and a second look at how the ratios move in n,
     # on a doubling ladder; each count bracket is computed once
     ladder = sorted({max(2, n_max >> k) for k in range(4)})
     ns = sorted(set(ladder) | {n_max})
     if (base is not None and tau is not None
-            and interval_steps(tau) is not None):
+            and cocycle.interval_steps(tau) is not None):
         # one request for every n: the brackets and the range scales
         # below read the histograms back from the engine's memo
-        range_histograms(base, tau, ns, word_cap=ctx["word_cap"])
-    brackets = {n: count_bracket(target, n, epsilon, ctx["word_cap"])
+        cocycle.range_histograms(base, tau, ns, word_cap=ctx["word_cap"])
+    brackets = {n: entropy.count_bracket(target, n, epsilon, ctx["word_cap"])
                 for n in ns}
-    rep = slow_entropy_report(target, scale, epsilon, n_max, grid,
-                              threshold=threshold, word_cap=ctx["word_cap"],
-                              bracket=brackets[n_max])
+    rep = entropy.slow_entropy_report(target, scale, epsilon, n_max, grid,
+                                      threshold=threshold,
+                                      word_cap=ctx["word_cap"],
+                                      bracket=brackets[n_max])
     report.add_table("ratios", *curves_table(rep))
     rows = []
     for t in grid:
@@ -548,10 +553,11 @@ def _grid_edge(saturated, empty):
 
 
 def _cmd_h_top(args, ctx, report):
-    fiber = need(ctx, "fiber", "a fiber")
+    carrier = need(ctx, "fiber", "a fiber")
     epsilon = param(ctx, "epsilon")
     n_max = param(ctx, "n_max")
-    lo, hi = h_top_estimate(fiber, epsilon, n_max, word_cap=ctx["word_cap"])
+    lo, hi = entropy.h_top_estimate(carrier, epsilon, n_max,
+                                    word_cap=ctx["word_cap"])
     report.add_table("h_top", ("n_max", "epsilon", "lower", "upper"),
                      [(n_max, epsilon, lo, hi)])
     detail = "(1/n) log bracket [%.6f, %.6f] at n=%d" % (lo, hi, n_max)
@@ -625,7 +631,8 @@ def _cmd_birkhoff(args, ctx, report):
     ns = sorted(set(param(ctx, "n_list", [8, 12, 16])))
     _record_counting(report, base, tau, sup=True)
     rows = [(n, v, float(v)) for n, v in
-            ((n, birkhoff_sup(base, tau, n, word_cap=ctx["word_cap"]))
+            ((n, entropy.birkhoff_sup(base, tau, n,
+                                      word_cap=ctx["word_cap"]))
              for n in ns)]
     report.add_table("birkhoff", ("n", "sup", "sup_float"), rows)
     detail = "max |sum|/n at n=%d: %s" % (rows[-1][0], rows[-1][1])
@@ -749,8 +756,8 @@ def main(argv=None):
         code = exc.code
         return 0 if code in (0, None) else 2
     if args.cmd == "preset-list":
-        for name in preset_names():
-            print("%s: %s" % (name, get_preset(name)["summary"]))
+        for name in presets.preset_names():
+            print("%s: %s" % (name, presets.get_preset(name)["summary"]))
         return 0
     report = None
     out = None

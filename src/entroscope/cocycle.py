@@ -38,9 +38,10 @@ from fractions import Fraction
 from itertools import accumulate
 from math import prod
 
-from .symbolic import (DEFAULT_WORD_CAP, SFT, FullShift, Product,
-                       word_from_str, word_to_str)
-from .util import CapExceeded, ConfigError, SturmianHorizonError
+from .sequence import c_m, cover_size
+from .symbolic import SFT, FullShift, Product, word_from_str, word_to_str
+from .util import (DEFAULT_WORD_CAP, CapExceeded, ConfigError,
+                   SturmianHorizonError)
 
 
 class Cocycle:
@@ -104,40 +105,6 @@ def ergodic_sums(tau, w):
     except KeyError as exc:
         missing = exc.args[0]
     tau.value(missing)  # raises the ConfigError naming the window
-
-
-def cover_size(elems, m):
-    """|F + {0..m-1}| for a finite F given as its strictly increasing elements.
-
-    Each consecutive gap g contributes min(g, m) fresh integers and the
-    last element m more.
-    """
-    cover = m
-    for a, b in zip(elems, elems[1:]):
-        cover += min(b - a, m)
-    return cover
-
-
-def c_m(F, m):
-    """(is_interval, |F + {0..m-1}| / |F|) for a finite integer set F.
-
-    The flag reports whether F + {0..m-1} is a full integer interval.
-    Arithmetic progressions (range inputs) use the closed form, since
-    every gap equals the step.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if isinstance(F, range) and len(F) > 0:
-        count = len(F)
-        cover = m + (count - 1) * min(abs(F.step), m)
-        full = abs(F[-1] - F[0]) + m
-        return cover == full, Fraction(cover, count)
-    elems = sorted(set(int(x) for x in F))
-    if not elems:
-        raise ValueError("F must be nonempty")
-    cover = cover_size(elems, m)
-    full = elems[-1] - elems[0] + m
-    return cover == full, Fraction(cover, len(elems))
 
 
 @dataclass(frozen=True)

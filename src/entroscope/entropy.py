@@ -1,4 +1,4 @@
-"""Scales, slow-entropy diagnostics, and the sequence-entropy toolkit.
+"""Scales, slow-entropy diagnostics, and the Birkhoff sup.
 
 Slow entropy compares spanning counts against a scale a_n(t): the
 invariant is the threshold value of t where limsup spa / a_n(t) drops
@@ -14,23 +14,22 @@ Two scale families come from range profiles of a cocycle walk:
 both grouped by profile class, evaluated in the log domain against
 overflow, with exact big-rational modes for regression tests.
 
-The sequence-entropy half: S_A(n, m) footprints and the K(A) double
-limit on schedules, Hamming ball counts and their exponent, the
-Bernoulli sequence entropy for Goodwyn's inequality, Folner defects
-C_m(F_n) - 1, and the Birkhoff sup |tau^n| / n whose decay witnesses
-zero entropy of the skew product.
+The Birkhoff sup |tau^n| / n, whose decay witnesses zero entropy of the
+skew product, closes the module.  The sequence-entropy toolkit lives in
+sequence; hamming_ball_count and k_estimate are bound here as well, the
+names the benchmark's tracer (perfbench/tracer.py) wraps as entropy.*.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cocycle import (c_m, cover_size, ergodic_sums, profile_counts,
-                      read_factor)
+from .cocycle import _check_steps, ergodic_sums, profile_counts, read_factor
 from .fiber import spa_bracket
+from .sequence import hamming_ball_count, k_estimate  # noqa: F401
 from .skew import SkewSystem, capacity_A
-from .symbolic import DEFAULT_WORD_CAP, Sturmian
-from .util import log_big, log_sum_exp
+from .symbolic import SFT, FullShift, Sturmian
+from .util import DEFAULT_WORD_CAP, log_big, log_sum_exp
 
 
 # ---------------------------------------------------------------------------
@@ -227,226 +226,21 @@ def h_top_estimate(fiber, epsilon, n_max, word_cap=DEFAULT_WORD_CAP):
 
 
 # ---------------------------------------------------------------------------
-# sequences, S_A footprints, K(A)
+# Birkhoff sup
 
 
-class Arithmetic:
-    """t_i = start + (i-1) * step, strictly increasing naturals."""
+def sup_path(spec, tau):
+    """How birkhoff_sup takes its max over a read factor and its rule.
 
-    def __init__(self, start, step):
-        if start < 1 or step < 1:
-            raise ValueError("start and step must be >= 1")
-        self.start = int(start)
-        self.step = int(step)
-
-    def __repr__(self):
-        return "Arithmetic(%d, %d)" % (self.start, self.step)
-
-    def terms(self, n):
-        return [self.start + i * self.step for i in range(n)]
-
-
-class Geometric:
-    """t_i = base^i for i = 1..n."""
-
-    def __init__(self, base):
-        if base < 2:
-            raise ValueError("base must be >= 2")
-        self.base = int(base)
-
-    def __repr__(self):
-        return "Geometric(%d)" % (self.base,)
-
-    def terms(self, n):
-        out = []
-        v = 1
-        for _ in range(n):
-            v *= self.base
-            out.append(v)
-        return out
-
-
-class Explicit:
-    """A finite strictly increasing list; longer requests clamp to it."""
-
-    def __init__(self, values):
-        vals = [int(v) for v in values]
-        if not vals or vals[0] < 1:
-            raise ValueError("values must be naturals >= 1")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ValueError("values must be strictly increasing")
-        self.values = vals
-
-    def __repr__(self):
-        return "Explicit(%r)" % (self.values,)
-
-    def terms(self, n):
-        return self.values[:n]
-
-
-def sa_size(A, n, m):
-    """|S_A(n, m)| = |{t_i + j : i <= n, 0 <= j < m}|, exactly.
-
-    The C_m cover of the terms, which are strictly increasing already.
+    "cell walk" on a Sturmian coding, "graph pass" for a radius-0 rule
+    on a full shift or SFT, "enumeration" (a loop over the words of
+    L_{n+2s}) otherwise.
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    terms = A.terms(n)
-    if not terms:
-        raise ValueError("sequence has no terms")
-    return cover_size(terms, m)
-
-
-@dataclass(frozen=True)
-class KEstimate:
-    value: Fraction
-    stabilized_m: int
-    diverged: bool
-    rows: tuple  # of (m, n, Fraction value)
-    last: Fraction
-
-
-def k_estimate(A, n_schedule=(10 ** 4,), m_schedule=(1, 2, 4, 8, 16)):
-    """Double-limit estimate of K(A) = lim_m limsup_n |S_A(n, m)| / n.
-
-    Evaluates v(m) = |S_A(n, m)| / n at the largest scheduled n (clamped
-    for finite Explicit sequences) and declares stabilization at the
-    first m whose successor changes v by less than 1/100.  If no pair
-    stabilizes the estimate is flagged diverged, the finite signature of
-    the K(A) = infinity regime.
-    """
-    ms = sorted(set(int(m) for m in m_schedule))
-    if len(ms) < 2:
-        raise ValueError("need at least two m values")
-    n_max = max(int(n) for n in n_schedule)
-    if isinstance(A, Explicit):
-        n_max = min(n_max, len(A.values))
-    rows = []
-    vals = []
-    for m in ms:
-        v = Fraction(sa_size(A, n_max, m), n_max)
-        rows.append((m, n_max, v))
-        vals.append(v)
-    tol = Fraction(1, 100)
-    for i in range(len(ms) - 1):
-        if abs(vals[i + 1] - vals[i]) < tol:
-            return KEstimate(value=vals[i], stabilized_m=ms[i],
-                             diverged=False, rows=tuple(rows), last=vals[-1])
-    return KEstimate(value=None, stabilized_m=None, diverged=True,
-                     rows=tuple(rows), last=vals[-1])
-
-
-# ---------------------------------------------------------------------------
-# Hamming balls and Goodwyn
-
-
-def hamming_ball_count(kF, n, r):
-    """Exact points within Hamming distance strictly below r of a center.
-
-    Counts words over kF letters differing from a fixed word in j < r*n
-    positions: sum of C(n, j) (kF - 1)^j, the fraction r*n handled
-    exactly so boundary cases never round.  Each term comes from the
-    last by C(n, j+1) = C(n, j) (n - j) / (j + 1); the division is exact.
-    """
-    if kF < 2 or n < 1:
-        raise ValueError("need kF >= 2 and n >= 1")
-    rn = Fraction(r) * n
-    if rn <= 0:
-        raise ValueError("r must be positive")
-    if rn.denominator == 1:
-        jmax = rn.numerator - 1
-    else:
-        jmax = math.floor(rn)
-    jmax = min(jmax, n)
-    total = 0
-    term = 1
-    for j in range(jmax + 1):
-        total += term
-        term = term * (n - j) * (kF - 1) // (j + 1)
-    return total
-
-
-def hamming_exponent(kF, r):
-    """r log(kF-1) - r log r - (1-r) log(1-r), the ball-count growth rate.
-
-    Defined for 0 < r <= (kF-1)/kF; the right endpoint is the full
-    entropy log kF.
-    """
-    rf = Fraction(r)
-    if not (0 < rf <= Fraction(kF - 1, kF)):
-        raise ValueError("r must lie in (0, (kF-1)/kF]")
-    r = float(rf)
-    ent = -r * math.log(r) - (1 - r) * math.log(1 - r) if r < 1 else 0.0
-    return r * math.log(kF - 1) + ent
-
-
-def bernoulli_seq_entropy(k, A, n):
-    """(1/n) H of the time-{t_1..t_n} coordinates, uniform Bernoulli k-shift.
-
-    Coordinates at distinct times are independent with entropy log k
-    each, so the value is |{t_1..t_n}| / n * log k; sequence types force
-    distinct terms, making this log k on every admissible input.
-    """
-    if k < 2 or n < 1:
-        raise ValueError("need k >= 2 and n >= 1")
-    terms = A.terms(n)
-    if not terms:
-        raise ValueError("sequence has no terms")
-    distinct = len(set(terms))
-    return Fraction(distinct, min(n, len(terms))) * math.log(k)
-
-
-def goodwyn_check(k, A, n=1000, n_schedule=(10 ** 4,),
-                  m_schedule=(1, 2, 4, 8, 16)):
-    """Sequence-entropy Goodwyn inequality h_mu^A <= K(A) * h_top on data.
-
-    lhs is the Bernoulli sequence entropy, rhs the K(A) estimate times
-    log k; a diverged estimate uses the largest observed value, which
-    only strengthens the inequality being checked.
-    """
-    est = k_estimate(A, n_schedule=n_schedule, m_schedule=m_schedule)
-    kval = est.last if est.diverged else est.value
-    n_eff = min(n, len(A.values)) if isinstance(A, Explicit) else n
-    lhs = float(bernoulli_seq_entropy(k, A, n_eff))
-    rhs = float(kval) * math.log(k)
-    return {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs + 1e-9,
-            "k_estimate": est}
-
-
-# ---------------------------------------------------------------------------
-# Folner defect and Birkhoff sup
-
-
-def folner_defect(family, m, n_list):
-    """[(n, C_m(F_n) - 1)] for a finite-set family indexed by n.
-
-    family is a callable n -> iterable of integers.  The defect
-    vanishes along Folner families and stays bounded away from zero
-    otherwise.
-    """
-    out = []
-    for n in n_list:
-        # pass the family's set through unlistified so range inputs keep
-        # their closed-form cover
-        _, cm = c_m(family(int(n)), m)
-        out.append((int(n), cm - 1))
-    return out
-
-
-def interval_family(n):
-    return range(n)
-
-
-def evens_family(n):
-    return range(2, 2 * n + 1, 2)
-
-
-def powers_family(n):
-    return [2 ** i for i in range(1, n + 1)]
-
-
-FAMILIES = {"interval": interval_family, "evens": evens_family,
-            "powers": powers_family}
+    if isinstance(spec, Sturmian):
+        return "cell walk"
+    if isinstance(spec, (FullShift, SFT)) and tau.radius == 0:
+        return "graph pass"
+    return "enumeration"
 
 
 def birkhoff_sup(spec, tau, n, word_cap=DEFAULT_WORD_CAP):
@@ -456,15 +250,20 @@ def birkhoff_sup(spec, tau, n, word_cap=DEFAULT_WORD_CAP):
     zero, the zero-entropy criterion's hypothesis; the full shift with a
     coordinate cocycle stays at 1 forever, as it should.  The max is
     taken over the factor the rule reads (read_factor): the dropped
-    factors change no sum.  On a Sturmian factor the sums stream along
-    the cells of its cut walk and no word list is built (_cell_sum_max);
-    every other base loops over its words.
+    factors change no sum.  sup_path picks how: on a Sturmian factor
+    the sums stream along the cells of its cut walk and no word list is
+    built (_cell_sum_max); a radius-0 rule on a full shift or SFT takes
+    the extreme sums in one pass over the graph (_graph_sum_max), so
+    word_cap does not apply; every other base loops over its words.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     spec, tau, _ = read_factor(spec, tau)
-    if isinstance(spec, Sturmian):
+    path = sup_path(spec, tau)
+    if path == "cell walk":
         return Fraction(_cell_sum_max(spec, tau, n, word_cap), n)
+    if path == "graph pass":
+        return Fraction(_graph_sum_max(spec, tau.step_values(), n), n)
     s = tau.radius
     best = None
     for w in spec.words(n + 2 * s, word_cap=word_cap):
@@ -474,6 +273,36 @@ def birkhoff_sup(spec, tau, n, word_cap=DEFAULT_WORD_CAP):
     if best is None:
         raise ValueError("empty language at n=%d" % n)
     return Fraction(best, n)
+
+
+def _graph_sum_max(spec, vals, n):
+    """max |tau^n| over L_n of a full shift or SFT, tau the steps vals.
+
+    A word of L_n longer than the graph's memory K is a node (its first
+    K letters) and a path of n - K edges, and tau^n sums the steps of
+    all n letters.  One max-plus and one min-plus pass over the edges
+    give, per node, the largest and smallest sum of a word ending
+    there, in O(n x edges); shorter words are prefixes of nodes.
+    """
+    base = spec if isinstance(spec, SFT) else SFT(spec.labels, [])
+    _check_steps(base, vals)
+    states, edges = base.graph()
+    if not states:
+        raise ValueError("empty language at n=%d" % n)
+    K = base.context
+    if n <= K:
+        return max(abs(sum(vals[a] for a in u[:n])) for u in states)
+    # (source, step) of each node's in-edges; the trim leaves none empty
+    ins = [[] for _ in states]
+    for i, row in enumerate(edges):
+        for a, j in row:
+            ins[j].append((i, vals[a]))
+    hi = [sum(vals[a] for a in u) for u in states]
+    lo = list(hi)
+    for _ in range(n - K):
+        hi = [max(hi[i] + v for i, v in into) for into in ins]
+        lo = [min(lo[i] + v for i, v in into) for into in ins]
+    return max(max(hi), -min(lo))
 
 
 def _cell_sum_max(spec, tau, n, word_cap):

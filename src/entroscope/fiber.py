@@ -25,11 +25,10 @@ import math
 from fractions import Fraction
 
 from .exactnum import QuadExact, frac_exact
-from .symbolic import (DEFAULT_WORD_CAP, WindowPoint, _num_from_json,
-                       _num_to_json, complexity, language_on, rho,
-                       spec_from_json, spec_to_json, subshift_close,
-                       subshift_distance)
-from .util import CapExceeded, ConfigError
+from .symbolic import (WindowPoint, _num_from_json, _num_to_json, complexity,
+                       language_on, rho, spec_from_json, spec_to_json,
+                       subshift_close, subshift_distance)
+from .util import DEFAULT_WORD_CAP, CapExceeded, ConfigError
 
 
 def _exact_eps(epsilon):

@@ -44,8 +44,8 @@ from fractions import Fraction
 from .cocycle import (Cocycle, dropped_count, ergodic_sums, interval_steps,
                       range_histograms, read_factor, visited_sets)
 from .fiber import SymbolicFiber, sep_count
-from .symbolic import DEFAULT_WORD_CAP, language_on, rho
-from .util import CapExceeded, ConfigError
+from .symbolic import language_on, rho
+from .util import DEFAULT_WORD_CAP, CapExceeded, ConfigError
 
 
 class SkewSystem:

@@ -26,9 +26,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from .exactnum import QuadExact, _sign, floor_coords, integer_coords
-from .util import CapExceeded, SturmianHorizonError, WindowError
-
-DEFAULT_WORD_CAP = 2 ** 20
+from .util import (DEFAULT_WORD_CAP, CapExceeded, SturmianHorizonError,
+                   WindowError)
 
 
 def _normalize_alphabet(alphabet):

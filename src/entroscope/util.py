@@ -1,6 +1,9 @@
-"""Shared plumbing: error types and big-integer logs."""
+"""Shared plumbing: error types, the default word cap, big-integer logs."""
 
 import math
+
+# words an enumeration may list before it raises CapExceeded
+DEFAULT_WORD_CAP = 2 ** 20
 
 
 class CapExceeded(RuntimeError):

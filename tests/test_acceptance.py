@@ -18,16 +18,16 @@ from fractions import Fraction
 import numpy as np
 
 from entroscope.cocycle import Cocycle, cocycle_profile, range_distribution
-from entroscope.entropy import (Arithmetic, Explicit, Geometric,
-                                RangeExpScale, birkhoff_sup, evens_family,
-                                folner_defect, goodwyn_check, h_top_estimate,
-                                hamming_ball_count, hamming_exponent,
-                                interval_family, k_estimate,
+from entroscope.entropy import (RangeExpScale, birkhoff_sup, h_top_estimate,
                                 slow_entropy_report)
 from entroscope.exactnum import GOLDEN_MEAN_ALPHA
 from entroscope.fiber import (SymbolicFiber, sep_exact_symbolic, sep_greedy,
                               spa_bracket)
 from entroscope.presets import get_preset
+from entroscope.sequence import (Arithmetic, Explicit, Geometric, evens_family,
+                                 folner_defect, goodwyn_check,
+                                 hamming_ball_count, hamming_exponent,
+                                 interval_family, k_estimate)
 from entroscope.skew import capacity_A, sandwich_check
 from entroscope.symbolic import SFT, FullShift, Sturmian, complexity, rho
 

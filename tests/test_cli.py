@@ -13,8 +13,8 @@ import entroscope
 from entroscope.cli import (main, make_scale, parse_int_list, parse_sequence,
                             parse_t_grid)
 from entroscope.cocycle import Cocycle
-from entroscope.entropy import Arithmetic, Explicit, Geometric
 from entroscope.presets import preset_names
+from entroscope.sequence import Arithmetic, Explicit, Geometric
 from entroscope.skew import CapacityBracket
 from entroscope.skew import capacity_A as real_capacity_A
 from entroscope.symbolic import FullShift
@@ -226,6 +226,17 @@ def test_summary_names_the_counted_base(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_birkhoff_on_a_full_shift_takes_the_graph_pass(tmp_path, capsys):
+    # L_21 of the full 2-shift has 2^21 words, past the default word cap
+    assert main(["birkhoff", "--preset", "tt-inverse", "--n-list", "21",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    meta = json.loads((tmp_path / "summary.json").read_text())["meta"]
+    assert meta["counted_on"]["sup"] == "graph pass"
+    rows = (tmp_path / "birkhoff.csv").read_text().splitlines()
+    assert rows[1:] == ["21,1,1.0"]
+
+
 def test_cocycle_stats_asks_the_range_engine_once(monkeypatch, capsys):
     from entroscope import cocycle
     monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
@@ -304,7 +315,7 @@ def test_oracle_mismatch_exits_4(monkeypatch, capsys):
         return CapacityBracket(n=cb.n, epsilon=cb.epsilon,
                                lower=cb.lower + 1, upper=cb.upper)
 
-    monkeypatch.setattr("entroscope.cli.capacity_A", crooked)
+    monkeypatch.setattr("entroscope.skew.capacity_A", crooked)
     rc = main(["sep", "--preset", "tt-inverse", "--n-range", "2:3"])
     assert rc == 4
     assert "internal inconsistency" in capsys.readouterr().err
@@ -420,7 +431,7 @@ def test_step_two_class_fault_exits_4(monkeypatch, tmp_path, capsys, plant):
 
 
 def test_slow_entropy_computes_each_bracket_once(monkeypatch, capsys):
-    from entroscope import cli, entropy
+    from entroscope import entropy
     seen = []
     real = entropy.count_bracket
 
@@ -428,7 +439,6 @@ def test_slow_entropy_computes_each_bracket_once(monkeypatch, capsys):
         seen.append(n)
         return real(target, n, epsilon, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "count_bracket", counting)
     monkeypatch.setattr(entropy, "count_bracket", counting)
     assert main(["slow-entropy", "--preset", "tt-inverse",
                  "--n-max", "40"]) == 0
@@ -462,11 +472,21 @@ def test_tracer_wraps_every_layer():
     # deleted or renamed name would stop every traced benchmark run
     root = pathlib.Path(__file__).resolve().parents[1]
     src = pathlib.Path(entroscope.__file__).resolve().parents[1]
+    # the library modules load lazily, so the commands below check that
+    # each traced name is still the one on the call path
     code = ("import sys; sys.path.insert(0, %r); import entroscope.cli; "
-            "from tracer import Tracer; Tracer().install()"
+            "from tracer import Tracer; tracer = Tracer(); tracer.install(); "
+            "main = entroscope.cli.main; "
+            "assert main(['hamming', '--n', '200']) == 0; "
+            "assert main(['sep', '--preset', 'tt-inverse', "
+            "'--n-range', '2:4']) == 0; "
+            "print(sorted({span[0] for span in tracer.spans}))"
             % str(root / "perfbench"))
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert "could not wrap" not in proc.stderr
     assert proc.returncode == 0, proc.stderr
+    layers = proc.stdout.splitlines()[-1]
+    for layer in ("entropy.hamming", "skew.capacity", "cli.load_context"):
+        assert repr(layer) in layers, layers

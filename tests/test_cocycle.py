@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entroscope import cocycle
-from entroscope.cocycle import (Cocycle, c_m, cocycle_from_json,
-                                cocycle_profile, cocycle_to_json,
-                                ergodic_sums, profile_counts,
+from entroscope.cocycle import (Cocycle, cocycle_from_json, cocycle_profile,
+                                cocycle_to_json, ergodic_sums, profile_counts,
                                 range_distribution, range_histograms,
                                 unbounded_evidence, unbounded_profile,
                                 walk_range_distribution)
+from entroscope.sequence import c_m
 from entroscope.symbolic import SFT, FullShift, Product, Sturmian
 from entroscope.exactnum import GOLDEN_MEAN_ALPHA
 from entroscope.util import ConfigError

@@ -1,25 +1,27 @@
 """Scales, slow-entropy reports, sequence entropy, Folner defect, Birkhoff."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from entroscope.cocycle import Cocycle, ergodic_sums
-from entroscope.entropy import (Arithmetic, Explicit, ExpScale, Geometric,
-                                PolyScale, RangeExpScale, RangeInnerScale,
-                                bernoulli_seq_entropy, birkhoff_sup,
-                                count_bracket, evens_family, folner_defect,
-                                goodwyn_check, h_top_estimate,
-                                hamming_ball_count, hamming_exponent,
-                                interval_family, k_estimate, powers_family,
-                                sa_size, slow_entropy_report)
+from entroscope.entropy import (ExpScale, PolyScale, RangeExpScale,
+                                RangeInnerScale, birkhoff_sup, count_bracket,
+                                h_top_estimate, slow_entropy_report)
 from entroscope.exactnum import GOLDEN_MEAN_ALPHA
 from entroscope.fiber import IdentityFiber, SymbolicFiber
 from entroscope.presets import get_preset
+from entroscope.sequence import (Arithmetic, Explicit, Geometric,
+                                 bernoulli_seq_entropy, cover_size,
+                                 evens_family, folner_defect, goodwyn_check,
+                                 hamming_ball_count, hamming_exponent,
+                                 interval_family, k_estimate, powers_family,
+                                 sa_size)
 from entroscope.skew import SkewSystem
 from entroscope.symbolic import SFT, FullShift, Sturmian
-from entroscope.util import CapExceeded, SturmianHorizonError
+from entroscope.util import CapExceeded, ConfigError, SturmianHorizonError
 
 SIGN = Cocycle({(-1,): -1, (1,): 1})
 SIGNS = FullShift((-1, 1))
@@ -154,6 +156,22 @@ def test_sa_size_values():
         sa_size(Arithmetic(1, 1), 0, 1)
 
 
+def test_sa_size_geometric_sums_its_cover_in_closed_form(monkeypatch):
+    for b in (2, 3, 10):
+        A = Geometric(b)
+        for n in (1, 2, 3, 5, 17, 40):
+            for m in (1, 2, 3, 7, 8, 9, 100, 1000, 10 ** 6, 10 ** 30):
+                assert sa_size(A, n, m) == cover_size(A.terms(n), m), \
+                    (b, n, m)
+
+    def no_terms(self, n):
+        raise AssertionError("sa_size built the terms")
+
+    monkeypatch.setattr(Geometric, "terms", no_terms)
+    # gaps 2, 4 and 8 fall below m = 16; the other 9996 add 16 each
+    assert sa_size(Geometric(2), 10 ** 4, 16) == 16 + 2 + 4 + 8 + 9996 * 16
+
+
 def test_sa_size_monotone_in_m():
     for A in (Arithmetic(3, 2), Geometric(3),
               Explicit([1, 4, 9, 16, 25, 36, 49])):
@@ -277,6 +295,65 @@ def test_birkhoff_full_shift_stays_at_one():
     assert birkhoff_sup(SIGNS, SIGN, 9) == 1
     with pytest.raises(ValueError):
         birkhoff_sup(SIGNS, SIGN, 0)
+
+
+def sft_shapes():
+    """The 13 SFTs forbidding a 5-word w over {-1, 1} with w[0] = -1 and
+    no run of four equal letters, and its negation."""
+    words = [w for w in itertools.product((-1, 1), repeat=5)
+             if w[0] == -1 and not any(len(set(w[i:i + 4])) == 1
+                                       for i in range(2))]
+    assert len(words) == 13
+    return [SFT((-1, 1), [w, tuple(-a for a in w)]) for w in words]
+
+
+# radius-0 rules: the sign walk, a drifting walk with a step of 3, and
+# one with a zero step
+RADIUS_ZERO = (SIGN, Cocycle({(-1,): 3, (1,): -1}),
+               Cocycle({(-1,): 0, (1,): -2}))
+
+
+@pytest.mark.parametrize("tau", RADIUS_ZERO)
+def test_birkhoff_graph_pass_matches_word_loop(tau):
+    for spec in [SIGNS, GOLDEN] + sft_shapes():
+        for n in range(1, 11):
+            assert birkhoff_sup(spec, tau, n) == \
+                birkhoff_by_words(spec, tau, n, None), (spec, n)
+    three = Cocycle({(0,): -1, (1,): 0, (2,): 2})
+    for n in range(1, 8):
+        assert birkhoff_sup(FullShift(3), three, n) == \
+            birkhoff_by_words(FullShift(3), three, n, None)
+
+
+def test_birkhoff_graph_pass_lists_no_words(monkeypatch):
+    drift = Cocycle({(-1,): 2, (1,): -1})
+    want = birkhoff_by_words(GOLDEN, drift, 21, None)
+
+    def no_words(*_args, **_kwargs):
+        raise AssertionError("birkhoff_sup built a word list")
+
+    monkeypatch.setattr(SFT, "words", no_words)
+    monkeypatch.setattr(FullShift, "words", no_words)
+    assert birkhoff_sup(GOLDEN, drift, 21) == want
+    # past the word cap: 2^21 words of L_21 on the full 2-shift
+    assert birkhoff_sup(SIGNS, SIGN, 21) == 1
+    assert birkhoff_sup(SIGNS, SIGN, 10 ** 4, word_cap=1) == 1
+
+
+def test_birkhoff_graph_pass_rule_coverage():
+    # a letter the rule misses is a config error, as in the word loop
+    partial = Cocycle({(-1,): -1})
+    for spec in (SIGNS, GOLDEN):
+        with pytest.raises(ConfigError):
+            birkhoff_by_words(spec, partial, 4, None)
+        with pytest.raises(ConfigError):
+            birkhoff_sup(spec, partial, 4)
+    # a letter in no word of the language needs no step
+    dead = SFT((-1, 0, 1), [(0,)])
+    assert birkhoff_sup(dead, SIGN, 6) == birkhoff_by_words(dead, SIGN, 6,
+                                                            None) == 1
+    with pytest.raises(ValueError):
+        birkhoff_sup(SFT((-1, 1), [(-1,), (1,)]), SIGN, 3)
 
 
 def test_birkhoff_sturmian_walk_decays():
