@@ -32,7 +32,6 @@ from .sequence import (FAMILIES, Arithmetic, Explicit, Geometric,
 from .util import (DEFAULT_WORD_CAP, CapExceeded, ConfigError, OracleMismatch,
                    SturmianHorizonError, log_big)
 
-DEFAULT_PAIR_CAP = 2 ** 24
 # the self-check's greedy skew count stays within about half a second
 SELF_CHECK_PAIRS = 2 ** 18
 
@@ -125,7 +124,7 @@ _PARAM_PARSERS = {
     "radius": lambda v: Fraction(str(v)),
     "n_max": int, "length": int, "n": int, "m": int,
     "k_symbols": int, "reach": int,
-    "word_cap": int, "pair_cap": int,
+    "word_cap": int,
     "threshold": float,
     "n_range": lambda v: [int(x) for x in v],
     "n_list": lambda v: [int(x) for x in v],
@@ -133,7 +132,7 @@ _PARAM_PARSERS = {
                                             float(v["stop"]),
                                             float(v["step"]))
                          if isinstance(v, dict) else [float(x) for x in v]),
-    "scale": str, "family": str, "sequence": str, "mode": str,
+    "scale": str, "family": str, "sequence": str,
 }
 
 _CONFIG_KEYS = ("command", "preset", "system", "parameters", "output")
@@ -180,13 +179,13 @@ def apply_config(ctx, doc):
 
 
 _FLAG_KEYS = ("epsilon", "n_max", "n_range", "t_grid", "scale", "threshold",
-              "word_cap", "pair_cap", "out", "length", "n", "n_list",
-              "sequence", "k_symbols", "radius", "family", "m", "reach")
+              "word_cap", "out", "length", "n", "n_list", "sequence",
+              "k_symbols", "radius", "family", "m", "reach")
 
 
 def load_context(args):
     """Context from preset, then config file, then flag overrides."""
-    ctx = {"word_cap": DEFAULT_WORD_CAP, "pair_cap": DEFAULT_PAIR_CAP}
+    ctx = {"word_cap": DEFAULT_WORD_CAP}
     if getattr(args, "preset", None):
         ctx.update(presets.get_preset(args.preset))
     if getattr(args, "config", None):
@@ -202,8 +201,8 @@ def load_context(args):
         value = getattr(args, key, None)
         if value is not None:
             ctx[key] = value
-    if ctx["word_cap"] < 1 or ctx["pair_cap"] < 1:
-        raise ConfigError("caps must be positive")
+    if ctx["word_cap"] < 1:
+        raise ConfigError("word cap must be positive")
     for key in ("n_range", "n_list", "t_grid"):
         if key in ctx and not ctx[key]:
             raise ConfigError("%s must be nonempty" % key)
@@ -251,15 +250,16 @@ def echo_params(ctx):
 # runtime self-checks (fast path vs defining enumeration; exit 4)
 
 
-def self_check_skew(system, epsilon, word_cap, pair_cap=SELF_CHECK_PAIRS):
+def self_check_skew(system, epsilon, word_cap):
     """Recompute capacity_A and skew_sep_direct at n = 3 by enumeration.
 
     Where words do not group by range, the fast path and the enumeration
     read the same visited sets, so skew_sep_direct is also compared with
     the independent skew_sep_greedy (on the narrowest hulls its scan
-    allows, within pair_cap representative pairs).  Returns a note per
-    check made.  A check is skipped where its count is out of reach: a
-    cap, a Sturmian horizon, or a system without exact skew counts.
+    allows, within SELF_CHECK_PAIRS representative pairs).  Returns a
+    note per check made.  A check is skipped where its count is out of
+    reach: a cap, a Sturmian horizon, or a system without exact skew
+    counts.
     """
     n = 3
     checks = [("capacity", skew.capacity_A, "enumeration",
@@ -270,7 +270,7 @@ def self_check_skew(system, epsilon, word_cap, pair_cap=SELF_CHECK_PAIRS):
         def greedy(sys, n, eps, word_cap):
             return skew.skew_sep_greedy(sys, n, eps,
                                         margin=symbolic.rho(eps),
-                                        pair_cap=pair_cap)
+                                        pair_cap=SELF_CHECK_PAIRS)
         checks.append(("greedy", skew.skew_sep_direct, "greedy count",
                        greedy))
     notes = []
@@ -351,8 +351,7 @@ def run_self_checks(args, ctx, report, skew_counts=False,
     notes = []
     if skew_counts and "system" in ctx:
         notes += self_check_skew(ctx["system"], param(ctx, "epsilon"),
-                                 ctx["word_cap"],
-                                 min(ctx["pair_cap"], SELF_CHECK_PAIRS))
+                                 ctx["word_cap"])
     if distribution and "base" in ctx and "tau" in ctx:
         ns = self_check_distribution(ctx["base"], ctx["tau"], ctx["word_cap"])
         if ns is not None:
@@ -479,8 +478,10 @@ def _cmd_sandwich(args, ctx, report):
                                  word_cap=ctx["word_cap"])
     report.add_table("sandwich", *sandwich_table(result))
     verdict = "PASS" if result["pass"] else "FAIL"
-    detail = ("left certified %s, inferred E nonincreasing %s"
-              % (result["left_certified_all"], result["e_nonincreasing"]))
+    detail = ("left certified %s, inferred E <= %d = |A|^(2(rho-s)) %s, "
+              "inferred E nonincreasing %s (observed)"
+              % (result["left_certified_all"], result["e_bound"],
+                 result["e_bounded"], result["e_nonincreasing"]))
     report.add_verdict("sandwich", verdict, detail)
     for row in result["rows"]:
         print("n=%d  lower[%d,%d]  sep[%d,%d]  upper[%d,%d]  E<=%s"
@@ -693,8 +694,6 @@ def _build_parser():
                         help="ratio threshold for the slow-entropy estimate")
     common.add_argument("--cap-words", dest="word_cap", type=int,
                         help="word enumeration budget (default 2^20)")
-    common.add_argument("--cap-pairs", dest="pair_cap", type=int,
-                        help="brute-force pair budget (default 2^24)")
     common.add_argument("--no-self-check", action="store_true",
                         help="skip the fast-path vs enumeration cross-check")
 

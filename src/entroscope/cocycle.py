@@ -39,7 +39,7 @@ from itertools import accumulate
 from math import prod
 
 from .sequence import c_m, cover_size
-from .symbolic import SFT, FullShift, Product, word_from_str, word_to_str
+from .symbolic import SFT, Product, word_from_str, word_to_str
 from .util import (DEFAULT_WORD_CAP, CapExceeded, ConfigError,
                    SturmianHorizonError)
 
@@ -237,22 +237,18 @@ def walk_range_distribution(spec, steps, values):
     vals = {k: int(v) for k, v in values.items()}
     if any(abs(v) > 1 for v in vals.values()):
         raise ValueError("walk DP needs step values in {-1, 0, 1}")
-    if isinstance(spec, FullShift):
-        base = SFT(spec.labels, [])
-    elif isinstance(spec, SFT):
-        base = spec
-    else:
+    if not isinstance(spec, SFT):
         raise ValueError("walk DP needs a full shift or SFT base")
-    _check_steps(base, vals)
+    _check_steps(spec, vals)
     n = steps + 1
-    states, edges = base.graph()
+    states, edges = spec.graph()
     if not states:
         return {}
-    K = base.context
+    K = spec.context
     if n <= K:
         # tiny windows: profile the handful of state prefixes directly
         out = {}
-        for w in base.words(n):
+        for w in spec.words(n):
             sums = [0]
             for a in w[:-1]:
                 sums.append(sums[-1] + vals[a])
@@ -317,7 +313,7 @@ def walk_rule(spec, tau):
     enumeration; range_histograms acts on it and the CLI self-check
     reads it to know whether there is a DP to check.
     """
-    if not isinstance(spec, (FullShift, SFT)):
+    if not isinstance(spec, SFT):
         return None
     return interval_steps(tau)
 
@@ -360,16 +356,15 @@ def range_histograms(spec, tau, ns, word_cap=DEFAULT_WORD_CAP, pad=0):
             memo[n] = _histogram(visited_sets(spec, tau, n, word_cap=word_cap,
                                               pad=pad))
     elif todo:
-        base = spec if isinstance(spec, SFT) else SFT(spec.labels, [])
-        _check_steps(base, vals)
-        K = base.context
+        _check_steps(spec, vals)
+        K = spec.context
         for n in todo:
             if n + pad <= K:
-                memo[n] = _histogram(visited_sets(base, tau, n, word_cap=None,
+                memo[n] = _histogram(visited_sets(spec, tau, n, word_cap=None,
                                                   pad=pad))
         passed = [n for n in todo if n + pad > K]
         if passed:
-            memo.update(_walk_pass(base, vals, passed, pad))
+            memo.update(_walk_pass(spec, vals, passed, pad))
     extra = 2 * tau.radius + 2 * pad  # letters of a word beyond n
     return {n: _scaled(memo[n], dropped_count(dropped, n + extra))
             for n in ns}

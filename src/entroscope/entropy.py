@@ -28,7 +28,7 @@ from .cocycle import _check_steps, ergodic_sums, profile_counts, read_factor
 from .fiber import spa_bracket
 from .sequence import hamming_ball_count, k_estimate  # noqa: F401
 from .skew import SkewSystem, capacity_A
-from .symbolic import SFT, FullShift, Sturmian
+from .symbolic import SFT, Sturmian
 from .util import DEFAULT_WORD_CAP, log_big, log_sum_exp
 
 
@@ -44,9 +44,6 @@ class ExpScale:
     def log_eval(self, n, t):
         return n * float(t)
 
-    def eval(self, n, t):
-        return math.exp(self.log_eval(n, t))
-
     def eval_exact(self, n, base):
         """Exact value with base = e^t given as a rational."""
         return Fraction(base) ** n
@@ -61,9 +58,6 @@ class PolyScale:
         if n < 1:
             raise ValueError("n must be >= 1")
         return float(t) * math.log(n)
-
-    def eval(self, n, t):
-        return math.exp(self.log_eval(n, t))
 
     def eval_exact(self, n, t):
         t = int(t)
@@ -96,9 +90,6 @@ class RangeExpScale:
         t = float(t)
         return log_sum_exp([log_big(cnt) + t * q
                             for q, cnt in self._classes(n)])
-
-    def eval(self, n, t):
-        return math.exp(self.log_eval(n, t))
 
     def eval_exact(self, n, base):
         """Exact sum with base = e^t rational, e.g. base 2 for t = ln 2."""
@@ -133,9 +124,6 @@ class RangeInnerScale:
     def log_eval(self, n, t):
         return log_sum_exp([log_big(cnt) + self.inner.log_eval(r, t)
                             for r, cnt in self._classes(n)])
-
-    def eval(self, n, t):
-        return math.exp(self.log_eval(n, t))
 
     def eval_exact(self, n, t):
         return sum(cnt * self.inner.eval_exact(r, t)
@@ -238,7 +226,7 @@ def sup_path(spec, tau):
     """
     if isinstance(spec, Sturmian):
         return "cell walk"
-    if isinstance(spec, (FullShift, SFT)) and tau.radius == 0:
+    if isinstance(spec, SFT) and tau.radius == 0:
         return "graph pass"
     return "enumeration"
 
@@ -284,12 +272,11 @@ def _graph_sum_max(spec, vals, n):
     give, per node, the largest and smallest sum of a word ending
     there, in O(n x edges); shorter words are prefixes of nodes.
     """
-    base = spec if isinstance(spec, SFT) else SFT(spec.labels, [])
-    _check_steps(base, vals)
-    states, edges = base.graph()
+    _check_steps(spec, vals)
+    states, edges = spec.graph()
     if not states:
         raise ValueError("empty language at n=%d" % n)
-    K = base.context
+    K = spec.context
     if n <= K:
         return max(abs(sum(vals[a] for a in u[:n])) for u in states)
     # (source, step) of each node's in-edges; the trim leaves none empty

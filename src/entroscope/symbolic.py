@@ -20,7 +20,6 @@ rho(eps) = min{k >= 0 : 2^-k <= eps}.
 
 import itertools
 import math
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -47,27 +46,6 @@ def _normalize_alphabet(alphabet):
 def _check_cap(count, word_cap):
     if word_cap is not None and count > word_cap:
         raise CapExceeded("word count %d exceeds cap %d" % (count, word_cap))
-
-
-class FullShift:
-    """All bi-infinite sequences over the given alphabet."""
-
-    variant = "full"
-
-    def __init__(self, alphabet=2):
-        self.labels = _normalize_alphabet(alphabet)
-
-    def __repr__(self):
-        return "FullShift(%r)" % (self.labels,)
-
-    def words(self, length, word_cap=DEFAULT_WORD_CAP):
-        if length < 1:
-            raise ValueError("length must be >= 1")
-        _check_cap(len(self.labels) ** length, word_cap)
-        return [tuple(w) for w in itertools.product(self.labels, repeat=length)]
-
-    def count(self, length):
-        return len(self.labels) ** length
 
 
 class SFT:
@@ -221,6 +199,31 @@ def _mat_pow(m, e):
     return result
 
 
+class FullShift(SFT):
+    """All bi-infinite sequences over the given alphabet.
+
+    The SFT with no forbidden words: the graph paths take it as it is,
+    while its words and counts come straight from the alphabet.
+    """
+
+    variant = "full"
+
+    def __init__(self, alphabet=2):
+        SFT.__init__(self, alphabet, ())
+
+    def __repr__(self):
+        return "FullShift(%r)" % (self.labels,)
+
+    def words(self, length, word_cap=DEFAULT_WORD_CAP):
+        if length < 1:
+            raise ValueError("length must be >= 1")
+        _check_cap(len(self.labels) ** length, word_cap)
+        return [tuple(w) for w in itertools.product(self.labels, repeat=length)]
+
+    def count(self, length):
+        return len(self.labels) ** length
+
+
 class Sturmian:
     """Coding of the rotation x -> x + alpha by the arc [0, intercept).
 
@@ -261,12 +264,6 @@ class Sturmian:
         self._root = math.sqrt(self._d)
         self.labels = (-1, 1)
         self._word_cache = {}  # {length: (cut count, words)}
-        # the cuts of the longest window so far (see _cuts)
-        self._cut_order = []  # (A, B) pairs in exact order
-        self._cut_hints = []  # their float values, the bisection hints
-        self._flips = {}  # {cut: [(p, symbol), ...]}, p increasing
-        self._cut_len = 0
-        self._next_cuts = ((0, 0), self._intercept_c)  # those of p = _cut_len
 
     def __repr__(self):
         return "Sturmian(%r, %r)" % (self.alpha, self.intercept)
@@ -294,72 +291,49 @@ class Sturmian:
             (x0, self.alpha, self.intercept))
         return _rotation_code(x, alpha, intercept, q, d, positions)
 
-    def _cuts(self, length, word_cap):
-        """(cuts, flips) of the window [0, length), the cuts in exact order.
-
-        A cut is an (A, B) pair, the point (A + B sqrt(d)) / q.  The cut
-        {-p*alpha} turns symbol p to +1 and {intercept - p*alpha} turns it
-        to -1; flips maps each distinct cut to its (p, symbol) pairs.  The
-        cuts of p are those of p - 1 moved back by alpha, reduced mod 1
-        by the integer floor formula.  The instance keeps the cuts of its
-        longest window so far and extends them by two per position,
-        checks the new count against the cap, then places each new cut:
-        exact comparisons with the neighbours at its float value's place
-        certify that place, or an exact bisection decides.  A shorter
-        window takes the cuts with a flip inside it.
-        """
-        order, flips = self._cut_order, self._flips
-        if length < self._cut_len:
-            order = [c for c in order if flips[c][0][0] < length]
-            flips = {c: [f for f in flips[c] if f[0] < length] for c in order}
-        q, d, (a_A, a_B) = self._q, self._d, self._alpha_c
-        added, nxt = {}, self._next_cuts
-        for p in range(self._cut_len, length):
-            moved = []
-            for (A, B), sym in zip(nxt, (1, -1)):
-                added.setdefault((A, B), []).append((p, sym))
-                A, B = A - a_A, B - a_B
-                moved.append((A - q * floor_coords(A, B, q, d), B))
-            nxt = tuple(moved)
-        _check_cap(len(order) + sum(c not in flips for c in added), word_cap)
-        hints = self._cut_hints
-        exact = cmp_to_key(lambda u, v: _sign(u[0] - v[0], u[1] - v[1], d))
-        for cut, more in added.items():
-            if cut in flips:
-                flips[cut] += more
-                continue
-            hint = (cut[0] + cut[1] * self._root) / q
-            i = bisect(hints, hint)
-            key = exact(cut)
-            if not ((i == 0 or exact(order[i - 1]) < key)
-                    and (i == len(order) or key < exact(order[i]))):
-                i = bisect(order, key, key=exact)
-            order.insert(i, cut)
-            hints.insert(i, hint)
-            flips[cut] = more
-        self._next_cuts = nxt
-        self._cut_len = max(self._cut_len, length)
-        return order, flips
-
     def cells(self, length, word_cap=DEFAULT_WORD_CAP):
         """Walk the cells of the window [0, length) once around the circle.
 
         The word of x is constant on each cell of the circle partition cut
-        by the points of _cuts.  Yields (word, crossed) per cell in cut
-        order: first the first cell's word, coded directly at its left
-        cut (boundary points code like the cell on their right), with no
-        flips; then, per later cut, the word after flipping the symbols
-        attached to it and those (p, symbol) flips.  word is one list
-        updated in place: copy it to keep it.  The horizon and cap checks
-        run at the first step; once the walk is exhausted, crossing the
-        first cut again must land back on the first cell.
+        by the points {-p*alpha}, which turn symbol p to +1, and
+        {intercept - p*alpha}, which turn it to -1.  A cut is an (A, B)
+        pair, the point (A + B sqrt(d)) / q; the cuts of p are those of
+        p - 1 moved back by alpha and reduced mod 1 by the integer floor
+        formula, and flips maps each distinct cut to its (p, symbol)
+        pairs.  Every call builds its window's cuts afresh, checks their
+        count against the cap, sorts them by float value and certifies
+        each adjacent pair exactly, sorting exactly when a pair fails.
+
+        Yields (word, crossed) per cell in cut order: first the first
+        cell's word, coded directly at its left cut (boundary points code
+        like the cell on their right), with no flips; then, per later
+        cut, the word after flipping the symbols attached to it and those
+        (p, symbol) flips.  word is one list updated in place: copy it to
+        keep it.  The horizon and cap checks run at the first step; once
+        the walk is exhausted, crossing the first cut again must land
+        back on the first cell.
         """
         if length < 1:
             raise ValueError("length must be >= 1")
         self._check_horizon(length)
-        cuts, flips = self._cuts(length, word_cap)
+        q, d, (a_A, a_B) = self._q, self._d, self._alpha_c
+        flips, nxt = {}, ((0, 0), self._intercept_c)
+        for p in range(length):
+            moved = []
+            for (A, B), sym in zip(nxt, (1, -1)):
+                flips.setdefault((A, B), []).append((p, sym))
+                A, B = A - a_A, B - a_B
+                moved.append((A - q * floor_coords(A, B, q, d), B))
+            nxt = moved
+        _check_cap(len(flips), word_cap)
+        root = self._root
+        cuts = sorted(flips, key=lambda c: (c[0] + c[1] * root) / q)
+        if not all(_sign(v[0] - u[0], v[1] - u[1], d) > 0
+                   for u, v in zip(cuts, cuts[1:])):
+            cuts.sort(key=cmp_to_key(
+                lambda u, v: _sign(u[0] - v[0], u[1] - v[1], d)))
         cur = list(_rotation_code(cuts[0], self._alpha_c, self._intercept_c,
-                                  self._q, self._d, range(length)))
+                                  q, d, range(length)))
         first = tuple(cur)
         yield cur, ()
         for c in cuts[1:]:

@@ -12,6 +12,7 @@ from entroscope.cocycle import (Cocycle, cocycle_from_json, cocycle_profile,
                                 range_distribution, range_histograms,
                                 unbounded_evidence, unbounded_profile,
                                 walk_range_distribution)
+from entroscope.entropy import birkhoff_sup
 from entroscope.sequence import c_m
 from entroscope.symbolic import SFT, FullShift, Product, Sturmian
 from entroscope.exactnum import GOLDEN_MEAN_ALPHA
@@ -128,6 +129,27 @@ def test_range_dp_matches_enumeration_with_zero_steps():
     for n in range(1, 13):
         dp = walk_range_distribution(SIGNS, n - 1, vals)
         assert dp == brute_distribution(SIGNS, lazy, n), n
+
+
+@pytest.mark.parametrize("labels, steps", [((-1, 1), (-1, 1)),
+                                           ((0, 1, 2), (1, -1, 0))])
+def test_full_shift_is_the_sft_with_nothing_forbidden(labels, steps):
+    full, sft = FullShift(labels), SFT(labels, ())
+    vals = dict(zip(labels, steps))
+    tau = Cocycle({(a,): v for a, v in vals.items()})
+    assert isinstance(full, SFT)
+    assert full.graph() == sft.graph()
+    ns = range(1, 13)
+    for pad in (0, 1, 2):
+        # the memo keys the two apart (their reprs differ), so each side
+        # runs its own strip pass
+        assert range_histograms(full, tau, ns, pad=pad) == \
+            range_histograms(sft, tau, ns, pad=pad), pad
+    for n in ns:
+        assert full.count(n) == sft.count(n) == len(labels) ** n
+        assert walk_range_distribution(full, n - 1, vals) == \
+            walk_range_distribution(sft, n - 1, vals), n
+        assert birkhoff_sup(full, tau, n) == birkhoff_sup(sft, tau, n) == 1
 
 
 def test_range_dp_requires_total_small_steps():

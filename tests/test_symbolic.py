@@ -138,9 +138,11 @@ def words_by_cut_walk(spec, length):
 def test_incremental_cuts_match_walk_from_scratch(intercept):
     # sturmian-walk (intercept 1/2) and the default intercept, whose two
     # cut families share points; lengths up, then down, then at random,
-    # so the kept cuts are extended, filtered and extended again
+    # then a window of 2000 letters after a short one, on one instance
+    # per order: no cut state carries from one window to the next, so
+    # every order gives the reference's words
     lengths = (list(range(1, 61)), list(range(60, 0, -1)),
-               [7, 31, 2, 60, 45, 1, 59, 13])
+               [7, 31, 2, 60, 45, 1, 59, 13], [5, 2000])
     for order in lengths:
         spec = Sturmian(GOLDEN_MEAN_ALPHA, intercept)
         for length in order:
@@ -151,10 +153,10 @@ def test_incremental_cuts_match_walk_from_scratch(intercept):
 def test_incremental_cuts_survive_a_cap_refusal():
     walk = Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2))
     walk.words(5)
-    # 40 cut points at length 20: refused before any is kept
+    # 40 cut points at length 20: refused, and nothing of them is kept
     with pytest.raises(CapExceeded):
         walk.words(20, word_cap=39)
-    # 6 cut points at length 3, read off the 10 kept ones
+    # 6 cut points at length 3, whatever longer window came before
     with pytest.raises(CapExceeded):
         walk.words(3, word_cap=5)
     assert walk.words(3, word_cap=6) == words_by_cut_walk(walk, 3)
