@@ -202,8 +202,8 @@ def _mat_pow(m, e):
 class FullShift(SFT):
     """All bi-infinite sequences over the given alphabet.
 
-    The SFT with no forbidden words: the graph paths take it as it is,
-    while its words and counts come straight from the alphabet.
+    The SFT with no forbidden words: the graph paths and counts take it
+    as it is, while its words come straight from the alphabet.
     """
 
     variant = "full"
@@ -219,9 +219,6 @@ class FullShift(SFT):
             raise ValueError("length must be >= 1")
         _check_cap(len(self.labels) ** length, word_cap)
         return [tuple(w) for w in itertools.product(self.labels, repeat=length)]
-
-    def count(self, length):
-        return len(self.labels) ** length
 
 
 class Sturmian:

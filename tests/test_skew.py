@@ -294,22 +294,6 @@ def test_sandwich_golden_base_passes():
     assert [row.e_inferred for row in res["rows"]] == [7] * 5
 
 
-def test_sandwich_fails_a_row_above_the_n_free_bound(monkeypatch):
-    # E = 16 on the full shift is the bound |A|^(2(rho - s)) = 2^4 itself;
-    # one more separated point at n = 4 puts that row above it, while the
-    # left inequality stays certified
-    def one_more(sys, n, epsilon, **kw):
-        got = skew_sep_direct(sys, n, epsilon, **kw)
-        return got + 1 if (n, epsilon) == (4, QUARTER) else got
-
-    monkeypatch.setattr("entroscope.skew.skew_sep_direct", one_more)
-    res = sandwich_check(full_sys(), range(2, 5), QUARTER)
-    assert res["e_bound"] == 16
-    assert [row.e_inferred > 16 for row in res["rows"]] == [False] * 2 + [True]
-    assert res["left_certified_all"] and not res["e_bounded"]
-    assert not res["pass"]
-
-
 def test_sandwich_epsilon_precondition():
     sys = full_sys()
     with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """Language enumeration, rotation codings, and the windowed metric."""
 
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,6 +162,29 @@ def test_incremental_cuts_survive_a_cap_refusal():
         walk.words(3, word_cap=5)
     assert walk.words(3, word_cap=6) == words_by_cut_walk(walk, 3)
     assert walk.words(20, word_cap=40) == words_by_cut_walk(walk, 20)
+
+
+def test_cut_walk_sorts_exactly_when_float_order_fails(monkeypatch):
+    # two ways to a float order that the exact certificate rejects: a
+    # wrong float value of sqrt(d), and a rational angle 1/3 + 10^-20
+    # whose cuts 1/3 and 1/3 - 2*10^-20 are one float; the exact sort
+    # must then give the reference's words
+    exact_sorts = []
+
+    def counting_cmp_to_key(cmp):
+        exact_sorts.append(cmp)
+        return cmp_to_key(cmp)
+
+    monkeypatch.setattr("entroscope.symbolic.cmp_to_key", counting_cmp_to_key)
+    misled = Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2))
+    misled._root = -misled._root
+    near = Sturmian(Fraction(1, 3) + Fraction(1, 10 ** 20), Fraction(1, 3))
+    for spec in (misled, near):
+        del exact_sorts[:]
+        for length in range(1, 25):
+            assert spec.words(length) == words_by_cut_walk(spec, length), \
+                (spec, length)
+        assert exact_sorts, spec
 
 
 quad_coefs = st.fractions(min_value=-3, max_value=3, max_denominator=12)
