@@ -28,8 +28,8 @@ _EXPORTS = {
                 "read_factor", "unbounded_evidence", "unbounded_profile",
                 "visited_sets", "walk_range_distribution"),
     "entropy": ("ExpScale", "PolyScale", "RangeExpScale", "RangeInnerScale",
-                "RatioCurve", "SlowEntropyReport", "birkhoff_sup",
-                "count_bracket", "h_top_estimate", "slow_entropy_report"),
+                "SlowEntropyReport", "birkhoff_sup", "count_bracket",
+                "h_top_estimate", "slow_entropy_report"),
     "exactnum": ("GOLDEN_MEAN_ALPHA", "QuadExact", "frac_exact",
                  "sqrt_exact"),
     "fiber": ("IdentityFiber", "RotationFiber", "SymbolicFiber",

@@ -6,14 +6,14 @@ both.  Results print as short summaries and, with --out, land as CSV
 tables plus a summary.json (see reports).
 
 Exit codes: 0 all checks passed or observational, 1 a verdict FAILed,
-2 configuration or schema problem, 3 an enumeration cap was exhausted
-(a partial report is still written), 4 a fast path disagreed with its
-defining enumeration at runtime.
+2 configuration or schema problem or a value out of range (any
+ValueError), 3 an enumeration cap was exhausted (a partial report is
+still written), 4 a fast path disagreed with its defining enumeration
+at runtime.
 """
 
 import argparse
 import json
-import math
 import re
 import sys
 from collections import Counter
@@ -24,8 +24,8 @@ from functools import partial
 # docstring): binding them as modules and calling them qualified leaves
 # them unloaded until a command reads a system
 from . import cocycle, entropy, fiber, presets, skew, symbolic
-from .reports import (Report, curves_table, distribution_table, k_table,
-                      pairs_table, profile_table, sandwich_table, words_table)
+from .reports import (Report, distribution_table, k_table, pairs_table,
+                      profile_table, sandwich_table, words_table)
 from .sequence import (FAMILIES, Arithmetic, Explicit, Geometric,
                        folner_defect, goodwyn_check, hamming_ball_count,
                        hamming_exponent, k_estimate)
@@ -119,6 +119,23 @@ def make_scale(name, base, tau, word_cap):
                       "range-inner)" % name)
 
 
+def _int_list_param(v):
+    """A JSON int list, or a string read as --n-range/--n-list read it."""
+    if isinstance(v, str):
+        return parse_int_list(v)
+    return [int(x) for x in v]
+
+
+def _t_grid_param(v):
+    """A JSON float list, a {start, stop, step} object, or --t-grid text."""
+    if isinstance(v, str):
+        return parse_t_grid(v)
+    if isinstance(v, dict):
+        return presets.float_grid(float(v["start"]), float(v["stop"]),
+                                  float(v["step"]))
+    return [float(x) for x in v]
+
+
 _PARAM_PARSERS = {
     "epsilon": lambda v: Fraction(str(v)),
     "radius": lambda v: Fraction(str(v)),
@@ -126,12 +143,9 @@ _PARAM_PARSERS = {
     "k_symbols": int, "reach": int,
     "word_cap": int,
     "threshold": float,
-    "n_range": lambda v: [int(x) for x in v],
-    "n_list": lambda v: [int(x) for x in v],
-    "t_grid": lambda v: (presets.float_grid(float(v["start"]),
-                                            float(v["stop"]),
-                                            float(v["step"]))
-                         if isinstance(v, dict) else [float(x) for x in v]),
+    "n_range": _int_list_param,
+    "n_list": _int_list_param,
+    "t_grid": _t_grid_param,
     "scale": str, "family": str, "sequence": str,
 }
 
@@ -502,32 +516,14 @@ def _cmd_slow_entropy(args, ctx, report):
     if isinstance(target, skew.SkewSystem):
         run_self_checks(args, ctx, report, skew_counts=True,
                         distribution=True)
-    # the report at n_max and a second look at how the ratios move in n,
-    # on a doubling ladder; each count bracket is computed once
-    ladder = sorted({max(2, n_max >> k) for k in range(4)})
-    ns = sorted(set(ladder) | {n_max})
-    if (base is not None and tau is not None
-            and cocycle.interval_steps(tau) is not None):
-        # one request for every n: the brackets and the range scales
-        # below read the histograms back from the engine's memo
-        cocycle.range_histograms(base, tau, ns, word_cap=ctx["word_cap"])
-    brackets = {n: entropy.count_bracket(target, n, epsilon, ctx["word_cap"])
-                for n in ns}
     rep = entropy.slow_entropy_report(target, scale, epsilon, n_max, grid,
                                       threshold=threshold,
-                                      word_cap=ctx["word_cap"],
-                                      bracket=brackets[n_max])
-    report.add_table("ratios", *curves_table(rep))
-    rows = []
-    for t in grid:
-        for n in ladder:
-            lo, hi = brackets[n]
-            ls = scale.log_eval(n, float(t))
-            rows.append((float(t), n,
-                         math.exp(log_big(lo) - ls) if lo else 0.0,
-                         math.exp(log_big(hi) - ls) if hi else 0.0))
-    report.add_table("ratios_ladder", ("t", "n", "ratio_lower",
-                                       "ratio_upper"), rows)
+                                      word_cap=ctx["word_cap"])
+    header = ("t", "n", "ratio_lower", "ratio_upper")
+    report.add_table("ratios", header,
+                     [row for row in rep.rows if row[1] == rep.n_max])
+    report.add_table("ratios_ladder", header,
+                     [row for row in rep.rows if row[1] in rep.ladder])
     detail = ("t_upper %.4g%s, t_lower %.4g%s at n=%d (%s)"
               % (rep.t_upper, " (empty)" if rep.empty_upper else "",
                  rep.t_lower, " (empty)" if rep.empty_lower else "",
@@ -766,7 +762,9 @@ def main(argv=None):
         report = Report(args.cmd, echo_params(ctx))
         handler = _cmd_run if args.cmd == "run" else HANDLERS[args.cmd]
         handler(args, ctx, report)
-    except (ConfigError, SturmianHorizonError) as exc:
+    except ValueError as exc:
+        # ConfigError, SturmianHorizonError, and every out-of-range value
+        # (n < 1, eps <= 0, ...) that a library call rejects
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except CapExceeded as exc:

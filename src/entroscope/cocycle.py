@@ -310,8 +310,10 @@ def walk_rule(spec, tau):
 
     The DP needs interval visited sets and a base given by a graph: a
     full shift or an SFT.  This is the only test of DP against
-    enumeration; range_histograms acts on it and the CLI self-check
-    reads it to know whether there is a DP to check.
+    enumeration.  range_histograms acts on it; the CLI reads it to know
+    whether there is a DP to check (its self-check), whether a run's
+    histograms come from strips (the summary's counted_on) and whether
+    cocycle-stats gains from one joint request.
     """
     if not isinstance(spec, SFT):
         return None

@@ -4,13 +4,13 @@ Slow entropy compares spanning counts against a scale a_n(t): the
 invariant is the threshold value of t where limsup spa / a_n(t) drops
 from positive to zero.  Limits are not computable from finite data, so
 everything here is an estimator with its finite-n semantics in its
-name and report label: ratio curves carry certified count brackets,
-and the report returns the largest grid t whose ratio at n_max still
-exceeds a threshold.
+name and report label: the report's ratios divide certified count
+brackets by the scale on a ladder of n, and its estimate is the largest
+grid t whose ratio at n_max still exceeds a threshold.
 
 Two scale families come from range profiles of a cocycle walk:
     range-exp    a_n(t) = sum over w in L_{n,s} of exp(t * q_n(w))
-    range-inner  c_n(t) = sum over w in L_{n,s} of inner(r_n(w), t)
+    range-inner  c_n(t) = sum over w in L_{n,s} of r_n(w)^t
 both grouped by profile class, evaluated in the log domain against
 overflow, with exact big-rational modes for regression tests.
 
@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cocycle import _check_steps, ergodic_sums, profile_counts, read_factor
+from .cocycle import (_check_steps, ergodic_sums, interval_steps,
+                      profile_counts, range_histograms, read_factor)
 from .fiber import spa_bracket
 from .sequence import hamming_ball_count, k_estimate  # noqa: F401
 from .skew import SkewSystem, capacity_A
@@ -39,8 +40,6 @@ from .util import DEFAULT_WORD_CAP, log_big, log_sum_exp
 class ExpScale:
     """a_n(t) = e^{n t}."""
 
-    kind = "exp"
-
     def log_eval(self, n, t):
         return n * float(t)
 
@@ -51,8 +50,6 @@ class ExpScale:
 
 class PolyScale:
     """a_n(t) = n^t."""
-
-    kind = "poly"
 
     def log_eval(self, n, t):
         if n < 1:
@@ -68,8 +65,6 @@ class PolyScale:
 
 class RangeExpScale:
     """a_n(t) = sum over words of e^{t q_n(w)}, grouped by profile class."""
-
-    kind = "range-exp"
 
     def __init__(self, spec, tau, word_cap=DEFAULT_WORD_CAP):
         self.spec = spec
@@ -98,14 +93,13 @@ class RangeExpScale:
 
 
 class RangeInnerScale:
-    """c_n(t) = sum over words of inner(r_n(w), t) for another scale inner."""
+    """c_n(t) = sum over words of r_n(w)^t, grouped by range."""
 
-    kind = "range-inner"
+    _poly = PolyScale()  # r^t
 
-    def __init__(self, spec, tau, inner=None, word_cap=DEFAULT_WORD_CAP):
+    def __init__(self, spec, tau, word_cap=DEFAULT_WORD_CAP):
         self.spec = spec
         self.tau = tau
-        self.inner = PolyScale() if inner is None else inner
         self.word_cap = word_cap
         self._cache = {}
 
@@ -122,22 +116,16 @@ class RangeInnerScale:
         return got
 
     def log_eval(self, n, t):
-        return log_sum_exp([log_big(cnt) + self.inner.log_eval(r, t)
+        return log_sum_exp([log_big(cnt) + self._poly.log_eval(r, t)
                             for r, cnt in self._classes(n)])
 
     def eval_exact(self, n, t):
-        return sum(cnt * self.inner.eval_exact(r, t)
+        return sum(cnt * self._poly.eval_exact(r, t)
                    for r, cnt in self._classes(n))
 
 
 # ---------------------------------------------------------------------------
-# ratio curves and the slow-entropy estimator
-
-
-@dataclass(frozen=True)
-class RatioCurve:
-    t: float
-    rows: tuple  # of (n, ratio_lower, ratio_upper)
+# count brackets and the slow-entropy estimator
 
 
 def count_bracket(target, n, epsilon, word_cap=DEFAULT_WORD_CAP):
@@ -152,7 +140,9 @@ def count_bracket(target, n, epsilon, word_cap=DEFAULT_WORD_CAP):
 class SlowEntropyReport:
     t_upper: float
     t_lower: float
-    curves: tuple  # of RatioCurve, one per grid t
+    rows: tuple  # of (t, n, ratio_lower, ratio_upper), t-major, n ascending
+    ladder: tuple  # of n, ascending
+    brackets: dict  # {n: count_bracket at n} for every n of rows
     threshold: float
     n_max: int
     empty_upper: bool
@@ -163,42 +153,50 @@ class SlowEntropyReport:
 
 
 def slow_entropy_report(target, scale, epsilon, n_max, t_grid,
-                        threshold=1e-3, word_cap=DEFAULT_WORD_CAP,
-                        bracket=None):
-    """Threshold-crossing estimates of the slow-entropy value of t.
+                        threshold=1e-3, word_cap=DEFAULT_WORD_CAP):
+    """Ratios A_n(eps) / a_n(t) and threshold-crossing estimates of t.
 
-    t_upper is the largest grid t whose upper ratio at n_max still
-    exceeds the threshold (the finite-n stand-in for limsup > 0);
-    t_lower uses the lower ratios.  When no grid point clears the
-    threshold the defining set is empty at this resolution and the grid
-    minimum is reported with the corresponding empty flag set.  When the
-    grid maximum still clears it, the crossing lies at or above the top
-    of the grid: the maximum is reported with the saturated flag set.  A
-    caller already holding count_bracket(target, n_max, epsilon) passes
-    it as bracket.
+    The ratios are taken at n_max and on the doubling ladder
+    {max(2, n_max >> k) : k < 4}, for every grid t in ascending order;
+    rows holds each as (t, n, ratio_lower, ratio_upper), the count
+    bracket's ends over the scale.  t_upper is the largest grid t whose
+    upper ratio at n_max still exceeds the threshold (the finite-n
+    stand-in for limsup > 0); t_lower uses the lower ratios.  When no
+    grid point clears the threshold the defining set is empty at this
+    resolution and the grid minimum is reported with the corresponding
+    empty flag set.  When the grid maximum still clears it, the crossing
+    lies at or above the top of the grid: the maximum is reported with
+    the saturated flag set.
     """
     grid = sorted(float(t) for t in t_grid)
     if not grid:
         raise ValueError("empty t grid")
-    # one count bracket serves the whole grid; only the scale varies with t
-    if bracket is None:
-        bracket = count_bracket(target, n_max, epsilon, word_cap)
-    lo, hi = bracket
-    llo = log_big(lo) if lo > 0 else None
-    lhi = log_big(hi) if hi > 0 else None
-    curves = []
+    n_max = int(n_max)
+    ladder = tuple(sorted({max(2, n_max >> k) for k in range(4)}))
+    ns = sorted(set(ladder) | {n_max})
+    if (isinstance(target, SkewSystem)
+            and interval_steps(target.tau) is not None):
+        # one request for every n: the brackets and a range scale read
+        # the histograms back from the engine's memo
+        range_histograms(target.base, target.tau, ns, word_cap=word_cap)
+    # one count bracket per n serves the whole grid; only the scale
+    # varies with t
+    brackets = {n: count_bracket(target, n, epsilon, word_cap) for n in ns}
+    rows = []
     for t in grid:
-        log_scale = scale.log_eval(n_max, t)
-        rlo = math.exp(llo - log_scale) if llo is not None else 0.0
-        rhi = math.exp(lhi - log_scale) if lhi is not None else 0.0
-        curves.append(RatioCurve(t=float(t), rows=((int(n_max), rlo, rhi),)))
-    curves = tuple(curves)
-    up = [c.t for c in curves if c.rows[-1][2] > threshold]
-    low = [c.t for c in curves if c.rows[-1][1] > threshold]
+        for n in ns:
+            log_scale = scale.log_eval(n, t)
+            rlo, rhi = (math.exp(log_big(c) - log_scale) if c > 0 else 0.0
+                        for c in brackets[n])
+            rows.append((t, n, rlo, rhi))
+    top = [row for row in rows if row[1] == n_max]
+    up = [t for t, _n, _lo, hi in top if hi > threshold]
+    low = [t for t, _n, lo, _hi in top if lo > threshold]
     return SlowEntropyReport(
         t_upper=max(up) if up else grid[0],
         t_lower=max(low) if low else grid[0],
-        curves=curves, threshold=float(threshold), n_max=int(n_max),
+        rows=tuple(rows), ladder=ladder, brackets=brackets,
+        threshold=float(threshold), n_max=n_max,
         empty_upper=not up, empty_lower=not low,
         saturated_upper=grid[-1] in up, saturated_lower=grid[-1] in low)
 

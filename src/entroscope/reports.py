@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 __all__ = ["cell", "table_text", "Report",
-           "sandwich_table", "curves_table", "k_table", "profile_table",
+           "sandwich_table", "k_table", "profile_table",
            "distribution_table", "words_table", "pairs_table"]
 
 VERDICTS = ("PASS", "FAIL", "OBSERVED")
@@ -123,16 +123,6 @@ def sandwich_table(result):
     rows = [(r.n, r.epsilon, r.a2_lower, r.a2_upper, r.skew_lo, r.skew_hi,
              r.ahalf_lower, r.ahalf_upper, r.e_inferred, r.left_certified,
              r.left_stated) for r in result["rows"]]
-    return header, rows
-
-
-def curves_table(report):
-    """Rows (t, n, ratio_lower, ratio_upper) from a SlowEntropyReport."""
-    header = ("t", "n", "ratio_lower", "ratio_upper")
-    rows = []
-    for curve in report.curves:
-        for n, rlo, rhi in curve.rows:
-            rows.append((curve.t, n, rlo, rhi))
     return header, rows
 
 

@@ -13,6 +13,7 @@ import entroscope
 from entroscope.cli import (main, make_scale, parse_int_list, parse_sequence,
                             parse_t_grid)
 from entroscope.cocycle import Cocycle
+from entroscope.entropy import ExpScale, RangeExpScale
 from entroscope.presets import preset_names
 from entroscope.sequence import Arithmetic, Explicit, Geometric
 from entroscope.skew import CapacityBracket
@@ -57,8 +58,8 @@ def test_parse_sequence():
 def test_make_scale():
     base = FullShift((-1, 1))
     tau = Cocycle({(-1,): -1, (1,): 1})
-    assert make_scale("exp", None, None, 100).kind == "exp"
-    assert make_scale("range-exp", base, tau, 100).kind == "range-exp"
+    assert isinstance(make_scale("exp", None, None, 100), ExpScale)
+    assert isinstance(make_scale("range-exp", base, tau, 100), RangeExpScale)
     with pytest.raises(ConfigError):
         make_scale("range-exp", None, None, 100)
     with pytest.raises(ConfigError):
@@ -287,6 +288,54 @@ def test_missing_system_is_config_error(capsys):
 def test_unknown_flag_is_exit_2(capsys):
     assert main(["sep", "--preset", "tt-inverse", "--frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    "sep --preset tt-inverse --n-range 0:3",
+    "sep --preset tt-inverse --eps 0",
+    "sandwich --preset tt-inverse --n-range 0:3",
+    "birkhoff --preset tt-inverse --n-list 0",
+    "cocycle-stats --preset tt-inverse --n 0",
+    "unbounded-profile --preset tt-inverse --reach 0",
+    "slow-entropy --preset tt-inverse --n-max 0",
+    "h-top --preset tt-inverse --n-max 1",
+    "language --preset tt-inverse --length 0",
+    "hamming --n 0",
+    "hamming --radius 2",
+    "folner --m 0",
+    "folner --n-list 0",
+    "k-estimate --sequence geometric:1",
+    "k-estimate --sequence arithmetic(1,0)",
+    "goodwyn --k-symbols 0 --sequence geometric:2",
+])
+def test_out_of_range_value_is_config_error(argv, capsys):
+    # a value the library rejects (a ValueError) is a configuration
+    # problem, not a FAILed verdict
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, key, text, values", [
+    ("birkhoff", "n_list", "12", [12]),
+    ("sep", "n_range", "2:5", [2, 3, 4, 5]),
+    ("slow-entropy", "t_grid", "0.3:1.1:0.05",
+     [round(0.3 + 0.05 * k, 2) for k in range(17)]),
+])
+def test_config_strings_read_as_their_flags(tmp_path, capsys, command, key,
+                                            text, values):
+    csvs = []
+    for tag, value in (("text", text), ("list", values)):
+        cfg = {"command": command, "preset": "tt-inverse",
+               "parameters": {key: value, "n_max": 24},
+               "output": str(tmp_path / tag)}
+        path = tmp_path / (tag + ".json")
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--no-self-check"]) == 0
+        csvs.append(_csvs(tmp_path / tag))
+    capsys.readouterr()
+    assert csvs[0] == csvs[1] and csvs[0]
 
 
 # -- exit code 3: cap exhaustion -------------------------------------------------

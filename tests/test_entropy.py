@@ -60,14 +60,42 @@ def test_range_scale_log_matches_exact():
 # -- count brackets and ratio curves ------------------------------------------
 
 def test_ratio_curve_full_shift_constants():
-    for n in (10, 20):
+    for n, ladder in ((10, (2, 5, 10)), (20, (2, 5, 10, 20))):
         rep = slow_entropy_report(SymbolicFiber(FullShift(2)), ExpScale(),
                                   Fraction(1, 2), n, [LOG2])
-        (curve,) = rep.curves
-        ((row_n, rlo, rhi),) = curve.rows
-        assert row_n == n
-        assert math.isclose(rlo, 1.0, rel_tol=1e-9)
-        assert math.isclose(rhi, 4.0, rel_tol=1e-9)  # the 2 rho window margin
+        assert rep.ladder == ladder
+        assert [row[:2] for row in rep.rows] == [(LOG2, m) for m in ladder]
+        for _t, _m, rlo, rhi in rep.rows:
+            assert math.isclose(rlo, 1.0, rel_tol=1e-9)
+            assert math.isclose(rhi, 4.0, rel_tol=1e-9)  # the 2 rho margin
+
+
+def test_slow_entropy_ladder_rows_are_the_direct_ratios(monkeypatch):
+    from entroscope import cocycle
+    monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
+    passes = []
+    real = cocycle._walk_pass
+
+    def counting(base, vals, ns, pad):
+        passes.append((sorted(ns), pad))
+        return real(base, vals, ns, pad)
+
+    monkeypatch.setattr(cocycle, "_walk_pass", counting)
+    sys = SkewSystem(SIGNS, SIGN, SymbolicFiber(FullShift(2)))
+    scale = RangeExpScale(SIGNS, SIGN)
+    eps = Fraction(1, 4)
+    rep = slow_entropy_report(sys, scale, eps, 24, [0.9, 0.5, 0.7])
+    # one engine pass at pad 0 serves every bracket and the scale
+    assert passes == [([3, 6, 12, 24], 0)]
+    assert rep.ladder == (3, 6, 12, 24)
+    assert [row[:2] for row in rep.rows] == [
+        (t, n) for t in (0.5, 0.7, 0.9) for n in rep.ladder]
+    for t, n, rlo, rhi in rep.rows:
+        lo, hi = count_bracket(sys, n, eps)
+        assert rep.brackets[n] == (lo, hi)
+        ls = scale.log_eval(n, t)
+        assert math.isclose(rlo, math.exp(math.log(lo) - ls), rel_tol=1e-12)
+        assert math.isclose(rhi, math.exp(math.log(hi) - ls), rel_tol=1e-12)
 
 
 def test_count_bracket_dispatches_on_target():
