@@ -2,8 +2,13 @@
 
 One binary, one subcommand per library operation, configured by a
 preset name and/or a JSON config file, with individual flags overriding
-both.  Results print as short summaries and, with --out, land as CSV
-tables plus a summary.json (see reports).
+both.  Each command and parameter is declared once: PARAMS gives each
+config parameter its flag, type, help and choices, and COMMANDS each
+subcommand its handler, help and own flags (every other parameter is a
+flag of every command).  The parser, the config reader, the flag merge
+and the run dispatch read these tables, so a config parameter given as
+text reads as its flag reads it.  Results print as short summaries and,
+with --out, land as CSV tables plus a summary.json (see reports).
 
 Exit codes: 0 all checks passed or observational, 1 a verdict FAILed,
 2 configuration or schema problem or a value out of range (any
@@ -16,7 +21,7 @@ import argparse
 import json
 import re
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -24,8 +29,7 @@ from functools import partial
 # docstring): binding them as modules and calling them qualified leaves
 # them unloaded until a command reads a system
 from . import cocycle, entropy, fiber, presets, skew, symbolic
-from .reports import (Report, distribution_table, k_table, pairs_table,
-                      profile_table, sandwich_table, words_table)
+from .reports import Report
 from .sequence import (FAMILIES, Arithmetic, Explicit, Geometric,
                        folner_defect, goodwyn_check, hamming_ball_count,
                        hamming_exponent, k_estimate)
@@ -42,9 +46,11 @@ _REQUIRED = object()
 # argument and config parsing
 
 
-def parse_int_list(text):
-    """Int list from "2,5,9" or inclusive range from "2:6"."""
-    text = text.strip()
+def parse_int_list(value):
+    """Int list from "2,5,9", an inclusive range "2:6", or a JSON list."""
+    if not isinstance(value, str):
+        return [int(x) for x in value]
+    text = value.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 2:
@@ -59,21 +65,36 @@ def parse_int_list(text):
     return out
 
 
-def parse_t_grid(text):
-    """Float grid from "0.3:1.1:0.05" or an explicit "0.3,0.7,1.1"."""
-    text = text.strip()
-    if ":" in text:
+def parse_t_grid(value):
+    """Float grid from "0.3:1.1:0.05", an explicit "0.3,0.7,1.1", a JSON
+    list, or a JSON {"start", "stop", "step"} object."""
+    if isinstance(value, str):
+        text = value.strip()
         parts = text.split(":")
+        if len(parts) == 1:
+            out = [float(p) for p in text.split(",") if p.strip()]
+            if not out:
+                raise ConfigError("empty t grid %r" % text)
+            return out
         if len(parts) != 3:
             raise ConfigError("t grid must be start:stop:step, got %r" % text)
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ConfigError("degenerate t grid %r" % text)
-        return presets.float_grid(start, stop, step)
-    out = [float(p) for p in text.split(",") if p.strip()]
-    if not out:
-        raise ConfigError("empty t grid %r" % text)
-    return out
+    elif isinstance(value, dict):
+        start, stop, step = (float(value[k]) for k in ("start", "stop",
+                                                       "step"))
+    else:
+        return [float(x) for x in value]
+    if step <= 0 or stop < start:
+        raise ConfigError("degenerate t grid %r" % (value,))
+    return presets.float_grid(start, stop, step)
+
+
+def fraction(value):
+    """Exact rational from "1/4", "0.25" or a JSON number (0.1 is 1/10)."""
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (value,))
 
 
 _SEQ_RE = re.compile(r"^(arithmetic|geometric|explicit)\s*[:(]\s*(.*?)\)?$")
@@ -102,51 +123,51 @@ def parse_sequence(text):
     return Explicit(nums)
 
 
+# scale token -> the entropy class it names; the range scales read a base
+# and a cocycle
+SCALES = {"exp": "ExpScale", "poly": "PolyScale",
+          "range-exp": "RangeExpScale", "range-inner": "RangeInnerScale"}
+
+
 def make_scale(name, base, tau, word_cap):
     """Scale object from its CLI token."""
-    if name == "exp":
-        return entropy.ExpScale()
-    if name == "poly":
-        return entropy.PolyScale()
-    if name in ("range-exp", "range-inner"):
-        if base is None or tau is None:
-            raise ConfigError("scale %r needs a base subshift and a cocycle"
-                              % name)
-        if name == "range-exp":
-            return entropy.RangeExpScale(base, tau, word_cap=word_cap)
-        return entropy.RangeInnerScale(base, tau, word_cap=word_cap)
-    raise ConfigError("unknown scale %r (known: exp, poly, range-exp, "
-                      "range-inner)" % name)
+    if name not in SCALES:
+        raise ConfigError("unknown scale %r (known: %s)"
+                          % (name, ", ".join(SCALES)))
+    scale = getattr(entropy, SCALES[name])
+    if not name.startswith("range-"):
+        return scale()
+    if base is None or tau is None:
+        raise ConfigError("scale %r needs a base subshift and a cocycle"
+                          % name)
+    return scale(base, tau, word_cap=word_cap)
 
 
-def _int_list_param(v):
-    """A JSON int list, or a string read as --n-range/--n-list read it."""
-    if isinstance(v, str):
-        return parse_int_list(v)
-    return [int(x) for x in v]
+# config parameter -> its flag, the type that reads the flag's text and
+# the parameter's config value alike, help text and choices
+Param = namedtuple("Param", "flag kind help choices", defaults=(None, None))
 
-
-def _t_grid_param(v):
-    """A JSON float list, a {start, stop, step} object, or --t-grid text."""
-    if isinstance(v, str):
-        return parse_t_grid(v)
-    if isinstance(v, dict):
-        return presets.float_grid(float(v["start"]), float(v["stop"]),
-                                  float(v["step"]))
-    return [float(x) for x in v]
-
-
-_PARAM_PARSERS = {
-    "epsilon": lambda v: Fraction(str(v)),
-    "radius": lambda v: Fraction(str(v)),
-    "n_max": int, "length": int, "n": int, "m": int,
-    "k_symbols": int, "reach": int,
-    "word_cap": int,
-    "threshold": float,
-    "n_range": _int_list_param,
-    "n_list": _int_list_param,
-    "t_grid": _t_grid_param,
-    "scale": str, "family": str, "sequence": str,
+PARAMS = {
+    "epsilon": Param("--eps", fraction, "epsilon, e.g. 1/4 or 0.25"),
+    "n_max": Param("--n-max", int),
+    "n_range": Param("--n-range", parse_int_list,
+                     "window sizes, e.g. 2:6 or 2,4,8"),
+    "n_list": Param("--n-list", parse_int_list, "n values, e.g. 10,100,1000"),
+    "t_grid": Param("--t-grid", parse_t_grid, "t grid, e.g. 0.3:1.1:0.05"),
+    "scale": Param("--scale", str, choices=tuple(SCALES)),
+    "threshold": Param("--threshold", float,
+                       "ratio threshold for the slow-entropy estimate"),
+    "word_cap": Param("--cap-words", int,
+                      "word enumeration budget (default 2^20)"),
+    "length": Param("--length", int),
+    "n": Param("--n", int, "word length (goodwyn: number of sequence terms)"),
+    "reach": Param("--reach", int, "level the sums must reach"),
+    "sequence": Param("--sequence", str,
+                      "arithmetic(a,d) | geometric(b) | explicit:v1,v2,..."),
+    "k_symbols": Param("--k-symbols", int),
+    "radius": Param("--radius", fraction, "relative radius, e.g. 3/10"),
+    "family": Param("--family", str, choices=sorted(FAMILIES)),
+    "m": Param("--m", int),
 }
 
 _CONFIG_KEYS = ("command", "preset", "system", "parameters", "output")
@@ -177,24 +198,18 @@ def apply_config(ctx, doc):
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError("bad system descriptor: %s" % exc)
         ctx.pop("system", None)
-    params = doc.get("parameters", {})
-    for key, value in params.items():
-        if key not in _PARAM_PARSERS:
+    for key, value in doc.get("parameters", {}).items():
+        if key not in PARAMS:
             raise ConfigError("unknown parameter %r (known: %s)"
-                              % (key, ", ".join(sorted(_PARAM_PARSERS))))
+                              % (key, ", ".join(sorted(PARAMS))))
         try:
-            ctx[key] = _PARAM_PARSERS[key](value)
-        except (ValueError, TypeError, KeyError) as exc:
+            ctx[key] = PARAMS[key].kind(value)
+        except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
             raise ConfigError("bad value for parameter %r: %s" % (key, exc))
     if "output" in doc:
         ctx["out"] = str(doc["output"])
     if "command" in doc:
         ctx["command"] = str(doc["command"])
-
-
-_FLAG_KEYS = ("epsilon", "n_max", "n_range", "t_grid", "scale", "threshold",
-              "word_cap", "out", "length", "n", "n_list", "sequence",
-              "k_symbols", "radius", "family", "m", "reach")
 
 
 def load_context(args):
@@ -211,7 +226,7 @@ def load_context(args):
         except json.JSONDecodeError as exc:
             raise ConfigError("config is not valid JSON: %s" % exc)
         apply_config(ctx, doc)
-    for key in _FLAG_KEYS:
+    for key in (*PARAMS, "out"):
         value = getattr(args, key, None)
         if value is not None:
             ctx[key] = value
@@ -390,7 +405,7 @@ def _cmd_language(args, ctx, report):
     length = param(ctx, "length")
     words = base.words(length, word_cap=ctx["word_cap"])
     fmt = _word_formatter(words)
-    report.add_table("language", *words_table(words, fmt))
+    report.add_table("language", ("word",), [(fmt(w),) for w in words])
     report.add_verdict("language-count", "OBSERVED",
                        "length %d: %d words" % (length, len(words)))
     print("words of length %d: %d" % (length, len(words)))
@@ -416,10 +431,10 @@ def _cmd_cocycle_stats(args, ctx, report):
         counts = cocycle.profile_counts(base, tau, n, word_cap=ctx["word_cap"])
         for (r, q), count in sorted(counts.items()):
             entries.append((n, r, q, count))
-    report.add_table("profiles", *profile_table(entries))
+    report.add_table("profiles", ("n", "r", "q", "count"), entries)
     dist = cocycle.range_distribution(base, tau, n_top,
                                       word_cap=ctx["word_cap"])
-    report.add_table("distribution", *distribution_table(dist))
+    report.add_table("distribution", ("r", "count"), sorted(dist.items()))
     total = sum(dist.values())
     mean_r = sum(r * c for r, c in dist.items()) / total
     report.add_verdict("cocycle-stats", "OBSERVED",
@@ -440,8 +455,7 @@ def _cmd_unbounded_profile(args, ctx, report):
     _record_counting(report, base, tau)
     ev = cocycle.unbounded_evidence(base, tau, reach, ns,
                                     word_cap=ctx["word_cap"])
-    report.add_table("unbounded", *pairs_table(ev["curve"],
-                                               ("n", "proportion")))
+    report.add_table("unbounded", ("n", "proportion"), ev["curve"])
     detail = ("reach %d, n up to %d, %snondecreasing from start"
               % (reach, ev["n_max"],
                  "" if ev["nondecreasing_from_start"] else "NOT "))
@@ -490,7 +504,11 @@ def _cmd_sandwich(args, ctx, report):
     run_self_checks(args, ctx, report, skew_counts=True)
     result = skew.sandwich_check(system, ns, epsilon,
                                  word_cap=ctx["word_cap"])
-    report.add_table("sandwich", *sandwich_table(result))
+    # a SandwichRow's fields, in order
+    report.add_table("sandwich", (
+        "n", "epsilon", "a_lower_2eps", "a_upper_2eps", "skew_lower",
+        "skew_upper", "a_lower_halfeps", "a_upper_halfeps", "e_inferred",
+        "left_certified", "left_stated"), result["rows"])
     verdict = "PASS" if result["pass"] else "FAIL"
     detail = ("left certified %s, inferred E nonincreasing %s"
               % (result["left_certified_all"], result["e_nonincreasing"]))
@@ -551,8 +569,7 @@ def _cmd_h_top(args, ctx, report):
     carrier = need(ctx, "fiber", "a fiber")
     epsilon = param(ctx, "epsilon")
     n_max = param(ctx, "n_max")
-    lo, hi = entropy.h_top_estimate(carrier, epsilon, n_max,
-                                    word_cap=ctx["word_cap"])
+    lo, hi = entropy.h_top_estimate(carrier, epsilon, n_max)
     report.add_table("h_top", ("n_max", "epsilon", "lower", "upper"),
                      [(n_max, epsilon, lo, hi)])
     detail = "(1/n) log bracket [%.6f, %.6f] at n=%d" % (lo, hi, n_max)
@@ -563,7 +580,7 @@ def _cmd_h_top(args, ctx, report):
 def _cmd_k_estimate(args, ctx, report):
     seq = parse_sequence(param(ctx, "sequence"))
     ke = k_estimate(seq)
-    report.add_table("k_estimate", *k_table(ke))
+    report.add_table("k_estimate", ("m", "n", "value"), ke.rows)
     if ke.diverged:
         detail = "diverged (last value %s)" % ke.last
     else:
@@ -611,7 +628,7 @@ def _cmd_folner(args, ctx, report):
     m = param(ctx, "m", 3)
     ns = param(ctx, "n_list", [10, 100, 1000, 10000])
     rows = folner_defect(FAMILIES[family], m, ns)
-    report.add_table("folner", *pairs_table(rows, ("n", "defect")))
+    report.add_table("folner", ("n", "defect"), rows)
     last = rows[-1]
     detail = "family %s, m=%d: defect %s at n=%d" % (family, m, last[1],
                                                      last[0])
@@ -636,19 +653,38 @@ def _cmd_birkhoff(args, ctx, report):
         print("n=%d  sup %s (%.6f)" % (n, v, f))
 
 
-HANDLERS = {
-    "language": _cmd_language,
-    "cocycle-stats": _cmd_cocycle_stats,
-    "unbounded-profile": _cmd_unbounded_profile,
-    "sep": _cmd_sep,
-    "sandwich": _cmd_sandwich,
-    "slow-entropy": _cmd_slow_entropy,
-    "h-top": _cmd_h_top,
-    "k-estimate": _cmd_k_estimate,
-    "hamming": _cmd_hamming,
-    "goodwyn": _cmd_goodwyn,
-    "folner": _cmd_folner,
-    "birkhoff": _cmd_birkhoff,
+# subcommand -> its handler, help text, and the parameters that are its
+# own flags; every other parameter is a flag of every command
+Command = namedtuple("Command", "handler help flags", defaults=((),))
+
+COMMANDS = {
+    "language": Command(_cmd_language,
+                        "enumerate the base language at one length",
+                        ("length",)),
+    "cocycle-stats": Command(_cmd_cocycle_stats,
+                             "visited-set profiles and range distribution",
+                             ("n",)),
+    "unbounded-profile": Command(_cmd_unbounded_profile,
+                                 "proportion of words whose sums reach a "
+                                 "level", ("reach",)),
+    "sep": Command(_cmd_sep, "separated count and capacity bracket per n"),
+    "sandwich": Command(_cmd_sandwich,
+                        "certified two-sided capacity comparison"),
+    "slow-entropy": Command(_cmd_slow_entropy,
+                            "threshold-crossing scale estimates"),
+    "h-top": Command(_cmd_h_top, "(1/n) log bracket for a fiber"),
+    "k-estimate": Command(_cmd_k_estimate,
+                          "sequence growth invariant estimate",
+                          ("sequence",)),
+    "hamming": Command(_cmd_hamming,
+                       "normalized Hamming ball count vs its exponent",
+                       ("k_symbols", "radius", "n")),
+    "goodwyn": Command(_cmd_goodwyn, "sequence entropy vs K(A) upper bound",
+                       ("k_symbols", "sequence", "n")),
+    "folner": Command(_cmd_folner, "interval-cover defect of a set family",
+                      ("family", "m")),
+    "birkhoff": Command(_cmd_birkhoff,
+                        "max |ergodic sum| / n over the language"),
 }
 
 
@@ -656,11 +692,11 @@ def _cmd_run(args, ctx, report):
     command = ctx.get("command")
     if not command:
         raise ConfigError("run needs a config file with a \"command\" entry")
-    if command not in HANDLERS:
+    if command not in COMMANDS:
         raise ConfigError("config names unknown command %r (known: %s)"
-                          % (command, ", ".join(sorted(HANDLERS))))
+                          % (command, ", ".join(sorted(COMMANDS))))
     report.meta["command"] = command
-    HANDLERS[command](args, ctx, report)
+    COMMANDS[command].handler(args, ctx, report)
 
 
 # ---------------------------------------------------------------------------
@@ -668,26 +704,20 @@ def _cmd_run(args, ctx, report):
 
 
 def _build_parser():
+    def add_param(parser, key):
+        p = PARAMS[key]
+        parser.add_argument(p.flag, dest=key, type=p.kind, help=p.help,
+                            choices=p.choices)
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--preset", help="preset name (see preset-list)")
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", help="directory for CSV tables and "
                         "summary.json")
-    common.add_argument("--eps", dest="epsilon", type=Fraction,
-                        help="epsilon, e.g. 1/4 or 0.25")
-    common.add_argument("--n-max", dest="n_max", type=int)
-    common.add_argument("--n-range", dest="n_range", type=parse_int_list,
-                        help="window sizes, e.g. 2:6 or 2,4,8")
-    common.add_argument("--n-list", dest="n_list", type=parse_int_list,
-                        help="n values, e.g. 10,100,1000")
-    common.add_argument("--t-grid", dest="t_grid", type=parse_t_grid,
-                        help="t grid, e.g. 0.3:1.1:0.05")
-    common.add_argument("--scale", choices=("exp", "poly", "range-exp",
-                                            "range-inner"))
-    common.add_argument("--threshold", type=float,
-                        help="ratio threshold for the slow-entropy estimate")
-    common.add_argument("--cap-words", dest="word_cap", type=int,
-                        help="word enumeration budget (default 2^20)")
+    own = {key for command in COMMANDS.values() for key in command.flags}
+    for key in PARAMS:
+        if key not in own:
+            add_param(common, key)
     common.add_argument("--no-self-check", action="store_true",
                         help="skip the fast-path vs enumeration cross-check")
 
@@ -696,45 +726,10 @@ def _build_parser():
         description="exact finite-scale invariants of subshifts, cocycles, "
                     "and skew products")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("language", parents=[common],
-                       help="enumerate the base language at one length")
-    p.add_argument("--length", type=int)
-    p = sub.add_parser("cocycle-stats", parents=[common],
-                       help="visited-set profiles and range distribution")
-    p.add_argument("--n", type=int, help="length for the distribution table")
-    p = sub.add_parser("unbounded-profile", parents=[common],
-                       help="proportion of words whose sums reach a level")
-    p.add_argument("--reach", type=int, help="level the sums must reach")
-    sub.add_parser("sep", parents=[common],
-                   help="separated count and capacity bracket per n")
-    sub.add_parser("sandwich", parents=[common],
-                   help="certified two-sided capacity comparison")
-    sub.add_parser("slow-entropy", parents=[common],
-                   help="threshold-crossing scale estimates")
-    sub.add_parser("h-top", parents=[common],
-                   help="(1/n) log bracket for a fiber")
-    p = sub.add_parser("k-estimate", parents=[common],
-                       help="sequence growth invariant estimate")
-    p.add_argument("--sequence", help="arithmetic(a,d) | geometric(b) | "
-                   "explicit:v1,v2,...")
-    p = sub.add_parser("hamming", parents=[common],
-                       help="normalized Hamming ball count vs its exponent")
-    p.add_argument("--k-symbols", dest="k_symbols", type=int)
-    p.add_argument("--radius", type=Fraction, help="relative radius, e.g. "
-                   "3/10")
-    p.add_argument("--n", type=int)
-    p = sub.add_parser("goodwyn", parents=[common],
-                       help="sequence entropy vs K(A) upper bound")
-    p.add_argument("--k-symbols", dest="k_symbols", type=int)
-    p.add_argument("--sequence")
-    p.add_argument("--n", type=int)
-    p = sub.add_parser("folner", parents=[common],
-                       help="interval-cover defect of a set family")
-    p.add_argument("--family", choices=sorted(FAMILIES))
-    p.add_argument("--m", type=int)
-    sub.add_parser("birkhoff", parents=[common],
-                   help="max |ergodic sum| / n over the language")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for key in command.flags:
+            add_param(p, key)
     sub.add_parser("preset-list", help="list available presets")
     sub.add_parser("run", parents=[common],
                    help="dispatch on the command named in a config file")
@@ -760,7 +755,7 @@ def main(argv=None):
         ctx = load_context(args)
         out = ctx.get("out")
         report = Report(args.cmd, echo_params(ctx))
-        handler = _cmd_run if args.cmd == "run" else HANDLERS[args.cmd]
+        handler = _cmd_run if args.cmd == "run" else COMMANDS[args.cmd].handler
         handler(args, ctx, report)
     except ValueError as exc:
         # ConfigError, SturmianHorizonError, and every out-of-range value

@@ -32,8 +32,7 @@ over (graph node, cur - min, max - cur) on dicts of Python integers, is
 the independent oracle it is checked against.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import prod
@@ -107,13 +106,7 @@ def ergodic_sums(tau, w):
     tau.value(missing)  # raises the ConfigError naming the window
 
 
-@dataclass(frozen=True)
-class CocycleProfile:
-    partial_sums: tuple
-    visited: tuple
-    r: int
-    cm: Fraction
-    q: Fraction
+CocycleProfile = namedtuple("CocycleProfile", "partial_sums visited r cm q")
 
 
 def cocycle_profile(tau, w):

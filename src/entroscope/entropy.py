@@ -21,7 +21,7 @@ names the benchmark's tracer (perfbench/tracer.py) wraps as entropy.*.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cocycle import (_check_steps, ergodic_sums, interval_steps,
@@ -133,23 +133,16 @@ def count_bracket(target, n, epsilon, word_cap=DEFAULT_WORD_CAP):
     if isinstance(target, SkewSystem):
         cb = capacity_A(target, n, epsilon, word_cap=word_cap)
         return cb.lower, cb.upper
-    return spa_bracket(target, range(n), epsilon, word_cap=word_cap)
+    return spa_bracket(target, range(n), epsilon)
 
 
-@dataclass(frozen=True)
-class SlowEntropyReport:
-    t_upper: float
-    t_lower: float
-    rows: tuple  # of (t, n, ratio_lower, ratio_upper), t-major, n ascending
-    ladder: tuple  # of n, ascending
-    brackets: dict  # {n: count_bracket at n} for every n of rows
-    threshold: float
-    n_max: int
-    empty_upper: bool
-    empty_lower: bool
-    saturated_upper: bool
-    saturated_lower: bool
-    label: str = "finite-n diagnostic, not a limit"
+# rows holds (t, n, ratio_lower, ratio_upper), t-major and n ascending;
+# ladder the ladder's n, ascending; brackets {n: count_bracket at n} for
+# every n of rows
+SlowEntropyReport = namedtuple("SlowEntropyReport", (
+    "t_upper t_lower rows ladder brackets threshold n_max empty_upper "
+    "empty_lower saturated_upper saturated_lower label"),
+    defaults=("finite-n diagnostic, not a limit",))
 
 
 def slow_entropy_report(target, scale, epsilon, n_max, t_grid,
@@ -172,6 +165,8 @@ def slow_entropy_report(target, scale, epsilon, n_max, t_grid,
     if not grid:
         raise ValueError("empty t grid")
     n_max = int(n_max)
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
     ladder = tuple(sorted({max(2, n_max >> k) for k in range(4)}))
     ns = sorted(set(ladder) | {n_max})
     if (isinstance(target, SkewSystem)
@@ -201,11 +196,11 @@ def slow_entropy_report(target, scale, epsilon, n_max, t_grid,
         saturated_upper=grid[-1] in up, saturated_lower=grid[-1] in low)
 
 
-def h_top_estimate(fiber, epsilon, n_max, word_cap=DEFAULT_WORD_CAP):
+def h_top_estimate(fiber, epsilon, n_max):
     """((1/n) log lower, (1/n) log upper) for F = [0, n_max)."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    lo, hi = spa_bracket(fiber, range(n_max), epsilon, word_cap=word_cap)
+    lo, hi = spa_bracket(fiber, range(n_max), epsilon)
     flo = log_big(lo) / n_max if lo > 0 else float("-inf")
     fhi = log_big(hi) / n_max if hi > 0 else float("-inf")
     return flo, fhi

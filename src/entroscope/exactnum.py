@@ -10,7 +10,8 @@ skip the QuadExact objects altogether: integer_coords writes each number
 as (A + B sqrt(d)) / q with one q and d for all of them, floor_coords
 floors that, and _sign orders integer differences.  Callers may use a
 float value as a sort key, but only to propose an order that exact
-comparisons then accept or reject.
+comparisons then accept or reject.  num_to_json and num_from_json are
+the package's one JSON form for exact numbers.
 """
 
 from fractions import Fraction
@@ -284,6 +285,24 @@ def frac_exact(x):
         return x.frac()
     x = Fraction(x)
     return x - math.floor(x)
+
+
+def num_to_json(x):
+    """JSON form of an exact number: "a/b" text, or {"a", "b", "d"} for an
+    irrational QuadExact."""
+    if isinstance(x, QuadExact):
+        if x.is_rational:
+            return str(x.as_fraction())
+        return {"a": str(x.a), "b": str(x.b), "d": x.d}
+    return str(Fraction(x))
+
+
+def num_from_json(doc):
+    """Exact number from num_to_json's form, or from a JSON number read as
+    written: 0.1 is 1/10, not the binary float nearest it."""
+    if isinstance(doc, dict):
+        return QuadExact(Fraction(doc["a"]), Fraction(doc["b"]), int(doc["d"]))
+    return Fraction(str(doc))
 
 
 #: (sqrt(5) - 1) / 2, the rotation number of the golden-ratio codings.

@@ -24,10 +24,10 @@ greedy brackets, never point estimates.
 import math
 from fractions import Fraction
 
-from .exactnum import QuadExact, frac_exact
-from .symbolic import (WindowPoint, _num_from_json, _num_to_json, complexity,
-                       language_on, rho, spec_from_json, spec_to_json,
-                       subshift_close, subshift_distance)
+from .exactnum import QuadExact, frac_exact, num_from_json, num_to_json
+from .symbolic import (WindowPoint, complexity, language_on, rho,
+                       spec_from_json, spec_to_json, subshift_close,
+                       subshift_distance)
 from .util import DEFAULT_WORD_CAP, CapExceeded, ConfigError
 
 
@@ -324,7 +324,7 @@ def sep_greedy(T, sample, F, epsilon, pair_cap=None):
     return len(accepted)
 
 
-def sep_count(T, F, epsilon, word_cap=DEFAULT_WORD_CAP):
+def sep_count(T, F, epsilon):
     """(count, exact flag): closed form when the fiber has one, else greedy."""
     exact = T.sep_exact(F, epsilon)
     if exact is not None:
@@ -333,7 +333,7 @@ def sep_count(T, F, epsilon, word_cap=DEFAULT_WORD_CAP):
     return sep_greedy(T, sample, F, epsilon), False
 
 
-def spa_bracket(T, F, epsilon, word_cap=DEFAULT_WORD_CAP):
+def spa_bracket(T, F, epsilon):
     """Two-sided bracket on the spanning count: (sep at 2*eps, sep at eps).
 
     spa(T,F,eps) is sandwiched by separated counts on both sides; when
@@ -342,8 +342,8 @@ def spa_bracket(T, F, epsilon, word_cap=DEFAULT_WORD_CAP):
     inclusion eps-separated set is eps-spanning.
     """
     e = _exact_eps(epsilon)
-    lower, _ = sep_count(T, F, 2 * e, word_cap=word_cap)
-    upper, _ = sep_count(T, F, e, word_cap=word_cap)
+    lower, _ = sep_count(T, F, 2 * e)
+    upper, _ = sep_count(T, F, e)
     return lower, upper
 
 
@@ -376,12 +376,12 @@ def fiber_to_json(T):
     if isinstance(T, SymbolicFiber):
         return {"variant": "symbolic", "spec": spec_to_json(T.spec)}
     if isinstance(T, RotationFiber):
-        return {"variant": "rotation", "angle": _num_to_json(T.angle)}
+        return {"variant": "rotation", "angle": num_to_json(T.angle)}
     if isinstance(T, IdentityFiber):
         if T.metric is not None:
             raise TypeError("custom identity metrics are not serializable")
         return {"variant": "identity",
-                "points": [str(Fraction(p)) for p in T.points]}
+                "points": [num_to_json(p) for p in T.points]}
     if isinstance(T, ToralAutoFiber):
         return {"variant": "toral",
                 "matrix": [list(row) for row in T.matrix], "grid": T.grid}
@@ -393,9 +393,11 @@ def fiber_from_json(doc):
     if variant == "symbolic":
         return SymbolicFiber(spec_from_json(doc["spec"]))
     if variant == "rotation":
-        return RotationFiber(_num_from_json(doc["angle"]))
+        return RotationFiber(num_from_json(doc["angle"]))
     if variant == "identity":
-        return IdentityFiber([Fraction(p) for p in doc["points"]])
+        # the default metric subtracts points as rationals
+        return IdentityFiber([Fraction(num_from_json(p))
+                              for p in doc["points"]])
     if variant == "toral":
         return ToralAutoFiber(doc["matrix"], int(doc["grid"]))
     raise ValueError("unknown fiber variant %r" % (variant,))

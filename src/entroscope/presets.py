@@ -41,67 +41,41 @@ def _sign_step():
     return Cocycle({(-1,): -1, (1,): 1})
 
 
+def _preset(base, tau, fiber, **defaults):
+    """A system's parts, the skew product they assemble, and its defaults."""
+    return dict(base=base, tau=tau, fiber=fiber,
+                system=SkewSystem(base, tau, fiber), **defaults)
+
+
 def _tt_inverse():
-    base = FullShift((-1, 1))
-    tau = _sign_step()
-    fiber = SymbolicFiber(FullShift((-1, 1)))
-    return {
-        "base": base, "tau": tau, "fiber": fiber,
-        "system": SkewSystem(base, tau, fiber),
-        "epsilon": Fraction(1, 4),
-        "n_range": (2, 3, 4, 5, 6),
-        "n_max": 200,
-        "t_grid": float_grid(*_T_GRID),
-        "scale": "range-exp",
-    }
+    return _preset(FullShift((-1, 1)), _sign_step(),
+                   SymbolicFiber(FullShift((-1, 1))),
+                   epsilon=Fraction(1, 4), n_range=(2, 3, 4, 5, 6), n_max=200,
+                   t_grid=float_grid(*_T_GRID), scale="range-exp")
 
 
 def _sturmian_walk():
-    base = Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2))
-    tau = _sign_step()
-    fiber = SymbolicFiber(FullShift((-1, 1)))
-    return {
-        "base": base, "tau": tau, "fiber": fiber,
-        "system": SkewSystem(base, tau, fiber),
-        "epsilon": Fraction(1, 2),
-        "n_range": (2, 3, 4, 5, 6),
-        "n_max": 200,
-        "t_grid": float_grid(*_T_GRID),
-        "scale": "range-exp",
-    }
+    return _preset(Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2)), _sign_step(),
+                   SymbolicFiber(FullShift((-1, 1))),
+                   epsilon=Fraction(1, 2), n_range=(2, 3, 4, 5, 6), n_max=200,
+                   t_grid=float_grid(*_T_GRID), scale="range-exp")
 
 
 def _sturmian_product():
     walk = Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2))
-    base = Product(walk, FullShift((-1, 1)))
     # the step reads only the rotation-coding coordinate of the pair
     rule = {((a, b),): a for a in (-1, 1) for b in (-1, 1)}
-    tau = Cocycle(rule)
-    fiber = SymbolicFiber(FullShift((-1, 1)))
-    return {
-        "base": base, "tau": tau, "fiber": fiber,
-        "system": SkewSystem(base, tau, fiber),
-        "epsilon": Fraction(1, 4),
-        "n_range": (2, 3, 4, 5),
-        "n_max": 12,
-        "t_grid": float_grid(*_T_GRID),
-        "scale": "range-exp",
-    }
+    return _preset(Product(walk, FullShift((-1, 1))), Cocycle(rule),
+                   SymbolicFiber(FullShift((-1, 1))),
+                   epsilon=Fraction(1, 4), n_range=(2, 3, 4, 5), n_max=12,
+                   t_grid=float_grid(*_T_GRID), scale="range-exp")
 
 
 def _identity_fiber_smoke():
-    base = FullShift((-1, 1))
-    tau = _sign_step()
-    fiber = IdentityFiber([Fraction(0)])
-    return {
-        "base": base, "tau": tau, "fiber": fiber,
-        "system": SkewSystem(base, tau, fiber),
-        "epsilon": Fraction(1, 4),
-        "n_range": (1, 2, 3, 4),
-        "n_max": 40,
-        "t_grid": float_grid(0.1, 0.9, 0.1),
-        "scale": "exp",
-    }
+    return _preset(FullShift((-1, 1)), _sign_step(),
+                   IdentityFiber([Fraction(0)]),
+                   epsilon=Fraction(1, 4), n_range=(1, 2, 3, 4), n_max=40,
+                   t_grid=float_grid(0.1, 0.9, 0.1), scale="exp")
 
 
 PRESETS = {

@@ -12,11 +12,8 @@ import io
 import json
 import os
 import time
-from fractions import Fraction
 
-__all__ = ["cell", "table_text", "Report",
-           "sandwich_table", "k_table", "profile_table",
-           "distribution_table", "words_table", "pairs_table"]
+__all__ = ["cell", "table_text", "Report"]
 
 VERDICTS = ("PASS", "FAIL", "OBSERVED")
 
@@ -25,10 +22,6 @@ def cell(v):
     """Stable text form of one table value."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return "%d/%d" % (v.numerator, v.denominator)
     if isinstance(v, float):
         return repr(v)
     if v is None:
@@ -50,7 +43,7 @@ class Report:
     """Config echo, named tables, and per-check verdicts for one run."""
 
     def __init__(self, command, params):
-        self.meta = {"command": command, "params": _jsonable(params)}
+        self.meta = {"command": command, "params": params}
         self.tables = {}   # name -> (header, rows); insertion ordered
         self.verdicts = []  # (check, verdict, detail)
         self._t0 = time.time()
@@ -97,55 +90,3 @@ class Report:
         paths.append(spath)
         return paths
 
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return cell(obj)
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return repr(obj)
-
-
-# ---------------------------------------------------------------------------
-# table builders for the library result types
-
-
-def sandwich_table(result):
-    """Rows from a sandwich_check result dict."""
-    header = ("n", "epsilon", "a_lower_2eps", "a_upper_2eps",
-              "skew_lower", "skew_upper", "a_lower_halfeps",
-              "a_upper_halfeps", "e_inferred", "left_certified",
-              "left_stated")
-    rows = [(r.n, r.epsilon, r.a2_lower, r.a2_upper, r.skew_lo, r.skew_hi,
-             r.ahalf_lower, r.ahalf_upper, r.e_inferred, r.left_certified,
-             r.left_stated) for r in result["rows"]]
-    return header, rows
-
-
-def k_table(ke):
-    header = ("m", "n", "value")
-    return header, [(m, n, v) for m, n, v in ke.rows]
-
-
-def profile_table(entries):
-    """Rows (n, visited, interval_count, value) from profile summaries."""
-    header = ("n", "r", "q", "count")
-    return header, [tuple(e) for e in entries]
-
-
-def distribution_table(dist):
-    header = ("r", "count")
-    return header, sorted(dist.items())
-
-
-def words_table(words, to_str):
-    header = ("word",)
-    return header, [(to_str(w),) for w in words]
-
-
-def pairs_table(pairs, names=("n", "value")):
-    return tuple(names), [tuple(p) for p in pairs]

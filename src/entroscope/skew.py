@@ -38,7 +38,7 @@ sandwich_check verifies
 on finite data, inferring the minimal constant E from the run.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cocycle import (Cocycle, dropped_count, ergodic_sums, interval_steps,
@@ -158,12 +158,7 @@ def skew_sep_greedy(sys, n, epsilon, margin=None, pair_cap=2 ** 24):
 # capacity and the sandwich
 
 
-@dataclass(frozen=True)
-class CapacityBracket:
-    n: int
-    epsilon: Fraction
-    lower: int
-    upper: int
+CapacityBracket = namedtuple("CapacityBracket", "n epsilon lower upper")
 
 
 def by_range(sys):
@@ -261,19 +256,9 @@ def capacity_A(sys, n, epsilon, word_cap=DEFAULT_WORD_CAP,
         upper=_fiber_sum(sys, classes, e, force_enumeration))
 
 
-@dataclass(frozen=True)
-class SandwichRow:
-    n: int
-    epsilon: Fraction
-    a2_lower: int
-    a2_upper: int
-    skew_lo: int
-    skew_hi: int
-    ahalf_lower: int
-    ahalf_upper: int
-    e_inferred: Fraction
-    left_certified: bool
-    left_stated: bool
+SandwichRow = namedtuple("SandwichRow", (
+    "n epsilon a2_lower a2_upper skew_lo skew_hi ahalf_lower ahalf_upper "
+    "e_inferred left_certified left_stated"))
 
 
 def sandwich_check(sys, n_range, epsilon, word_cap=DEFAULT_WORD_CAP):

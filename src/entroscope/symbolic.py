@@ -20,11 +20,12 @@ rho(eps) = min{k >= 0 : 2^-k <= eps}.
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .exactnum import QuadExact, _sign, floor_coords, integer_coords
+from .exactnum import (QuadExact, _sign, floor_coords, integer_coords,
+                       num_from_json, num_to_json)
 from .util import (DEFAULT_WORD_CAP, CapExceeded, SturmianHorizonError,
                    WindowError)
 
@@ -481,8 +482,7 @@ def rho(epsilon):
     return k
 
 
-@dataclass(frozen=True, order=True)
-class WindowPoint:
+class WindowPoint(namedtuple("WindowPoint", "start symbols")):
     """A symbolic point known on the window [start, start + len(symbols)).
 
     Reading outside the window raises WindowError rather than guessing;
@@ -490,8 +490,7 @@ class WindowPoint:
     point i -> x(i + k), i.e. the window slides to [start - k, ...).
     """
 
-    start: int
-    symbols: tuple
+    __slots__ = ()
 
     def get(self, i):
         j = i - self.start
@@ -540,20 +539,6 @@ def subshift_close(x, y, epsilon):
 # serialization
 
 
-def _num_to_json(x):
-    if isinstance(x, QuadExact):
-        if x.is_rational:
-            return str(x.as_fraction())
-        return {"a": str(x.a), "b": str(x.b), "d": x.d}
-    return str(Fraction(x))
-
-
-def _num_from_json(doc):
-    if isinstance(doc, dict):
-        return QuadExact(Fraction(doc["a"]), Fraction(doc["b"]), int(doc["d"]))
-    return Fraction(str(doc))
-
-
 def word_to_str(word):
     """Words as strings: digits joined bare, multi-character labels by commas.
 
@@ -585,8 +570,8 @@ def spec_to_json(spec):
         return {"variant": "sft", "alphabet": list(spec.labels),
                 "forbidden": [word_to_str(f) for f in spec.forbidden]}
     if isinstance(spec, Sturmian):
-        return {"variant": "sturmian", "alpha": _num_to_json(spec.alpha),
-                "intercept": _num_to_json(spec.intercept)}
+        return {"variant": "sturmian", "alpha": num_to_json(spec.alpha),
+                "intercept": num_to_json(spec.intercept)}
     if isinstance(spec, Product):
         return {"variant": "product", "left": spec_to_json(spec.left),
                 "right": spec_to_json(spec.right)}
@@ -601,8 +586,8 @@ def spec_from_json(doc):
         return SFT(doc["alphabet"], [word_from_str(f) for f in doc["forbidden"]])
     if variant == "sturmian":
         intercept = doc.get("intercept")
-        return Sturmian(_num_from_json(doc["alpha"]),
-                        None if intercept is None else _num_from_json(intercept))
+        return Sturmian(num_from_json(doc["alpha"]),
+                        None if intercept is None else num_from_json(intercept))
     if variant == "product":
         return Product(spec_from_json(doc["left"]), spec_from_json(doc["right"]))
     raise ValueError("unknown subshift variant %r" % (variant,))

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import entroscope
+from entroscope import cli
 from entroscope.cli import (main, make_scale, parse_int_list, parse_sequence,
                             parse_t_grid)
 from entroscope.cocycle import Cocycle
@@ -298,6 +299,7 @@ def test_unknown_flag_is_exit_2(capsys):
     "cocycle-stats --preset tt-inverse --n 0",
     "unbounded-profile --preset tt-inverse --reach 0",
     "slow-entropy --preset tt-inverse --n-max 0",
+    "slow-entropy --preset tt-inverse --n-max 1",
     "h-top --preset tt-inverse --n-max 1",
     "language --preset tt-inverse --length 0",
     "hamming --n 0",
@@ -336,6 +338,59 @@ def test_config_strings_read_as_their_flags(tmp_path, capsys, command, key,
         csvs.append(_csvs(tmp_path / tag))
     capsys.readouterr()
     assert csvs[0] == csvs[1] and csvs[0]
+
+
+# per parameter: a flag's text, and the JSON values a config may give for
+# the same value
+PARAM_VALUES = {
+    "epsilon": ("0.1", [0.1]),
+    "n_max": ("24", [24]),
+    "n_range": ("2:5", [[2, 3, 4, 5]]),
+    "n_list": ("4,8", [[4, 8]]),
+    "t_grid": ("0.3:0.5:0.1", [[0.3, 0.4, 0.5],
+                               {"start": 0.3, "stop": 0.5, "step": 0.1}]),
+    "scale": ("poly", []),
+    "threshold": ("0.01", [0.01]),
+    "word_cap": ("4096", [4096]),
+    "length": ("3", [3]),
+    "n": ("7", [7]),
+    "reach": ("3", [3]),
+    "sequence": ("geometric:2", []),
+    "k_symbols": ("3", [3]),
+    "radius": ("3/10", [0.3]),
+    "family": ("interval", []),
+    "m": ("2", [2]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(cli.PARAMS))
+def test_flag_and_config_read_each_parameter_alike(tmp_path, key):
+    # the flag, on a command that takes it, and the config parameter as the
+    # same text or as JSON give the same context entry, type included
+    command = next((name for name, c in cli.COMMANDS.items()
+                    if key in c.flags), "sep")
+    parser = cli._build_parser()
+    text, json_values = PARAM_VALUES[key]
+    want = cli.load_context(parser.parse_args(
+        [command, cli.PARAMS[key].flag, text]))[key]
+    assert want is not None
+    for value in [text] + json_values:
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"parameters": {key: value}}))
+        got = cli.load_context(parser.parse_args(
+            [command, "--config", str(path)]))[key]
+        assert repr(got) == repr(want), value
+
+
+def test_unreadable_numbers_are_exit_2(tmp_path, capsys):
+    assert main(["sep", "--preset", "tt-inverse", "--eps", "1/0"]) == 2
+    assert "invalid fraction value" in capsys.readouterr().err
+    path = tmp_path / "bad.json"
+    for params in ({"radius": "1/0"}, {"n": float("inf")},
+                   {"t_grid": {"start": 0.3, "stop": 1.1, "step": 0}}):
+        path.write_text(json.dumps({"parameters": params}))
+        assert main(["hamming", "--config", str(path)]) == 2
+        assert "bad value for parameter" in capsys.readouterr().err
 
 
 # -- exit code 3: cap exhaustion -------------------------------------------------

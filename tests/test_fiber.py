@@ -204,5 +204,12 @@ def test_fiber_json_round_trips():
         assert back.variant == T.variant
     rot = fiber_from_json(fiber_to_json(RotationFiber(GOLDEN_MEAN_ALPHA)))
     assert rot.angle == GOLDEN_MEAN_ALPHA.frac()
+    # a JSON number reads as written, as epsilon does: 0.1 is 1/10, not the
+    # binary float nearest it
+    ident = fiber_from_json({"variant": "identity", "points": [0, 0.1]})
+    assert ident.points == [0, Fraction(1, 10)]
+    assert fiber_to_json(ident)["points"] == ["0", "1/10"]
+    rot = fiber_from_json({"variant": "rotation", "angle": 0.1})
+    assert rot.angle == Fraction(1, 10)
     with pytest.raises(TypeError):
         fiber_to_json(IdentityFiber([0, 1], metric=lambda x, y: 1))
