@@ -2,7 +2,7 @@
 
 A cocycle tau of radius s reads the centered window [-s, s] of a point
 and returns an integer.  Over a word w of length n + 2s (the window
-[-s, n+s-1] convention of enumerate_language) the ergodic sums
+[-s, n+s-1], as spec.words(n + 2s) lists them) the ergodic sums
 tau^0 = 0, tau^j = sum of the first j window values are all determined,
 and the profile of w collects the visited set V = {tau^0, ..., tau^{n-1}},
 its size r, the covering ratio c_m(V) at the cocycle's own bound m, and
@@ -114,7 +114,7 @@ def cocycle_profile(tau, w):
     sums = ergodic_sums(tau, w)[:-1]
     visited = tuple(sorted(set(sums)))
     r = len(visited)
-    _, cm = c_m(visited, tau.bound)
+    cm = c_m(visited, tau.bound)
     return CocycleProfile(partial_sums=tuple(sums), visited=visited,
                           r=r, cm=cm, q=r * cm)
 
@@ -140,11 +140,6 @@ def visited_sets(spec, tau, n, word_cap=DEFAULT_WORD_CAP, pad=0):
 # the factor a rule reads
 
 
-# {(base definition, rule definition): (read factor, its rule, dropped
-# factors)}, see read_factor.  Process-wide, like _HISTOGRAMS.
-_READ_FACTORS = {}
-
-
 def read_factor(spec, tau):
     """(base, rule, dropped factors): the factor of a product base tau reads.
 
@@ -157,23 +152,16 @@ def read_factor(spec, tau):
     factors' dropped_count, and every max over words is the same max.
     Any other (spec, tau) comes back as it is with no dropped factors: a
     rule reading both coordinates, or undefined on some window, keeps
-    the product, its enumeration and its errors.  Computed once per
-    definition of the base and the rule.
+    the product, its enumeration and its errors.
     """
-    if not isinstance(spec, Product):
-        return spec, tau, ()
-    key = _definition(spec, tau)
-    got = _READ_FACTORS.get(key)
-    if got is None:
-        dropped = []
-        while isinstance(spec, Product):
-            step = _drop_factor(spec, tau)
-            if step is None:
-                break
-            spec, tau, ignored = step
-            dropped.append(ignored)
-        got = _READ_FACTORS[key] = (spec, tau, tuple(dropped))
-    return got
+    dropped = []
+    while isinstance(spec, Product):
+        step = _drop_factor(spec, tau)
+        if step is None:
+            break
+        spec, tau, ignored = step
+        dropped.append(ignored)
+    return spec, tau, tuple(dropped)
 
 
 def _drop_factor(spec, tau):

@@ -274,11 +274,6 @@ def floor_coords(A, B, q, d):
     return (A + f) // q
 
 
-def sqrt_exact(d):
-    """sqrt(d) as a QuadExact (d a nonnegative integer)."""
-    return QuadExact(0, 1, d)
-
-
 def frac_exact(x):
     """Fractional part of an exact number (Fraction, int, or QuadExact)."""
     if isinstance(x, QuadExact):

@@ -1,10 +1,14 @@
 """Invertible fiber systems, Bowen distances, separated-set counts.
 
-Four carriers: points of a subshift (the shift map), the circle under a
-rotation, a finite metric space under the identity, and the torus grid
-under an integer automorphism.  All expose the same small surface:
-iterate, exact distance, a certified distance_le predicate, and
-sep_exact where a closed form or exact search exists (None otherwise).
+Four carriers: points of a subshift (the shift map), the circle under
+a rotation, a finite set of exact numbers under the identity, and the
+torus grid under an integer automorphism.  All expose the same small
+surface: iterate, exact distance, a certified distance_le predicate,
+and sep_exact where a closed form or exact search exists (None
+otherwise).  The symbolic and toral carriers also give sample_points,
+a finite sample for sep_greedy: one point per cylinder on the symbolic
+carrier, where greedy is the exhaustive oracle for sep_exact, and the
+grid on the toral one, the only carrier whose sep_exact returns None.
 
 Bowen distance over a finite index set F is
     d^B_F(x, y) = max_{i in F} d(T^i x, T^i y),
@@ -28,7 +32,7 @@ from .exactnum import QuadExact, frac_exact, num_from_json, num_to_json
 from .symbolic import (WindowPoint, complexity, language_on, rho,
                        spec_from_json, spec_to_json, subshift_close,
                        subshift_distance)
-from .util import DEFAULT_WORD_CAP, CapExceeded, ConfigError
+from .util import DEFAULT_WORD_CAP, ConfigError
 
 
 def _exact_eps(epsilon):
@@ -38,6 +42,12 @@ def _exact_eps(epsilon):
     return e
 
 
+def _circle_distance(s, t):
+    """min(|s - t|, 1 - |s - t|) on the circle of circumference 1."""
+    u = frac_exact(s - t)
+    return u if u <= 1 - u else 1 - u
+
+
 # ---------------------------------------------------------------------------
 # fiber carriers
 
@@ -45,7 +55,6 @@ def _exact_eps(epsilon):
 class SymbolicFiber:
     """A subshift under its shift map; points are WindowPoints."""
 
-    variant = "symbolic"
     translation_invariant = True
 
     def __init__(self, spec):
@@ -92,7 +101,6 @@ class RotationFiber:
     separated counts do not depend on F at all.
     """
 
-    variant = "rotation"
     translation_invariant = True
 
     def __init__(self, angle):
@@ -107,8 +115,7 @@ class RotationFiber:
         return frac_exact(x + k * self.angle)
 
     def distance(self, x, y):
-        t = frac_exact(x - y)
-        return t if t <= 1 - t else 1 - t
+        return _circle_distance(x, y)
 
     def distance_le(self, x, y, epsilon):
         return self.distance(x, y) <= _exact_eps(epsilon)
@@ -116,28 +123,23 @@ class RotationFiber:
     def sep_exact(self, F, epsilon):
         return circle_sep_exact(epsilon)
 
-    def sample_points(self, F, epsilon, grid=1024):
-        return [Fraction(i, grid) for i in range(grid)]
-
 
 class IdentityFiber:
-    """A finite metric space fixed pointwise; Bowen distance is d itself.
+    """A finite set of exact numbers fixed pointwise; Bowen distance is d.
 
-    The default metric is |x - y| on numeric points; any symmetric
-    callable works, e.g. a discrete metric.  sep_exact does an exact
-    branch-and-bound search for the largest pairwise-far subset, which
-    is fine at the couple dozen points this carrier is meant for.
+    The metric is |x - y| on Fractions and QuadExacts alike.  sep_exact
+    does an exact branch-and-bound search for the largest pairwise-far
+    subset, which is fine at the couple dozen points this carrier is
+    meant for.
     """
 
-    variant = "identity"
     translation_invariant = True
 
-    def __init__(self, points, metric=None):
+    def __init__(self, points):
         pts = list(points)
         if not pts:
             raise ValueError("need at least one point")
         self.points = pts
-        self.metric = metric
 
     def __repr__(self):
         return "IdentityFiber(%r)" % (self.points,)
@@ -146,9 +148,8 @@ class IdentityFiber:
         return x
 
     def distance(self, x, y):
-        if self.metric is not None:
-            return self.metric(x, y)
-        return abs(Fraction(x) - Fraction(y))
+        d = x - y
+        return d if d >= 0 else -d
 
     def distance_le(self, x, y, epsilon):
         return self.distance(x, y) <= _exact_eps(epsilon)
@@ -158,9 +159,6 @@ class IdentityFiber:
         pts = self.points
         far = [[not self.distance_le(p, q, e) for q in pts] for p in pts]
         return _max_far_subset(far)
-
-    def sample_points(self, F, epsilon):
-        return list(self.points)
 
 
 def _max_far_subset(far):
@@ -192,7 +190,6 @@ class ToralAutoFiber:
     get greedy brackets only (sep_exact returns None).
     """
 
-    variant = "toral"
     translation_invariant = False
 
     def __init__(self, matrix, grid):
@@ -236,13 +233,9 @@ class ToralAutoFiber:
         u, v = x
         return (frac_exact(a * u + b * v), frac_exact(c * u + d * v))
 
-    @staticmethod
-    def _circle(s, t):
-        u = frac_exact(s - t)
-        return u if u <= 1 - u else 1 - u
-
     def distance(self, x, y):
-        return max(self._circle(x[0], y[0]), self._circle(x[1], y[1]))
+        return max(_circle_distance(x[0], y[0]),
+                   _circle_distance(x[1], y[1]))
 
     def distance_le(self, x, y, epsilon):
         return self.distance(x, y) <= _exact_eps(epsilon)
@@ -297,7 +290,7 @@ def sep_exact_symbolic(spec, F, epsilon, word_cap=DEFAULT_WORD_CAP):
     return len(language_on(spec, window, word_cap=word_cap))
 
 
-def sep_greedy(T, sample, F, epsilon, pair_cap=None):
+def sep_greedy(T, sample, F, epsilon):
     """Greedy eps,F-separated subset of the sample (a certified lower bound).
 
     The sample is sorted first so results are reproducible.  A candidate
@@ -309,17 +302,8 @@ def sep_greedy(T, sample, F, epsilon, pair_cap=None):
     if not pts:
         raise ValueError("empty sample")
     accepted = []
-    checked = 0
     for x in pts:
-        ok = True
-        for y in accepted:
-            checked += 1
-            if pair_cap is not None and checked > pair_cap:
-                raise CapExceeded("pair comparisons exceeded cap %d" % pair_cap)
-            if bowen_le(T, x, y, F, epsilon):
-                ok = False
-                break
-        if ok:
+        if not any(bowen_le(T, x, y, F, epsilon) for y in accepted):
             accepted.append(x)
     return len(accepted)
 
@@ -362,12 +346,6 @@ def circle_sep_exact(epsilon):
     return max(1, n)
 
 
-def rotation_spa_analytic(epsilon):
-    """Exact spanning count of the circle by eps-balls: ceil(1/(2*eps))."""
-    e = _exact_eps(epsilon)
-    return max(1, math.ceil(Fraction(1, 2) / e))
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -378,8 +356,6 @@ def fiber_to_json(T):
     if isinstance(T, RotationFiber):
         return {"variant": "rotation", "angle": num_to_json(T.angle)}
     if isinstance(T, IdentityFiber):
-        if T.metric is not None:
-            raise TypeError("custom identity metrics are not serializable")
         return {"variant": "identity",
                 "points": [num_to_json(p) for p in T.points]}
     if isinstance(T, ToralAutoFiber):
@@ -395,9 +371,7 @@ def fiber_from_json(doc):
     if variant == "rotation":
         return RotationFiber(num_from_json(doc["angle"]))
     if variant == "identity":
-        # the default metric subtracts points as rationals
-        return IdentityFiber([Fraction(num_from_json(p))
-                              for p in doc["points"]])
+        return IdentityFiber([num_from_json(p) for p in doc["points"]])
     if variant == "toral":
         return ToralAutoFiber(doc["matrix"], int(doc["grid"]))
     raise ValueError("unknown fiber variant %r" % (variant,))

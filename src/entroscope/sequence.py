@@ -14,6 +14,7 @@ module and none of the subshift and skew-product stack.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -34,9 +35,8 @@ def cover_size(elems, m):
 
 
 def c_m(F, m):
-    """(is_interval, |F + {0..m-1}| / |F|) for a finite integer set F.
+    """|F + {0..m-1}| / |F| for a finite integer set F.
 
-    The flag reports whether F + {0..m-1} is a full integer interval.
     Arithmetic progressions (range inputs) use the closed form, since
     every gap equals the step.
     """
@@ -44,15 +44,11 @@ def c_m(F, m):
         raise ValueError("m must be >= 1")
     if isinstance(F, range) and len(F) > 0:
         count = len(F)
-        cover = m + (count - 1) * min(abs(F.step), m)
-        full = abs(F[-1] - F[0]) + m
-        return cover == full, Fraction(cover, count)
+        return Fraction(m + (count - 1) * min(abs(F.step), m), count)
     elems = sorted(set(int(x) for x in F))
     if not elems:
         raise ValueError("F must be nonempty")
-    cover = cover_size(elems, m)
-    full = elems[-1] - elems[0] + m
-    return cover == full, Fraction(cover, len(elems))
+    return Fraction(cover_size(elems, m), len(elems))
 
 
 # ---------------------------------------------------------------------------
@@ -138,53 +134,38 @@ def sa_size(A, n, m):
     return cover_size(terms, m)
 
 
-class KEstimate:
-    """What k_estimate found: the value (None if diverged) and its rows.
+# What k_estimate found: value (None if diverged), the m it stabilized
+# at, the diverged flag, rows (m, n, |S_A(n, m)| / n) per scheduled m,
+# and last, the value at the largest m
+KEstimate = namedtuple("KEstimate", "value stabilized_m diverged rows last")
 
-    rows holds (m, n, |S_A(n, m)| / n) per scheduled m; last is the
-    value at the largest m.
-    """
-
-    __slots__ = ("value", "stabilized_m", "diverged", "rows", "last")
-
-    def __init__(self, value, stabilized_m, diverged, rows, last):
-        self.value = value
-        self.stabilized_m = stabilized_m
-        self.diverged = diverged
-        self.rows = rows
-        self.last = last
-
-    def __repr__(self):
-        return ("KEstimate(value=%r, stabilized_m=%r, diverged=%r, "
-                "rows=%r, last=%r)" % (self.value, self.stabilized_m,
-                                       self.diverged, self.rows, self.last))
+#: The n at which k_estimate reads |S_A(n, m)| / n, and its m schedule.
+K_N = 10 ** 4
+K_M_SCHEDULE = (1, 2, 4, 8, 16)
 
 
-def k_estimate(A, n_schedule=(10 ** 4,), m_schedule=(1, 2, 4, 8, 16)):
+def k_estimate(A):
     """Double-limit estimate of K(A) = lim_m limsup_n |S_A(n, m)| / n.
 
-    Evaluates v(m) = |S_A(n, m)| / n at the largest scheduled n (clamped
-    for finite Explicit sequences) and declares stabilization at the
-    first m whose successor changes v by less than 1/100.  If no pair
-    stabilizes the estimate is flagged diverged, the finite signature of
-    the K(A) = infinity regime.
+    Evaluates v(m) = |S_A(n, m)| / n at n = K_N (clamped for finite
+    Explicit sequences) for each m of K_M_SCHEDULE and declares
+    stabilization at the first m whose successor changes v by less than
+    1/100.  If no pair stabilizes the estimate is flagged diverged, the
+    finite signature of the K(A) = infinity regime.
     """
-    ms = sorted(set(int(m) for m in m_schedule))
-    if len(ms) < 2:
-        raise ValueError("need at least two m values")
-    n_max = max(int(n) for n in n_schedule)
+    n_max = K_N
     if isinstance(A, Explicit):
         n_max = min(n_max, len(A.values))
     rows = []
     vals = []
-    for m in ms:
+    for m in K_M_SCHEDULE:
         v = Fraction(sa_size(A, n_max, m), n_max)
         rows.append((m, n_max, v))
         vals.append(v)
     tol = Fraction(1, 100)
-    for i in range(len(ms) - 1):
+    for i in range(len(K_M_SCHEDULE) - 1):
         if abs(vals[i + 1] - vals[i]) < tol:
-            return KEstimate(value=vals[i], stabilized_m=ms[i],
+            return KEstimate(value=vals[i], stabilized_m=K_M_SCHEDULE[i],
                              diverged=False, rows=tuple(rows), last=vals[-1])
     return KEstimate(value=None, stabilized_m=None, diverged=True,
                      rows=tuple(rows), last=vals[-1])
@@ -250,15 +231,14 @@ def bernoulli_seq_entropy(k, A, n):
     return Fraction(distinct, min(n, len(terms))) * math.log(k)
 
 
-def goodwyn_check(k, A, n=1000, n_schedule=(10 ** 4,),
-                  m_schedule=(1, 2, 4, 8, 16)):
+def goodwyn_check(k, A, n=1000):
     """Sequence-entropy Goodwyn inequality h_mu^A <= K(A) * h_top on data.
 
     lhs is the Bernoulli sequence entropy, rhs the K(A) estimate times
     log k; a diverged estimate uses the largest observed value, which
     only strengthens the inequality being checked.
     """
-    est = k_estimate(A, n_schedule=n_schedule, m_schedule=m_schedule)
+    est = k_estimate(A)
     kval = est.last if est.diverged else est.value
     n_eff = min(n, len(A.values)) if isinstance(A, Explicit) else n
     lhs = float(bernoulli_seq_entropy(k, A, n_eff))
@@ -282,8 +262,7 @@ def folner_defect(family, m, n_list):
     for n in n_list:
         # pass the family's set through unlistified so range inputs keep
         # their closed-form cover
-        _, cm = c_m(family(int(n)), m)
-        out.append((int(n), cm - 1))
+        out.append((int(n), c_m(family(int(n)), m) - 1))
     return out
 
 

@@ -1,8 +1,8 @@
 """Subshift specifications, exact language enumeration, the standard metric.
 
 A subshift is described generatively and acts as a language oracle:
-``enumerate_language(spec, n, s)`` returns every word realized on the
-window [-s, n+s-1] by some bi-infinite point, lexicographically sorted.
+``spec.words(n + 2s)`` returns every word realized on the window
+[-s, n+s-1] by some bi-infinite point, lexicographically sorted.
 Restriction semantics are "realized", not merely locally legal: for an
 SFT a word counts only if it lies on a bi-infinite path of the trimmed
 de Bruijn graph, so every reported word extends to an actual point.
@@ -56,8 +56,6 @@ class SFT:
     forbidden length, trimmed until every node has in- and out-degree >= 1;
     a word is realized iff its block path stays inside the trimmed graph.
     """
-
-    variant = "sft"
 
     def __init__(self, alphabet, forbidden):
         self.labels = _normalize_alphabet(alphabet)
@@ -148,6 +146,7 @@ class SFT:
             return []
         if length <= K:
             out = sorted({u[:length] for u in states})
+            _check_cap(len(out), word_cap)
         else:
             _check_cap(self.count(length), word_cap)
             out = []
@@ -207,8 +206,6 @@ class FullShift(SFT):
     as it is, while its words come straight from the alphabet.
     """
 
-    variant = "full"
-
     def __init__(self, alphabet=2):
         SFT.__init__(self, alphabet, ())
 
@@ -239,8 +236,6 @@ class Sturmian:
     (A + B sqrt(d)) / q with q and d fixed per instance
     (exactnum.integer_coords), so they build no QuadExact or Fraction.
     """
-
-    variant = "sturmian"
 
     def __init__(self, alpha, intercept=None):
         if not isinstance(alpha, QuadExact):
@@ -385,8 +380,6 @@ def _rotation_code(x, alpha, intercept, q, d, positions):
 class Product:
     """Componentwise product of two subshifts; symbols are label pairs."""
 
-    variant = "product"
-
     def __init__(self, left, right):
         self.left = left
         self.right = right
@@ -409,37 +402,11 @@ class Product:
 # module-level operations
 
 
-def enumerate_language(spec, n, s=0, word_cap=DEFAULT_WORD_CAP):
-    """All words realized on [-s, n+s-1], sorted lexicographically."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    return spec.words(n + 2 * s, word_cap=word_cap)
-
-
 def complexity(spec, n):
     """|L_n|, via each variant's counting fast path (big integers)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return spec.count(n)
-
-
-def sturmian_code(alpha, x0, window, intercept=None):
-    """Rotation-coding word of the single point x0 over an inclusive window.
-
-    window is (lo, hi), inclusive on both ends.  The intercept defaults to
-    1 - alpha, matching the Sturmian spec default, so codes of points are
-    always words of Sturmian(alpha)'s language; pass intercept=1/2 for the
-    balanced-walk coding.
-    """
-    if not isinstance(alpha, QuadExact):
-        alpha = QuadExact(Fraction(alpha))
-    lo, hi = int(window[0]), int(window[1])
-    if hi < lo:
-        raise ValueError("empty window")
-    spec = Sturmian(alpha, intercept)
-    return spec.code(x0, range(lo, hi + 1))
 
 
 def language_on(spec, positions, word_cap=DEFAULT_WORD_CAP):

@@ -128,6 +128,54 @@ def test_run_dispatches_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+GOLDEN_JSON = {"a": "-1/2", "b": "1/2", "d": 5}
+
+
+# a toral fiber has greedy counts only, so its sep is a config error (exit
+# 2); it runs slow-entropy, whose capacity brackets take greedy counts
+@pytest.mark.parametrize("fiber_doc, command, parameters", [
+    ({"variant": "symbolic", "spec": {"variant": "full", "alphabet": [0, 1]}},
+     "sep", {"epsilon": "1/4", "n_range": [2, 4]}),
+    ({"variant": "rotation", "angle": GOLDEN_JSON},
+     "sep", {"epsilon": "1/4", "n_range": [2, 4]}),
+    ({"variant": "identity", "points": ["0", "1/3", "1"]},
+     "sep", {"epsilon": "1/4", "n_range": [2, 4]}),
+    ({"variant": "identity", "points": ["0", GOLDEN_JSON]},
+     "sep", {"epsilon": "1/4", "n_range": [2, 4]}),
+    ({"variant": "toral", "matrix": [[2, 1], [1, 1]], "grid": 3},
+     "slow-entropy", {"epsilon": "1/4", "n_max": 4, "t_grid": [0.5, 1.0]}),
+], ids=["symbolic", "rotation", "identity", "identity-irrational", "toral"])
+def test_run_config_echoes_each_fiber(tmp_path, capsys, fiber_doc, command,
+                                      parameters):
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({
+        "command": command,
+        "system": {"base": {"variant": "sft", "alphabet": [0, 1],
+                            "forbidden": ["11"]},
+                   "tau": {"radius": 0, "rule": {"0": -1, "1": 1}},
+                   "fiber": fiber_doc},
+        "parameters": parameters, "output": str(out_dir)}))
+    assert main(["run", "--config", str(cfg)]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["meta"]["params"]["fiber"] == fiber_doc
+    if command == "sep":
+        assert "self-check: PASS" in capsys.readouterr().out
+
+
+def test_toral_sep_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({
+        "command": "sep",
+        "system": {"base": {"variant": "full", "alphabet": [0, 1]},
+                   "tau": {"radius": 0, "rule": {"0": -1, "1": 1}},
+                   "fiber": {"variant": "toral", "matrix": [[2, 1], [1, 1]],
+                             "grid": 3}},
+        "parameters": {"epsilon": "1/4", "n_range": [2, 3]}}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "has no exact separated count" in capsys.readouterr().err
+
+
 # -- every preset x command -----------------------------------------------------
 
 PRESET_COMMANDS = ("language", "h-top", "cocycle-stats", "unbounded-profile",

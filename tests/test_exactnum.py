@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from entroscope.exactnum import GOLDEN_MEAN_ALPHA, QuadExact, frac_exact, sqrt_exact
+from entroscope.exactnum import GOLDEN_MEAN_ALPHA, QuadExact, frac_exact
 
 
 def test_construction_normalizes_square_factors():
@@ -20,16 +20,16 @@ def test_construction_normalizes_square_factors():
 
 def test_rational_values_mix_with_any_radicand():
     r = QuadExact(Fraction(2, 3))
-    s = sqrt_exact(7)
+    s = QuadExact(0, 1, 7)
     assert (r + s) - s == r
     assert (r * s) / s == r
 
 
 def test_mixing_different_irrationals_raises():
     with pytest.raises(ValueError):
-        sqrt_exact(2) + sqrt_exact(3)
+        QuadExact(0, 1, 2) + QuadExact(0, 1, 3)
     with pytest.raises(ValueError):
-        sqrt_exact(2) * sqrt_exact(3)
+        QuadExact(0, 1, 2) * QuadExact(0, 1, 3)
 
 
 def test_golden_alpha_identities():
@@ -43,10 +43,10 @@ def test_golden_alpha_identities():
 
 
 def test_sign_all_quadrants():
-    assert sqrt_exact(2) - 1 > 0
-    assert 1 - sqrt_exact(2) < 0
-    assert sqrt_exact(2) - Fraction(3, 2) < 0
-    assert Fraction(3, 2) - sqrt_exact(2) > 0
+    assert QuadExact(0, 1, 2) - 1 > 0
+    assert 1 - QuadExact(0, 1, 2) < 0
+    assert QuadExact(0, 1, 2) - Fraction(3, 2) < 0
+    assert Fraction(3, 2) - QuadExact(0, 1, 2) > 0
     assert QuadExact(0) == 0
 
 
@@ -101,7 +101,7 @@ def test_field_inverse_roundtrip(a, b, d):
 
 def test_hash_consistent_with_equality():
     assert hash(QuadExact(Fraction(3, 2))) == hash(QuadExact(Fraction(3, 2)))
-    s = {sqrt_exact(5), sqrt_exact(5), QuadExact(1)}
+    s = {QuadExact(0, 1, 5), QuadExact(0, 1, 5), QuadExact(1)}
     assert len(s) == 2
 
 
@@ -135,8 +135,8 @@ def test_floor_brackets_the_value_exactly(a, b, d, k, near):
 
 def test_floor_at_both_sides_of_an_integer():
     # 140/99 < sqrt(2) < 99/70, both within 1e-4 of it
-    assert math.floor(sqrt_exact(2) - Fraction(140, 99)) == 0
-    assert math.floor(sqrt_exact(2) - Fraction(99, 70)) == -1
+    assert math.floor(QuadExact(0, 1, 2) - Fraction(140, 99)) == 0
+    assert math.floor(QuadExact(0, 1, 2) - Fraction(99, 70)) == -1
     assert math.floor(_near_integer(3, Fraction(-7, 2), 8)) == 2
     assert math.floor(_near_integer(3, Fraction(7, 2), 8)) == 3
 
@@ -144,9 +144,9 @@ def test_floor_at_both_sides_of_an_integer():
 def test_comparisons_stay_in_one_field():
     # comparisons build no difference, yet refuse to mix irrationals
     with pytest.raises(ValueError):
-        sqrt_exact(2) < sqrt_exact(3)
+        QuadExact(0, 1, 2) < QuadExact(0, 1, 3)
     with pytest.raises(TypeError):
         QuadExact(1) < 1.5
-    assert sqrt_exact(8) > 2 * sqrt_exact(2) - Fraction(1, 10 ** 30)
-    assert not sqrt_exact(8) < 2 * sqrt_exact(2)
-    assert Fraction(1) <= sqrt_exact(2) - Fraction(2, 5)
+    assert QuadExact(0, 1, 8) > 2 * QuadExact(0, 1, 2) - Fraction(1, 10 ** 30)
+    assert not QuadExact(0, 1, 8) < 2 * QuadExact(0, 1, 2)
+    assert Fraction(1) <= QuadExact(0, 1, 2) - Fraction(2, 5)

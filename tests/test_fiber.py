@@ -9,11 +9,10 @@ from entroscope.exactnum import GOLDEN_MEAN_ALPHA
 from entroscope.fiber import (IdentityFiber, RotationFiber, SymbolicFiber,
                               ToralAutoFiber, bowen_distance, bowen_le,
                               circle_sep_exact, fiber_from_json,
-                              fiber_to_json, rotation_spa_analytic,
-                              sep_count, sep_exact_symbolic, sep_greedy,
-                              spa_bracket)
+                              fiber_to_json, sep_count, sep_exact_symbolic,
+                              sep_greedy, spa_bracket)
 from entroscope.symbolic import SFT, FullShift, WindowPoint, language_on
-from entroscope.util import CapExceeded, ConfigError, WindowError
+from entroscope.util import ConfigError, WindowError
 
 FULL2 = FullShift(2)
 GOLDEN = SFT(2, [(1, 1)])
@@ -51,13 +50,6 @@ def test_greedy_on_cylinder_sample_matches_exact():
                                                                    eps)
 
 
-def test_sep_greedy_pair_cap():
-    T = SymbolicFiber(FULL2)
-    sample = T.sample_points(range(4), Fraction(1, 2))
-    with pytest.raises(CapExceeded):
-        sep_greedy(T, sample, range(4), Fraction(1, 2), pair_cap=10)
-
-
 def test_symbolic_fiber_equal_representatives_are_one_point():
     T = SymbolicFiber(FULL2)
     x = WindowPoint(-2, (0, 1, 0, 1, 0))
@@ -81,12 +73,6 @@ def test_circle_sep_exact_values():
     assert circle_sep_exact(Fraction(3, 10)) == 3
     assert circle_sep_exact(Fraction(1, 5)) == 4
     assert circle_sep_exact(3) == 1
-
-
-def test_rotation_spa_analytic_values():
-    assert rotation_spa_analytic(Fraction(1, 2)) == 1
-    assert rotation_spa_analytic(Fraction(1, 10)) == 5
-    assert rotation_spa_analytic(Fraction(1, 33)) == 17
 
 
 def test_rotation_is_isometry_so_sep_ignores_F():
@@ -119,10 +105,14 @@ def test_identity_fiber_max_far_subset():
     assert T.sep_exact(range(3), 2) == 1
 
 
-def test_identity_fiber_custom_metric():
-    disc = IdentityFiber(list("abcd"), metric=lambda x, y: 0 if x == y else 1)
-    assert disc.sep_exact(range(2), Fraction(1, 2)) == 4
-    assert disc.distance("a", "a") == 0
+def test_identity_fiber_irrational_points():
+    T = IdentityFiber([0, GOLDEN_MEAN_ALPHA])
+    # |0 - 0.618...| is irrational: 3/5 < d < 5/8
+    assert T.distance(0, GOLDEN_MEAN_ALPHA) == GOLDEN_MEAN_ALPHA
+    assert T.distance(GOLDEN_MEAN_ALPHA, 0) == GOLDEN_MEAN_ALPHA
+    assert T.sep_exact(range(2), Fraction(3, 5)) == 2
+    assert T.sep_exact(range(2), Fraction(5, 8)) == 1
+    assert sep_count(T, range(2), Fraction(1, 2)) == (2, True)
 
 
 def test_identity_fiber_time_does_not_matter():
@@ -199,9 +189,15 @@ def test_spa_bracket_never_inverted():
 def test_fiber_json_round_trips():
     for T in (SymbolicFiber(GOLDEN), RotationFiber(GOLDEN_MEAN_ALPHA),
               IdentityFiber([Fraction(0), Fraction(1, 2)]),
+              IdentityFiber([Fraction(1, 3), GOLDEN_MEAN_ALPHA]),
               ToralAutoFiber(CAT, 6)):
-        back = fiber_from_json(fiber_to_json(T))
-        assert back.variant == T.variant
+        doc = fiber_to_json(T)
+        back = fiber_from_json(doc)
+        assert type(back) is type(T)
+        assert fiber_to_json(back) == doc
+    ident = fiber_from_json(fiber_to_json(
+        IdentityFiber([Fraction(1, 3), GOLDEN_MEAN_ALPHA])))
+    assert ident.points == [Fraction(1, 3), GOLDEN_MEAN_ALPHA]
     rot = fiber_from_json(fiber_to_json(RotationFiber(GOLDEN_MEAN_ALPHA)))
     assert rot.angle == GOLDEN_MEAN_ALPHA.frac()
     # a JSON number reads as written, as epsilon does: 0.1 is 1/10, not the
@@ -211,5 +207,3 @@ def test_fiber_json_round_trips():
     assert fiber_to_json(ident)["points"] == ["0", "1/10"]
     rot = fiber_from_json({"variant": "rotation", "angle": 0.1})
     assert rot.angle == Fraction(1, 10)
-    with pytest.raises(TypeError):
-        fiber_to_json(IdentityFiber([0, 1], metric=lambda x, y: 1))

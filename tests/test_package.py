@@ -23,13 +23,12 @@ EXPORTS = {
     "entropy": ("ExpScale", "PolyScale", "RangeExpScale", "RangeInnerScale",
                 "SlowEntropyReport", "birkhoff_sup", "count_bracket",
                 "h_top_estimate", "slow_entropy_report"),
-    "exactnum": ("GOLDEN_MEAN_ALPHA", "QuadExact", "frac_exact",
-                 "sqrt_exact"),
+    "exactnum": ("GOLDEN_MEAN_ALPHA", "QuadExact", "frac_exact"),
     "fiber": ("IdentityFiber", "RotationFiber", "SymbolicFiber",
               "ToralAutoFiber", "bowen_distance", "bowen_le",
               "circle_sep_exact", "fiber_from_json", "fiber_to_json",
-              "rotation_spa_analytic", "sep_count", "sep_exact_symbolic",
-              "sep_greedy", "spa_bracket"),
+              "sep_count", "sep_exact_symbolic", "sep_greedy",
+              "spa_bracket"),
     "presets": ("PRESETS", "get_preset", "preset_names"),
     "sequence": ("FAMILIES", "Arithmetic", "Explicit", "Geometric",
                  "KEstimate", "bernoulli_seq_entropy", "c_m", "cover_size",
@@ -38,10 +37,9 @@ EXPORTS = {
     "skew": ("CapacityBracket", "SandwichRow", "SkewSystem", "capacity_A",
              "sandwich_check", "skew_sep_direct", "skew_sep_greedy"),
     "symbolic": ("SFT", "FullShift", "Product", "Sturmian", "WindowPoint",
-                 "complexity", "enumerate_language", "language_on", "rho",
-                 "spec_from_json", "spec_to_json", "sturmian_code",
-                 "subshift_close", "subshift_distance", "word_from_str",
-                 "word_to_str"),
+                 "complexity", "language_on", "rho", "spec_from_json",
+                 "spec_to_json", "subshift_close", "subshift_distance",
+                 "word_from_str", "word_to_str"),
     "util": ("DEFAULT_WORD_CAP", "CapExceeded", "ConfigError",
              "OracleMismatch", "SturmianHorizonError", "WindowError"),
 }

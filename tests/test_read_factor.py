@@ -145,30 +145,11 @@ def test_the_read_coordinate_is_kept(system):
         want = spec.left, (spec.right,)
     else:
         want = spec.right, (spec.left,)
-    # equal definitions share one memo entry, so compare definitions
+    # read_factor builds the factor and rule afresh, so compare definitions
     assert repr((base, dropped)) == repr(want)
     assert rule.radius == tau.radius
     assert set(rule.rule) == set(base.words(2 * tau.radius + 1,
                                             word_cap=None))
-
-
-def test_read_factor_is_computed_once_per_definition(monkeypatch):
-    monkeypatch.setattr(cocycle, "_READ_FACTORS", {})
-    calls = []
-    real = cocycle._drop_factor
-
-    def counting(spec, tau):
-        calls.append(repr(spec))
-        return real(spec, tau)
-
-    monkeypatch.setattr(cocycle, "_drop_factor", counting)
-    first = read_factor(Product(SIGNS, BITS), SIGN_PAIRS)
-    # an equal product and rule built afresh hit the memo
-    again = read_factor(Product(FullShift((-1, 1)), FullShift((0, 1))),
-                        Cocycle(dict(SIGN_PAIRS.rule)))
-    assert again is first and calls == [repr(Product(SIGNS, BITS))]
-    range_histograms(Product(SIGNS, BITS), SIGN_PAIRS, [3, 4], pad=1)
-    assert len(calls) == 1
 
 
 def test_rules_reading_both_coordinates_stay_unreduced():

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from entroscope.exactnum import GOLDEN_MEAN_ALPHA, QuadExact, frac_exact
 from entroscope.symbolic import (DEFAULT_WORD_CAP, SFT, FullShift, Product,
                                  Sturmian, WindowPoint, complexity,
-                                 enumerate_language, language_on, rho,
-                                 spec_from_json, spec_to_json, sturmian_code,
-                                 subshift_close, subshift_distance,
-                                 word_from_str, word_to_str)
+                                 language_on, rho, spec_from_json,
+                                 spec_to_json, subshift_close,
+                                 subshift_distance, word_from_str,
+                                 word_to_str)
 from entroscope.util import CapExceeded, SturmianHorizonError, WindowError
 
 GOLDEN = SFT(2, [(1, 1)])
@@ -31,7 +31,7 @@ def test_full_shift_counts_and_words():
 
 def test_golden_mean_counts_are_fibonacci_like():
     assert [GOLDEN.count(n) for n in range(1, 7)] == [2, 3, 5, 8, 13, 21]
-    assert len(GOLDEN.words(6)) == 21
+    assert len(GOLDEN.words(6)) == 21 == complexity(GOLDEN, 6)
     for w in GOLDEN.words(6):
         assert (1, 1) not in [w[i:i + 2] for i in range(5)]
 
@@ -64,6 +64,16 @@ def test_word_cap_enforced():
     with pytest.raises(CapExceeded):
         fs.words(5, word_cap=31)
     assert len(fs.words(5, word_cap=32)) == 32
+    # words no longer than the SFT's memory K = 5 come from the graph's
+    # states, and the cap holds there too
+    sft = SFT(2, [(0,) * 6])
+    with pytest.raises(CapExceeded):
+        sft.words(3, word_cap=4)
+    with pytest.raises(CapExceeded):
+        sft.words(7, word_cap=4)
+    assert len(sft.words(3, word_cap=8)) == 8
+    with pytest.raises(CapExceeded):
+        sft.words(3, word_cap=7)  # a cached length is capped as well
 
 
 def test_sturmian_complexity_families():
@@ -290,16 +300,10 @@ def test_sturmian_word_cache_keeps_every_check():
 
 
 def test_sturmian_code_helper_inclusive_window():
-    syms = sturmian_code(GOLDEN_MEAN_ALPHA, 0, (-2, 2))
-    assert len(syms) == 5
     spec = Sturmian(GOLDEN_MEAN_ALPHA)
-    direct = spec.code(0, range(-2, 3))
-    assert tuple(syms) == direct == code_by_quadexact(spec, 0, range(-2, 3))
-
-
-def test_enumerate_language_margin():
-    assert enumerate_language(GOLDEN, 4, s=1) == GOLDEN.words(6)
-    assert complexity(GOLDEN, 6) == 21
+    syms = spec.code(0, range(-2, 3))
+    assert len(syms) == 5
+    assert syms == code_by_quadexact(spec, 0, range(-2, 3))
 
 
 def test_language_on_contiguous_matches_words():
@@ -409,7 +413,7 @@ def test_spec_json_round_trips():
                  Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2)),
                  Product(FullShift(2), GOLDEN)):
         back = spec_from_json(spec_to_json(spec))
-        assert back.variant == spec.variant
+        assert type(back) is type(spec)
         assert back.count(4) == spec.count(4)
     st2 = spec_from_json(spec_to_json(Sturmian(GOLDEN_MEAN_ALPHA)))
     assert st2.alpha == GOLDEN_MEAN_ALPHA.frac()
