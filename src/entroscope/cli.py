@@ -11,14 +11,15 @@ text reads as its flag reads it.  Results print as short summaries and,
 with --out, land as CSV tables plus a summary.json (see reports).
 
 Exit codes: 0 all checks passed or observational, 1 a verdict FAILed,
-2 configuration or schema problem or a value out of range (any
-ValueError), 3 an enumeration cap was exhausted (a partial report is
-still written), 4 a fast path disagreed with its defining enumeration
-at runtime.
+2 configuration or schema problem, a flag the parser refuses or a value
+out of range (any ValueError), each reported as "config error: ...",
+3 an enumeration cap was exhausted (a partial report is still written),
+4 a fast path disagreed with its defining enumeration at runtime.
 """
 
 import argparse
 import json
+import math
 import re
 import sys
 from collections import Counter, namedtuple
@@ -67,23 +68,29 @@ def parse_int_list(value):
 
 def parse_t_grid(value):
     """Float grid from "0.3:1.1:0.05", an explicit "0.3,0.7,1.1", a JSON
-    list, or a JSON {"start", "stop", "step"} object."""
+    list, or a JSON {"start", "stop", "step"} object, of finite numbers."""
+    bounds = None
     if isinstance(value, str):
         text = value.strip()
         parts = text.split(":")
         if len(parts) == 1:
-            out = [float(p) for p in text.split(",") if p.strip()]
-            if not out:
+            grid = [float(p) for p in text.split(",") if p.strip()]
+            if not grid:
                 raise ConfigError("empty t grid %r" % text)
-            return out
-        if len(parts) != 3:
+        elif len(parts) == 3:
+            bounds = [float(p) for p in parts]
+        else:
             raise ConfigError("t grid must be start:stop:step, got %r" % text)
-        start, stop, step = (float(p) for p in parts)
     elif isinstance(value, dict):
-        start, stop, step = (float(value[k]) for k in ("start", "stop",
-                                                       "step"))
+        bounds = [float(value[k]) for k in ("start", "stop", "step")]
     else:
-        return [float(x) for x in value]
+        grid = [float(x) for x in value]
+    # a NaN or infinite bound would never end the grid
+    if not all(map(math.isfinite, bounds or grid)):
+        raise ConfigError("t grid values must be finite, got %r" % (value,))
+    if bounds is None:
+        return grid
+    start, stop, step = bounds
     if step <= 0 or stop < start:
         raise ConfigError("degenerate t grid %r" % (value,))
     return presets.float_grid(start, stop, step)
@@ -130,10 +137,7 @@ SCALES = {"exp": "ExpScale", "poly": "PolyScale",
 
 
 def make_scale(name, base, tau, word_cap):
-    """Scale object from its CLI token."""
-    if name not in SCALES:
-        raise ConfigError("unknown scale %r (known: %s)"
-                          % (name, ", ".join(SCALES)))
+    """Scale object from its CLI token (one of PARAMS' scale choices)."""
     scale = getattr(entropy, SCALES[name])
     if not name.startswith("range-"):
         return scale()
@@ -203,9 +207,13 @@ def apply_config(ctx, doc):
             raise ConfigError("unknown parameter %r (known: %s)"
                               % (key, ", ".join(sorted(PARAMS))))
         try:
-            ctx[key] = PARAMS[key].kind(value)
+            ctx[key] = value = PARAMS[key].kind(value)
         except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
             raise ConfigError("bad value for parameter %r: %s" % (key, exc))
+        choices = PARAMS[key].choices
+        if choices is not None and value not in choices:
+            raise ConfigError("bad value for parameter %r: %r (choose from "
+                              "%s)" % (key, value, ", ".join(choices)))
     if "output" in doc:
         ctx["out"] = str(doc["output"])
     if "command" in doc:
@@ -258,20 +266,15 @@ def param(ctx, key, default=_REQUIRED):
 
 def echo_params(ctx):
     """Re-runnable echo of the context for the report metadata."""
-    out = {}
-    for key, value in sorted(ctx.items(), key=lambda kv: kv[0]):
-        if key in ("base", "tau", "fiber"):
-            try:
-                codec = {"base": symbolic.spec_to_json,
-                         "tau": cocycle.cocycle_to_json,
-                         "fiber": fiber.fiber_to_json}[key]
-                out[key] = codec(value)
-            except TypeError:
-                out[key] = repr(value)
-        elif key == "system":
-            continue
-        else:
-            out[key] = value
+    out = {key: value for key, value in ctx.items() if key != "system"}
+    # each codec is looked up only when its entry is there, so a command
+    # without a system loads none of the system modules
+    if "base" in out:
+        out["base"] = symbolic.spec_to_json(out["base"])
+    if "tau" in out:
+        out["tau"] = cocycle.cocycle_to_json(out["tau"])
+    if "fiber" in out:
+        out["fiber"] = fiber.fiber_to_json(out["fiber"])
     return out
 
 
@@ -295,7 +298,7 @@ def self_check_skew(system, epsilon, word_cap):
                partial(skew.capacity_A, force_enumeration=True)),
               ("sep", skew.skew_sep_direct, "enumeration",
                partial(skew.skew_sep_direct, force_enumeration=True))]
-    if not skew.by_range(system):
+    if not system.by_range:
         def greedy(sys, n, eps, word_cap):
             return skew.skew_sep_greedy(sys, n, eps,
                                         margin=symbolic.rho(eps),
@@ -319,31 +322,29 @@ def self_check_skew(system, epsilon, word_cap):
 def self_check_distribution(base, tau, word_cap):
     """Recompute two DP range histograms independently and compare.
 
-    The DP runs on the factor the rule reads (cocycle.read_factor), A its
-    alphabet.  n = 6 is checked against brute-force enumeration of the
-    base's own words (a product's raw pairs), and the smallest n with
-    |A|^n >= 2^31, where counts no longer fit 31 bits, against the dict
-    DP on the factor times the dropped factors' words (n = 31 on two
-    letters, 20 on three).  Returns the checked n, or None when the
-    histograms are not computed by the DP.
+    The histograms are those of the counting plan (cocycle.counting_plan)
+    where it says "strips"; A is its factor's alphabet.  n = 6 is checked
+    against brute-force enumeration of the base's own words (a product's
+    raw pairs), and the smallest n with |A|^n >= 2^31, where counts no
+    longer fit 31 bits, against the dict DP on the factor times the
+    dropped factors' words (n = 31 on two letters, 20 on three).  Returns
+    the checked n, or None when the histograms are enumerated.
     """
-    factor, rule, dropped = cocycle.read_factor(base, tau)
-    vals = cocycle.walk_rule(factor, rule)
-    if vals is None:
+    plan = cocycle.counting_plan(base, tau)
+    if plan.histograms != "strips":
         return None
     n = 6
     n_big = 1
-    while len(factor.labels) ** n_big < 2 ** 31:
+    while len(plan.factor.labels) ** n_big < 2 ** 31:
         n_big += 1
-    hists = cocycle.range_histograms(base, tau, [n, n_big],
-                                     word_cap=word_cap)
+    hists = cocycle.plan_histograms(plan, [n, n_big], word_cap)
     brute = Counter(cocycle.cocycle_profile(tau, w).r
                     for w in base.words(n + 2 * tau.radius, word_cap=word_cap))
     if hists[n] != dict(brute):
         raise OracleMismatch("range distribution fast path %r != brute %r "
                              "at n=%d" % (hists[n], dict(brute), n))
-    k = cocycle.dropped_count(dropped, n_big + 2 * tau.radius)
-    dp = cocycle.walk_range_distribution(factor, n_big - 1, vals)
+    k = cocycle.dropped_count(plan.dropped, n_big + 2 * tau.radius)
+    dp = cocycle.walk_range_distribution(plan.factor, n_big - 1, plan.steps)
     oracle = {r: cnt * k for r, cnt in dp.items()}
     if hists[n_big] != oracle:
         raise OracleMismatch("range distribution fast path %r != dict DP %r "
@@ -351,26 +352,17 @@ def self_check_distribution(base, tau, word_cap):
     return (n, n_big)
 
 
-def _record_counting(report, base, tau, system=None, sup=False):
-    """Note in summary.json's meta which base a command counted on.
+def _record_counting(report, plan, path="histograms"):
+    """Write the counting plan a command ran into summary.json's meta.
 
-    read_factor is the base the counts ran over (cocycle.read_factor),
-    dropped_factors the product factors the rule ignores, whose word
-    counts multiply every count.  histograms says whether range
-    histograms come from strip counts or from enumerated words (for skew
-    counts also the latter when words do not group by range); for the
-    Birkhoff sup, sup names its path (entropy.sup_path).
+    read_factor is the base the counts ran over, dropped_factors the
+    factors the rule ignores, and path names the plan's engine: of the
+    range histograms, or the Birkhoff sup's (see cocycle.counting_plan).
     """
-    factor, rule, dropped = cocycle.read_factor(base, tau)
-    if sup:
-        path = {"sup": entropy.sup_path(factor, rule)}
-    else:
-        strips = (cocycle.walk_rule(factor, rule) is not None
-                  and (system is None or skew.by_range(system)))
-        path = {"histograms": "strips" if strips else "enumeration"}
-    report.meta["counted_on"] = dict(
-        path, read_factor=symbolic.spec_to_json(factor),
-        dropped_factors=[symbolic.spec_to_json(f) for f in dropped])
+    report.meta["counted_on"] = {
+        path: getattr(plan, path),
+        "read_factor": symbolic.spec_to_json(plan.factor),
+        "dropped_factors": [symbolic.spec_to_json(f) for f in plan.dropped]}
 
 
 def run_self_checks(args, ctx, report, skew_counts=False,
@@ -419,13 +411,13 @@ def _cmd_cocycle_stats(args, ctx, report):
     tau = need(ctx, "tau", "a cocycle")
     ns = sorted(set(param(ctx, "n_range", [2, 3, 4, 5, 6])))
     n_top = param(ctx, "n", max(ns))
-    _record_counting(report, base, tau)
+    plan = cocycle.counting_plan(base, tau)
+    _record_counting(report, plan)
     run_self_checks(args, ctx, report, distribution=True)
-    if cocycle.walk_rule(*cocycle.read_factor(base, tau)[:2]) is not None:
+    if plan.histograms == "strips":
         # one strip pass for both tables; enumerated histograms gain
         # nothing from a joint request
-        cocycle.range_histograms(base, tau, ns + [n_top],
-                                 word_cap=ctx["word_cap"])
+        cocycle.plan_histograms(plan, ns + [n_top], ctx["word_cap"])
     entries = []
     for n in ns:
         counts = cocycle.profile_counts(base, tau, n, word_cap=ctx["word_cap"])
@@ -452,7 +444,7 @@ def _cmd_unbounded_profile(args, ctx, report):
     # toward 1 is the visible evidence
     reach = param(ctx, "reach", 2 * max(1, tau.bound) + 1)
     ns = param(ctx, "n_list", [4, 8, 12, 16])
-    _record_counting(report, base, tau)
+    _record_counting(report, cocycle.counting_plan(base, tau))
     ev = cocycle.unbounded_evidence(base, tau, reach, ns,
                                     word_cap=ctx["word_cap"])
     report.add_table("unbounded", ("n", "proportion"), ev["curve"])
@@ -469,7 +461,7 @@ def _cmd_sep(args, ctx, report):
     system = need(ctx, "system", "a full skew system")
     epsilon = param(ctx, "epsilon")
     ns = sorted(set(param(ctx, "n_range", [param(ctx, "n", 4)])))
-    _record_counting(report, system.base, system.tau, system)
+    _record_counting(report, system.plan)
     run_self_checks(args, ctx, report, skew_counts=True)
     skew.request_histograms(system, ns, (epsilon, 2 * epsilon),
                             word_cap=ctx["word_cap"])
@@ -500,7 +492,7 @@ def _cmd_sandwich(args, ctx, report):
     system = need(ctx, "system", "a full skew system")
     epsilon = param(ctx, "epsilon")
     ns = param(ctx, "n_range")
-    _record_counting(report, system.base, system.tau, system)
+    _record_counting(report, system.plan)
     run_self_checks(args, ctx, report, skew_counts=True)
     result = skew.sandwich_check(system, ns, epsilon,
                                  word_cap=ctx["word_cap"])
@@ -529,9 +521,8 @@ def _cmd_slow_entropy(args, ctx, report):
     n_max = param(ctx, "n_max")
     grid = param(ctx, "t_grid")
     threshold = param(ctx, "threshold", 1e-3)
-    if base is not None and tau is not None:
-        _record_counting(report, base, tau, ctx.get("system"))
     if isinstance(target, skew.SkewSystem):
+        _record_counting(report, target.plan)
         run_self_checks(args, ctx, report, skew_counts=True,
                         distribution=True)
     rep = entropy.slow_entropy_report(target, scale, epsilon, n_max, grid,
@@ -622,9 +613,6 @@ def _cmd_goodwyn(args, ctx, report):
 
 def _cmd_folner(args, ctx, report):
     family = param(ctx, "family", "interval")
-    if family not in FAMILIES:
-        raise ConfigError("unknown family %r (known: %s)"
-                          % (family, ", ".join(sorted(FAMILIES))))
     m = param(ctx, "m", 3)
     ns = param(ctx, "n_list", [10, 100, 1000, 10000])
     rows = folner_defect(FAMILIES[family], m, ns)
@@ -641,7 +629,7 @@ def _cmd_birkhoff(args, ctx, report):
     base = need(ctx, "base", "a base subshift")
     tau = need(ctx, "tau", "a cocycle")
     ns = sorted(set(param(ctx, "n_list", [8, 12, 16])))
-    _record_counting(report, base, tau, sup=True)
+    _record_counting(report, cocycle.counting_plan(base, tau), "sup")
     rows = [(n, v, float(v)) for n, v in
             ((n, entropy.birkhoff_sup(base, tau, n,
                                       word_cap=ctx["word_cap"]))
@@ -703,6 +691,13 @@ def _cmd_run(args, ctx, report):
 # parser and entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors read as config errors (exit 2)."""
+
+    def error(self, message):
+        self.exit(2, "config error: %s\n%s" % (message, self.format_usage()))
+
+
 def _build_parser():
     def add_param(parser, key):
         p = PARAMS[key]
@@ -721,7 +716,7 @@ def _build_parser():
     common.add_argument("--no-self-check", action="store_true",
                         help="skip the fast-path vs enumeration cross-check")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entroscope",
         description="exact finite-scale invariants of subshifts, cocycles, "
                     "and skew products")

@@ -11,18 +11,17 @@ q = r * c_m(V) = |V + {0, ..., m-1}|.
 ergodic_sums is the one ergodic-sum routine, and visited_sets the one
 loop from words to visited sets, read by every enumerated count.
 
-read_factor reduces a product base to the factor the rule reads: the
-rule is rewritten on that factor, and every count over the product is
-the same count over the factor times the word counts of the dropped
-factors (dropped_count).  range_histograms, the visited-set branch of
-profile_counts, the fiber classes of skew and the Birkhoff sup all
-count through it; visited_sets itself enumerates whatever base it is
-given, so enumeration of the raw product stays the oracle.
+counting_plan is the one place that decides how (base, rule) is
+counted, and every count reads it.  It reduces a product base to the
+factor the rule reads (read_factor): the rule is rewritten on that
+factor, and every count over the product is the same count over the
+factor times the word counts of the dropped factors (dropped_count).
+visited_sets itself enumerates whatever base it is given, so
+enumeration of the raw product stays the oracle.
 
 range_histograms is the one source of r histograms over a language,
-optionally over the middle window of longer words (pad).  For radius-0
-cocycles with steps in {-1, 0, 1} over an SFT or full shift (after
-read_factor) it counts by strips instead of enumerating words: for each
+optionally over the middle window of longer words (pad).  Where the plan
+says "strips" it counts by strips instead of enumerating words: for each
 width w it counts the walks that stay inside [0, w] from each start,
 with each graph node's positions packed as fields of one exact Python
 integer, and the range histogram is a second difference of those
@@ -32,13 +31,15 @@ over (graph node, cur - min, max - cur) on dicts of Python integers, is
 the independent oracle it is checked against.
 """
 
+import json
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import prod
 
 from .sequence import c_m, cover_size
-from .symbolic import SFT, Product, word_from_str, word_to_str
+from .symbolic import (SFT, Product, Sturmian, word_from_str,
+                       word_to_str)
 from .util import (DEFAULT_WORD_CAP, CapExceeded, ConfigError,
                    SturmianHorizonError)
 
@@ -199,6 +200,37 @@ def dropped_count(dropped, length):
 
 
 # ---------------------------------------------------------------------------
+# the counting plan
+
+
+CountingPlan = namedtuple("CountingPlan",
+                          "factor rule dropped steps histograms sup")
+
+
+def counting_plan(spec, tau):
+    """How every count over (spec, tau) runs, decided once.
+
+    factor, rule and dropped are read_factor's.  steps is the rule as
+    {label: step} when every visited set is an integer interval (a
+    radius-0 rule with steps in {-1, 0, 1}: its size r fixes V up to
+    translation), else None.  histograms is "strips" (_walk_pass) for
+    such steps on a full shift or SFT factor, else "enumeration"
+    (visited_sets).  sup is how birkhoff_sup takes its max: "cell walk"
+    on a Sturmian factor, "graph pass" for a radius-0 rule on a full
+    shift or SFT, else "enumeration" (a loop over the words).
+    """
+    factor, rule, dropped = read_factor(spec, tau)
+    steps = rule.step_values()
+    if steps and any(abs(v) > 1 for v in steps.values()):
+        steps = None
+    graph = isinstance(factor, SFT)
+    sup = ("cell walk" if isinstance(factor, Sturmian) else
+           "graph pass" if graph and rule.radius == 0 else "enumeration")
+    return CountingPlan(factor, rule, dropped, steps,
+                        "strips" if graph and steps else "enumeration", sup)
+
+
+# ---------------------------------------------------------------------------
 # range-distribution DP
 
 
@@ -273,34 +305,6 @@ def _check_steps(base, vals):
         raise ConfigError("step rule undefined on labels %r" % (missing,))
 
 
-def interval_steps(tau):
-    """The rule as {label: step} when every visited set is an interval.
-
-    A radius-0 rule with steps in {-1, 0, 1} moves the sum by at most one
-    per step, so each visited set V is an integer interval and its size r
-    fixes V up to translation.  None for any other rule.
-    """
-    vals = tau.step_values()
-    if vals is None or any(abs(v) > 1 for v in vals.values()):
-        return None
-    return vals
-
-
-def walk_rule(spec, tau):
-    """{label: step} when the range DP covers (spec, tau), else None.
-
-    The DP needs interval visited sets and a base given by a graph: a
-    full shift or an SFT.  This is the only test of DP against
-    enumeration.  range_histograms acts on it; the CLI reads it to know
-    whether there is a DP to check (its self-check), whether a run's
-    histograms come from strips (the summary's counted_on) and whether
-    cocycle-stats gains from one joint request.
-    """
-    if not isinstance(spec, SFT):
-        return None
-    return interval_steps(tau)
-
-
 # {(base definition, rule definition, word cap or None, pad):
 #  {n: {r: count}}}; the cap is part of the key only for enumerated
 # histograms, where it can raise CapExceeded.  Process-wide and unlocked:
@@ -309,19 +313,25 @@ _HISTOGRAMS = {}
 
 
 def range_histograms(spec, tau, ns, word_cap=DEFAULT_WORD_CAP, pad=0):
-    """{n: {r: word count}} for every n in ns, memoized.
+    """{n: {r: word count}} for every n in ns, counted as counting_plan
+    (spec, tau) says (see plan_histograms)."""
+    return plan_histograms(counting_plan(spec, tau), ns, word_cap, pad)
+
+
+def plan_histograms(plan, ns, word_cap=DEFAULT_WORD_CAP, pad=0):
+    """{n: {r: word count}} for every n in ns under a counting plan, memoized.
 
     With pad = 0 the words are L_{n,s}.  With pad = p they are the words
     of L_{n+2p,s}, each counted by the range of its middle window of
     n (+ 2s) letters: the base windows a skew separated count at
-    rho(eps) = p ranges over.  The histograms are those of the factor
-    the rule reads (read_factor), scaled by the dropped factors' word
-    count, so word_cap bounds the read factor's words.  They are kept
-    for the life of the process, keyed by what the read factor and its
-    rule are (their definitions), so equal systems built twice share
-    them.  On the DP's domain (see walk_rule) the requested n with
-    n + pad beyond the graph's memory K come from one pass of _walk_pass
-    to the largest of them; shorter windows and every other system are
+    rho(eps) = p ranges over.  The histograms are those of the plan's
+    factor, scaled by the dropped factors' word count, so word_cap
+    bounds the factor's words.  They are kept for the life of the
+    process, keyed by what the factor and its rule are (their
+    definitions), so equal systems built twice share them.  Where the
+    plan says "strips", the requested n with n + pad beyond the graph's
+    memory K come from one pass of _walk_pass to the largest of them;
+    shorter windows, and every n where it says "enumeration", are
     enumerated word by word.  Each call returns fresh dicts.
     """
     ns = sorted(set(int(n) for n in ns))
@@ -329,42 +339,36 @@ def range_histograms(spec, tau, ns, word_cap=DEFAULT_WORD_CAP, pad=0):
         raise ValueError("n must be >= 1")
     if pad < 0:
         raise ValueError("pad must be >= 0")
-    spec, tau, dropped = read_factor(spec, tau)
-    vals = walk_rule(spec, tau)
-    memo = _histogram_memo(spec, tau, None if vals is not None else word_cap,
-                           pad)
+    spec, tau = plan.factor, plan.rule
+    strips = plan.histograms == "strips"
+    cap = None if strips else word_cap
+    memo = _histogram_memo(plan, cap, pad)
     todo = [n for n in ns if n not in memo]
-    if vals is None:
-        for n in todo:
-            memo[n] = _histogram(visited_sets(spec, tau, n, word_cap=word_cap,
+    # the strips start past the graph's memory K
+    passed = [n for n in todo if strips and n + pad > spec.context]
+    for n in todo:
+        if n not in passed:
+            memo[n] = _histogram(visited_sets(spec, tau, n, word_cap=cap,
                                               pad=pad))
-    elif todo:
-        _check_steps(spec, vals)
-        K = spec.context
-        for n in todo:
-            if n + pad <= K:
-                memo[n] = _histogram(visited_sets(spec, tau, n, word_cap=None,
-                                                  pad=pad))
-        passed = [n for n in todo if n + pad > K]
-        if passed:
-            memo.update(_walk_pass(spec, vals, passed, pad))
+    if passed:
+        _check_steps(spec, plan.steps)
+        memo.update(_walk_pass(spec, plan.steps, passed, pad))
     extra = 2 * tau.radius + 2 * pad  # letters of a word beyond n
-    return {n: _scaled(memo[n], dropped_count(dropped, n + extra))
+    return {n: _scaled(memo[n], dropped_count(plan.dropped, n + extra))
             for n in ns}
 
 
-def _definition(spec, tau):
-    """What a base and a rule are, as a dict key."""
-    return repr(spec), tau.radius, tuple(sorted(tau.rule.items()))
+def _histogram_memo(plan, cap, pad):
+    """The {n: {r: count}} memo of plan_histograms for one request shape.
 
-
-def _histogram_memo(spec, tau, cap, pad):
-    """The {n: {r: count}} memo of range_histograms for one request shape.
-
-    spec and tau are a read factor and its rule (see read_factor); cap
-    is the word cap of enumerated histograms, None for the DP's.
+    It is keyed by what the plan's factor and rule are (their
+    definitions); cap is the word cap of enumerated histograms, None for
+    the strips'.
     """
-    return _HISTOGRAMS.setdefault(_definition(spec, tau) + (cap, pad), {})
+    rule = plan.rule
+    key = (repr(plan.factor), rule.radius, tuple(sorted(rule.rule.items())),
+           cap, pad)
+    return _HISTOGRAMS.setdefault(key, {})
 
 
 def _scaled(counts, k):
@@ -555,27 +559,25 @@ def unbounded_evidence(spec, tau, N, n_values, word_cap=DEFAULT_WORD_CAP):
 def profile_counts(spec, tau, n, word_cap=DEFAULT_WORD_CAP):
     """{(r, q): count} over L_{n,s} with q = r * c_m(V) = |V + {0..m-1}|.
 
-    Steps in {-1, 0, 1} make every visited set an interval, so q is the
-    function r + m - 1 of r and the range histogram suffices; otherwise
-    q depends on V itself and is its cover size.  The visited sets are
-    those of the factor the rule reads (read_factor), each counted times
-    the dropped factors' words, and their r histogram goes into
-    range_histograms' memo, so a later range_distribution at this n
-    enumerates nothing.
+    Where counting_plan finds interval steps, q is the function r + m - 1
+    of r and the range histogram suffices; otherwise q depends on V
+    itself and is its cover size.  The visited sets are those of the
+    plan's factor, each counted times the dropped factors' words, and
+    their r histogram goes into the histograms' memo, so a later
+    range_distribution at this n enumerates nothing.
     """
     m = tau.bound
-    if interval_steps(tau) is not None:
-        dist = range_histograms(spec, tau, [n], word_cap=word_cap)[n]
+    plan = counting_plan(spec, tau)
+    if plan.steps is not None:
+        dist = plan_histograms(plan, [n], word_cap)[n]
         return {(r, r + m - 1): cnt for r, cnt in dist.items()}
-    base, rule, dropped = read_factor(spec, tau)
-    sets = visited_sets(base, rule, n, word_cap=word_cap)
-    _histogram_memo(base, rule, word_cap, 0).setdefault(
-        n, _histogram(sets))
+    sets = visited_sets(plan.factor, plan.rule, n, word_cap=word_cap)
+    _histogram_memo(plan, word_cap, 0).setdefault(n, _histogram(sets))
     out = {}
     for V, cnt in sets.items():
         key = (len(V), cover_size(V, m))
         out[key] = out.get(key, 0) + cnt
-    return _scaled(out, dropped_count(dropped, n + 2 * tau.radius))
+    return _scaled(out, dropped_count(plan.dropped, n + 2 * tau.radius))
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +585,24 @@ def profile_counts(spec, tau, n, word_cap=DEFAULT_WORD_CAP):
 
 
 def cocycle_to_json(tau):
+    """{"radius", "rule"}, each rule window keyed as word_to_str writes
+    it, or, when its labels are a product's pairs (nested as deep as the
+    product), as a JSON array such as "[[-1,1]]"."""
     rule = {}
     for k, v in sorted(tau.rule.items()):
-        if not all(isinstance(a, int) for a in k):
-            raise TypeError("JSON cocycle rules need integer labels")
-        rule[word_to_str(k)] = v
+        if all(isinstance(a, int) for a in k):
+            rule[word_to_str(k)] = v
+        else:
+            rule[json.dumps(k, separators=(",", ":"))] = v
     return {"radius": tau.radius, "rule": rule}
 
 
 def cocycle_from_json(doc):
-    rule = {word_from_str(k): int(v) for k, v in doc["rule"].items()}
+    rule = {(_tuples(json.loads(k)) if k.startswith("[") else
+             word_from_str(k)): int(v) for k, v in doc["rule"].items()}
     return Cocycle(rule, radius=int(doc.get("radius", 0)))
+
+
+def _tuples(x):
+    """x with its JSON arrays, at any depth, as tuples."""
+    return tuple(map(_tuples, x)) if isinstance(x, list) else x

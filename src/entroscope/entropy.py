@@ -24,12 +24,10 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .cocycle import (_check_steps, ergodic_sums, interval_steps,
-                      profile_counts, range_histograms, read_factor)
+from .cocycle import _check_steps, counting_plan, ergodic_sums, profile_counts
 from .fiber import spa_bracket
 from .sequence import hamming_ball_count, k_estimate  # noqa: F401
-from .skew import SkewSystem, capacity_A
-from .symbolic import SFT, Sturmian
+from .skew import SkewSystem, capacity_A, request_histograms
 from .util import DEFAULT_WORD_CAP, log_big, log_sum_exp
 
 
@@ -159,21 +157,24 @@ def slow_entropy_report(target, scale, epsilon, n_max, t_grid,
     resolution and the grid minimum is reported with the corresponding
     empty flag set.  When the grid maximum still clears it, the crossing
     lies at or above the top of the grid: the maximum is reported with
-    the saturated flag set.
+    the saturated flag set.  The threshold must be finite and positive.
     """
     grid = sorted(float(t) for t in t_grid)
     if not grid:
         raise ValueError("empty t grid")
+    threshold = float(threshold)
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError("threshold must be finite and > 0, got %r"
+                         % threshold)
     n_max = int(n_max)
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     ladder = tuple(sorted({max(2, n_max >> k) for k in range(4)}))
     ns = sorted(set(ladder) | {n_max})
-    if (isinstance(target, SkewSystem)
-            and interval_steps(target.tau) is not None):
-        # one request for every n: the brackets and a range scale read
-        # the histograms back from the engine's memo
-        range_histograms(target.base, target.tau, ns, word_cap=word_cap)
+    if isinstance(target, SkewSystem):
+        # one request for every n: the brackets, and a range scale on
+        # the same plan, read the histograms back from the memo
+        request_histograms(target, ns, (), word_cap=word_cap)
     # one count bracket per n serves the whole grid; only the scale
     # varies with t
     brackets = {n: count_bracket(target, n, epsilon, word_cap) for n in ns}
@@ -191,7 +192,7 @@ def slow_entropy_report(target, scale, epsilon, n_max, t_grid,
         t_upper=max(up) if up else grid[0],
         t_lower=max(low) if low else grid[0],
         rows=tuple(rows), ladder=ladder, brackets=brackets,
-        threshold=float(threshold), n_max=n_max,
+        threshold=threshold, n_max=n_max,
         empty_upper=not up, empty_lower=not low,
         saturated_upper=grid[-1] in up, saturated_lower=grid[-1] in low)
 
@@ -210,40 +211,27 @@ def h_top_estimate(fiber, epsilon, n_max):
 # Birkhoff sup
 
 
-def sup_path(spec, tau):
-    """How birkhoff_sup takes its max over a read factor and its rule.
-
-    "cell walk" on a Sturmian coding, "graph pass" for a radius-0 rule
-    on a full shift or SFT, "enumeration" (a loop over the words of
-    L_{n+2s}) otherwise.
-    """
-    if isinstance(spec, Sturmian):
-        return "cell walk"
-    if isinstance(spec, SFT) and tau.radius == 0:
-        return "graph pass"
-    return "enumeration"
-
-
 def birkhoff_sup(spec, tau, n, word_cap=DEFAULT_WORD_CAP):
     """max over w in L_{n,s} of |tau^n(w)| / n, an exact rational.
 
     Decay in n witnesses uniform convergence of the ergodic averages to
     zero, the zero-entropy criterion's hypothesis; the full shift with a
     coordinate cocycle stays at 1 forever, as it should.  The max is
-    taken over the factor the rule reads (read_factor): the dropped
-    factors change no sum.  sup_path picks how: on a Sturmian factor
-    the sums stream along the cells of its cut walk and no word list is
-    built (_cell_sum_max); a radius-0 rule on a full shift or SFT takes
-    the extreme sums in one pass over the graph (_graph_sum_max), so
-    word_cap does not apply; every other base loops over its words.
+    taken over the factor the rule reads: the dropped factors change no
+    sum.  The counting plan's sup (cocycle.counting_plan) says how: on a
+    Sturmian factor the sums stream along the cells of its cut walk and
+    no word list is built (_cell_sum_max); a radius-0 rule on a full
+    shift or SFT takes the extreme sums in one pass over the graph
+    (_graph_sum_max), so word_cap does not apply; every other base loops
+    over its words.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    spec, tau, _ = read_factor(spec, tau)
-    path = sup_path(spec, tau)
-    if path == "cell walk":
+    plan = counting_plan(spec, tau)
+    spec, tau = plan.factor, plan.rule
+    if plan.sup == "cell walk":
         return Fraction(_cell_sum_max(spec, tau, n, word_cap), n)
-    if path == "graph pass":
+    if plan.sup == "graph pass":
         return Fraction(_graph_sum_max(spec, tau.step_values(), n), n)
     s = tau.radius
     best = None

@@ -21,12 +21,13 @@ spa(T, V(w), eps) by two such sums over unpadded words.  All of them
 take the fiber classes of the words (_classes), then one sum of fiber
 counts (_fiber_sum, one memo per system).  A class is a visited set,
 translated to start at 0 when the fiber only sees translates; when
-visited sets are intervals it is range(r), counted by range_histograms,
-and request_histograms asks that engine for every n of a run at once.
-On a product base whose rule reads one factor, the classes are those
-of that factor (cocycle.read_factor), each counted times the words of
-the factors the rule ignores; the fiber sees only the visited set, so
-the sums are exactly those over the product's own words.
+visited sets are intervals it is range(r), counted by the range
+histograms, and request_histograms asks for every n of a run at once.
+Each system reads the counting plan (cocycle.counting_plan) it makes
+when built: on a product base whose rule reads one factor, the classes
+are those of that factor, each counted times the words of the factors
+the rule ignores; the fiber sees only the visited set, so the sums are
+exactly those over the product's own words.
 
 The independent oracle skew_sep_greedy uses neither reduction: it
 walks explicit representative pairs and groups them by the raw scan data
@@ -41,15 +42,21 @@ on finite data, inferring the minimal constant E from the run.
 from collections import namedtuple
 from fractions import Fraction
 
-from .cocycle import (Cocycle, dropped_count, ergodic_sums, interval_steps,
-                      range_histograms, read_factor, visited_sets)
+from .cocycle import (Cocycle, counting_plan, dropped_count, ergodic_sums,
+                      plan_histograms, visited_sets)
 from .fiber import SymbolicFiber, sep_count
 from .symbolic import language_on, rho
 from .util import DEFAULT_WORD_CAP, CapExceeded, ConfigError
 
 
 class SkewSystem:
-    """base subshift, integer cocycle, invertible fiber, as one object."""
+    """base subshift, integer cocycle, invertible fiber, as one object.
+
+    by_range: counts may group words by the range r of their visited set,
+    which interval steps fix up to translation, and a translation-invariant
+    fiber counts every translate alike.  plan is counting_plan(base, tau),
+    its histograms "enumeration" when words do not group by range.
+    """
 
     def __init__(self, base, tau, fiber):
         if not isinstance(tau, Cocycle):
@@ -64,6 +71,11 @@ class SkewSystem:
         self.base = base
         self.tau = tau
         self.fiber = fiber
+        plan = counting_plan(base, tau)
+        self.by_range = (plan.steps is not None
+                         and fiber.translation_invariant)
+        self.plan = (plan if self.by_range
+                     else plan._replace(histograms="enumeration"))
         # {eps: {class: (count, exact)}}: fiber counts, see _fiber_sum
         self._fiber_counts = {}
 
@@ -161,35 +173,24 @@ def skew_sep_greedy(sys, n, epsilon, margin=None, pair_cap=2 ** 24):
 CapacityBracket = namedtuple("CapacityBracket", "n epsilon lower upper")
 
 
-def by_range(sys):
-    """Whether counts may group words by the range r of their visited set.
-
-    A radius-0 rule with steps in {-1, 0, 1} makes every visited set the
-    interval range(r) up to translation, and a translation-invariant
-    fiber gives every translate the same count.
-    """
-    return (interval_steps(sys.tau) is not None
-            and sys.fiber.translation_invariant)
-
-
 def _classes(sys, n, pad, word_cap, force_enumeration):
     """{fiber class: word count} over L_{n+2pad,s}.
 
     A class is the visited set of a word's middle window, translated to
     start at 0 when the fiber is translation-invariant.  When words group
-    by range (see by_range) the class of range r is range(r), counted by
-    range_histograms; otherwise the visited sets of the factor the rule
-    reads (read_factor) are counted times the dropped factors' words.
+    by range (sys.by_range) the class of range r is range(r), counted by
+    the system's plan (plan_histograms); otherwise the visited sets of
+    the plan's factor are counted times the dropped factors' words.
     force_enumeration reads the visited sets of the raw base instead.
     """
     if force_enumeration:
         base, tau, dropped = sys.base, sys.tau, ()
-    elif by_range(sys):
-        hist = range_histograms(sys.base, sys.tau, [n], word_cap=word_cap,
-                                pad=pad)[n]
+    elif sys.by_range:
+        hist = plan_histograms(sys.plan, [n], word_cap, pad)[n]
         return {range(r): cnt for r, cnt in hist.items()}
     else:
-        base, tau, dropped = read_factor(sys.base, sys.tau)
+        plan = sys.plan
+        base, tau, dropped = plan.factor, plan.rule, plan.dropped
     k = dropped_count(dropped, n + 2 * tau.radius + 2 * pad)
     sets = visited_sets(base, tau, n, word_cap=word_cap, pad=pad)
     if not sys.fiber.translation_invariant:
@@ -224,16 +225,16 @@ def _fiber_sum(sys, classes, epsilon, fresh, exact=False):
 
 
 def request_histograms(sys, ns, epsilons, word_cap=DEFAULT_WORD_CAP):
-    """Ask the range engine once for every n of a run, per distinct pad.
+    """Ask the system's plan once for every n of a run, per distinct pad.
 
     capacity_A reads pad 0 and skew_sep_direct at eps reads pad rho(eps);
     one request per pad lets a single pass serve every n.  A no-op when
     words do not group by range.
     """
-    if not by_range(sys):
+    if not sys.by_range:
         return
     for pad in sorted({0} | {rho(e) for e in epsilons}):
-        range_histograms(sys.base, sys.tau, ns, word_cap=word_cap, pad=pad)
+        plan_histograms(sys.plan, ns, word_cap, pad)
 
 
 def capacity_A(sys, n, epsilon, word_cap=DEFAULT_WORD_CAP,

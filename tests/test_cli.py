@@ -63,8 +63,10 @@ def test_make_scale():
     assert isinstance(make_scale("range-exp", base, tau, 100), RangeExpScale)
     with pytest.raises(ConfigError):
         make_scale("range-exp", None, None, 100)
+    # an unknown scale is refused where a config is read, as argparse
+    # refuses the flag
     with pytest.raises(ConfigError):
-        make_scale("fourier", base, tau, 100)
+        cli.apply_config({}, {"parameters": {"scale": "fourier"}})
 
 
 # -- exit code 0 paths --------------------------------------------------------
@@ -287,6 +289,98 @@ def test_birkhoff_on_a_full_shift_takes_the_graph_pass(tmp_path, capsys):
     assert rows[1:] == ["21,1,1.0"]
 
 
+SYMBOLIC_BITS = {"variant": "symbolic",
+                 "spec": {"variant": "full", "alphabet": [0, 1]}}
+# systems outside the presets: a radius-1 rule, a step of 2 over the
+# golden mean, and a toral fiber, whose skew counts cannot group words by
+# range
+PLAN_SYSTEMS = {
+    "radius-1": {"base": {"variant": "full", "alphabet": [0, 1]},
+                 "tau": {"radius": 1,
+                         "rule": {"%d%d%d" % (a, b, c): 2 * c - 1
+                                  for a in (0, 1) for b in (0, 1)
+                                  for c in (0, 1)}},
+                 "fiber": SYMBOLIC_BITS},
+    "step-2": {"base": {"variant": "sft", "alphabet": [0, 1],
+                        "forbidden": ["11"]},
+               "tau": {"radius": 0, "rule": {"0": -1, "1": 2}},
+               "fiber": SYMBOLIC_BITS},
+    "toral": {"base": {"variant": "full", "alphabet": [0, 1]},
+              "tau": {"radius": 0, "rule": {"0": -1, "1": 1}},
+              "fiber": {"variant": "toral", "matrix": [[2, 1], [1, 1]],
+                        "grid": 3}},
+}
+# the engine each summary names: histograms for cocycle-stats,
+# unbounded-profile and sep (slow-entropy on the toral system, which has
+# no exact sep), then birkhoff's sup
+COUNTED_ON = {
+    "tt-inverse": ("strips", "strips", "strips", "graph pass"),
+    "sturmian-walk": ("enumeration",) * 3 + ("cell walk",),
+    "sturmian-product": ("enumeration",) * 3 + ("cell walk",),
+    "identity-fiber-smoke": ("strips", "strips", "strips", "graph pass"),
+    "radius-1": ("enumeration",) * 4,
+    "step-2": ("enumeration",) * 3 + ("graph pass",),
+    "toral": ("strips", "strips", "enumeration", "graph pass"),
+}
+
+
+def _counting_runs():
+    for system, engines in COUNTED_ON.items():
+        commands = ("cocycle-stats", "unbounded-profile",
+                    "slow-entropy" if system == "toral" else "sep",
+                    "birkhoff")
+        yield from ((system, c, e) for c, e in zip(commands, engines))
+
+
+def _engines_that_run(monkeypatch):
+    """The set of counting engines called from now on, by plan name."""
+    from entroscope import cocycle, entropy, skew, symbolic
+    ran = set()
+
+    def wrap(owner, name, engine):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            ran.add(engine)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
+    wrap(cocycle, "_walk_pass", "strips")
+    wrap(cocycle, "visited_sets", "enumeration")
+    wrap(skew, "visited_sets", "enumeration")
+    wrap(entropy, "_graph_sum_max", "graph pass")
+    wrap(symbolic.Sturmian, "cells", "cell walk")
+    return ran
+
+
+@pytest.mark.parametrize("system, command, engine", list(_counting_runs()))
+def test_counted_on_names_the_engine_that_ran(monkeypatch, tmp_path, capsys,
+                                              system, command, engine):
+    if system in PLAN_SYSTEMS:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({
+            "command": command, "system": PLAN_SYSTEMS[system],
+            "parameters": {"epsilon": "1/4", "n_range": [2, 3], "n_max": 6,
+                           "t_grid": [0.5, 1.0], "n_list": [4, 6]}}))
+        argv = ["run", "--config", str(path)]
+    else:
+        argv = [command, "--preset", system]
+    ran = _engines_that_run(monkeypatch)
+    assert main(argv + ["--no-self-check", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    counted = json.loads((tmp_path / "summary.json").read_text())["meta"][
+        "counted_on"]
+    if command == "birkhoff":
+        assert counted["sup"] == engine
+        # a loop over the words calls neither engine
+        assert ran == {counted["sup"]} - {"enumeration"}
+    else:
+        assert counted["histograms"] == engine
+        # a Sturmian base's words come from its cell walk
+        assert ran - {"cell walk"} == {counted["histograms"]}
+
+
 def test_cocycle_stats_asks_the_range_engine_once(monkeypatch, capsys):
     from entroscope import cocycle
     monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
@@ -357,6 +451,12 @@ def test_unknown_flag_is_exit_2(capsys):
     "k-estimate --sequence geometric:1",
     "k-estimate --sequence arithmetic(1,0)",
     "goodwyn --k-symbols 0 --sequence geometric:2",
+    # a NaN or infinite stop would never end the grid
+    "slow-entropy --preset tt-inverse --t-grid 0.3:nan:0.1",
+    "slow-entropy --preset tt-inverse --t-grid 0.3:inf:0.1",
+    "slow-entropy --preset tt-inverse --t-grid nan",
+    "slow-entropy --preset tt-inverse --t-grid inf",
+    "slow-entropy --preset tt-inverse --threshold nan",
 ])
 def test_out_of_range_value_is_config_error(argv, capsys):
     # a value the library rejects (a ValueError) is a configuration
@@ -435,10 +535,44 @@ def test_unreadable_numbers_are_exit_2(tmp_path, capsys):
     assert "invalid fraction value" in capsys.readouterr().err
     path = tmp_path / "bad.json"
     for params in ({"radius": "1/0"}, {"n": float("inf")},
-                   {"t_grid": {"start": 0.3, "stop": 1.1, "step": 0}}):
+                   {"t_grid": {"start": 0.3, "stop": 1.1, "step": 0}},
+                   {"t_grid": {"start": 0.3, "stop": float("inf"),
+                               "step": 0.1}}):
         path.write_text(json.dumps({"parameters": params}))
         assert main(["hamming", "--config", str(path)]) == 2
         assert "bad value for parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [("folner", "family"),
+                                          ("slow-entropy", "scale")])
+def test_config_values_outside_the_choices_are_exit_2(tmp_path, capsys,
+                                                      command, key):
+    # checked where the config is read, as argparse checks the flag
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": command, "preset": "tt-inverse",
+                                "parameters": {key: "bogus"}}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "bad value for parameter %r" % key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_summary_params_rerun_the_preset(tmp_path, capsys, preset):
+    # summary.json echoes every system as JSON, product rules included,
+    # so a config built from its params reruns the command
+    assert main(["sep", "--preset", preset,
+                 "--out", str(tmp_path / "preset")]) == 0
+    params = json.loads((tmp_path / "preset" / "summary.json").read_text())[
+        "meta"]["params"]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "command": "sep",
+        "system": {key: params[key] for key in ("base", "tau", "fiber")},
+        "parameters": {k: v for k, v in params.items() if k in cli.PARAMS},
+        "output": str(tmp_path / "config")}))
+    assert main(["run", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "config" / "sep.csv").read_bytes()
+            == (tmp_path / "preset" / "sep.csv").read_bytes())
 
 
 # -- exit code 3: cap exhaustion -------------------------------------------------

@@ -235,6 +235,23 @@ def test_cocycle_json_round_trip():
     assert again.rule == wide.rule and again.radius == 1
 
 
+def test_cocycle_json_round_trips_pair_labels():
+    import json
+    # a rule over a product base reads pairs of labels, nested as deep as
+    # the product is
+    pairs = [(a, b) for a in (-1, 1) for b in (0, 1)]
+    nested = [(p, c) for p in pairs for c in (0, 1)]
+    rules = [Cocycle({(p,): p[0] for p in pairs}),
+             Cocycle({(x,): x[0][0] * (1 + x[1]) for x in nested}),
+             Cocycle({(p, q, r): p[0] - r[1] for p in pairs for q in pairs
+                      for r in pairs}, radius=1)]
+    assert cocycle_to_json(rules[0])["rule"] == {
+        "[[-1,0]]": -1, "[[-1,1]]": -1, "[[1,0]]": 1, "[[1,1]]": 1}
+    for tau in rules:
+        back = cocycle_from_json(json.loads(json.dumps(cocycle_to_json(tau))))
+        assert back.rule == tau.rule and back.radius == tau.radius
+
+
 @settings(deadline=None)
 @given(st.integers(2, 10))
 def test_dp_total_mass_is_language_size(n):
