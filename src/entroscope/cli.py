@@ -177,6 +177,20 @@ PARAMS = {
 _CONFIG_KEYS = ("command", "preset", "system", "parameters", "output")
 
 
+def read_param(key, value, where):
+    """A config value or flag text read by the parameter's kind and
+    checked against its choices; where names the source in errors."""
+    p = PARAMS[key]
+    try:
+        value = p.kind(value)
+    except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
+        raise ConfigError("bad value for %s: %s" % (where, exc))
+    if p.choices is not None and value not in p.choices:
+        raise ConfigError("bad value for %s: %r (choose from %s)"
+                          % (where, value, ", ".join(p.choices)))
+    return value
+
+
 def apply_config(ctx, doc):
     """Merge one JSON config document into the context, validating keys."""
     if not isinstance(doc, dict):
@@ -206,14 +220,7 @@ def apply_config(ctx, doc):
         if key not in PARAMS:
             raise ConfigError("unknown parameter %r (known: %s)"
                               % (key, ", ".join(sorted(PARAMS))))
-        try:
-            ctx[key] = value = PARAMS[key].kind(value)
-        except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
-            raise ConfigError("bad value for parameter %r: %s" % (key, exc))
-        choices = PARAMS[key].choices
-        if choices is not None and value not in choices:
-            raise ConfigError("bad value for parameter %r: %r (choose from "
-                              "%s)" % (key, value, ", ".join(choices)))
+        ctx[key] = read_param(key, value, "parameter %r" % key)
     if "output" in doc:
         ctx["out"] = str(doc["output"])
     if "command" in doc:
@@ -237,7 +244,8 @@ def load_context(args):
     for key in (*PARAMS, "out"):
         value = getattr(args, key, None)
         if value is not None:
-            ctx[key] = value
+            ctx[key] = (read_param(key, value, PARAMS[key].flag)
+                        if key in PARAMS else value)
     if ctx["word_cap"] < 1:
         raise ConfigError("word cap must be positive")
     for key in ("n_range", "n_list", "t_grid"):
@@ -285,10 +293,10 @@ def echo_params(ctx):
 def self_check_skew(system, epsilon, word_cap):
     """Recompute capacity_A and skew_sep_direct at n = 3 by enumeration.
 
-    Where words do not group by range, the fast path and the enumeration
-    read the same visited sets, so skew_sep_direct is also compared with
-    the independent skew_sep_greedy (on the narrowest hulls its scan
-    allows, within SELF_CHECK_PAIRS representative pairs).  Returns a
+    Where the plan has no interval steps, the fast path and the
+    enumeration read the same visited sets, so skew_sep_direct is also
+    compared with the independent skew_sep_greedy (on the narrowest hulls
+    its scan allows, within SELF_CHECK_PAIRS representative pairs).  Returns a
     note per check made.  A check is skipped where its count is out of
     reach: a cap, a Sturmian horizon, or a system without exact skew
     counts.
@@ -298,7 +306,7 @@ def self_check_skew(system, epsilon, word_cap):
                partial(skew.capacity_A, force_enumeration=True)),
               ("sep", skew.skew_sep_direct, "enumeration",
                partial(skew.skew_sep_direct, force_enumeration=True))]
-    if not system.by_range:
+    if system.plan.steps is None:
         def greedy(sys, n, eps, word_cap):
             return skew.skew_sep_greedy(sys, n, eps,
                                         margin=symbolic.rho(eps),
@@ -700,9 +708,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser():
     def add_param(parser, key):
+        # the text is read by load_context, as a config value is
         p = PARAMS[key]
-        parser.add_argument(p.flag, dest=key, type=p.kind, help=p.help,
-                            choices=p.choices)
+        parser.add_argument(p.flag, dest=key, help=p.help, metavar=(
+            p.choices and "{%s}" % ",".join(p.choices)))
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--preset", help="preset name (see preset-list)")

@@ -17,7 +17,10 @@ factor the rule reads (read_factor): the rule is rewritten on that
 factor, and every count over the product is the same count over the
 factor times the word counts of the dropped factors (dropped_count).
 visited_sets itself enumerates whatever base it is given, so
-enumeration of the raw product stays the oracle.
+enumeration of the raw product stays the oracle.  plan_classes is the
+one routine that turns a plan's words into fiber classes, each word's
+visited set translated to start at 0 (range(r) where the plan has
+interval steps); the skew counts and profile_counts read it.
 
 range_histograms is the one source of r histograms over a language,
 optionally over the middle window of longer words (pad).  Where the plan
@@ -517,6 +520,33 @@ def _strip_counts(width, F, moves, starts, left, right, emit):
     return out
 
 
+def plan_classes(plan, n, word_cap=DEFAULT_WORD_CAP, pad=0):
+    """{fiber class: word count} over L_{n+2pad,s} under a counting plan.
+
+    A class is the visited set of a word's middle window translated to
+    start at 0, which no fiber count tells apart (see fiber): range(r)
+    from plan_histograms where the plan has interval steps, else the
+    factor's visited sets times the dropped factors' words, whose r
+    histogram then seeds the histograms' memo.
+    """
+    if plan.steps is not None:
+        hist = plan_histograms(plan, [n], word_cap, pad)[n]
+        return {range(r): cnt for r, cnt in hist.items()}
+    sets = visited_sets(plan.factor, plan.rule, n, word_cap=word_cap, pad=pad)
+    _histogram_memo(plan, word_cap, pad).setdefault(n, _histogram(sets))
+    k = dropped_count(plan.dropped, n + 2 * plan.rule.radius + 2 * pad)
+    return translated(sets, k)
+
+
+def translated(sets, k=1):
+    """{V - min V: count * k, summed} from {visited set V: count}."""
+    out = {}
+    for V, cnt in sets.items():
+        key = tuple(v - V[0] for v in V)
+        out[key] = out.get(key, 0) + cnt * k
+    return out
+
+
 def range_distribution(spec, tau, n, word_cap=DEFAULT_WORD_CAP):
     """{r: count} over L_{n,s}."""
     return range_histograms(spec, tau, [n], word_cap=word_cap)[n]
@@ -529,28 +559,28 @@ def unbounded_profile(spec, tau, N, n, word_cap=DEFAULT_WORD_CAP):
     defining property is a statement about all n and is not decidable
     from any single value, so callers track curves over n instead.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    dist = range_distribution(spec, tau, n, word_cap=word_cap)
-    total = sum(dist.values())
-    if total == 0:
-        raise ValueError("empty language at n=%d" % n)
-    hit = sum(cnt for r, cnt in dist.items() if r >= N)
-    return Fraction(hit, total)
+    return unbounded_evidence(spec, tau, N, [n], word_cap)["curve"][0][1]
 
 
 def unbounded_evidence(spec, tau, N, n_values, word_cap=DEFAULT_WORD_CAP):
     """Proportion curve over the given n values, plus a qualitative flag.
 
-    The flag only says the proportion stayed at or above its starting
-    level through n_max; it is evidence at level (N, n_max), never a
-    verdict on the unboundedness property itself.
+    The curve is read off one request, so one pass serves every n.  The
+    flag only says the proportion stayed at or above its starting level
+    through n_max; it is evidence at level (N, n_max), never a verdict
+    on the unboundedness property itself.
     """
+    if N < 1:
+        raise ValueError("N must be >= 1")
     ns = sorted(set(int(n) for n in n_values))
-    # one request, so one DP pass serves every n of the curve
-    range_histograms(spec, tau, ns, word_cap=word_cap)
-    curve = [(n, unbounded_profile(spec, tau, N, n, word_cap=word_cap))
-             for n in ns]
+    hists = range_histograms(spec, tau, ns, word_cap=word_cap)
+    curve = []
+    for n, hist in hists.items():  # ns ascending
+        total = sum(hist.values())
+        if total == 0:
+            raise ValueError("empty language at n=%d" % n)
+        hit = sum(cnt for r, cnt in hist.items() if r >= N)
+        curve.append((n, Fraction(hit, total)))
     flag = all(p >= curve[0][1] for _, p in curve)
     return {"N": N, "curve": curve, "nondecreasing_from_start": flag,
             "n_max": ns[-1]}
@@ -559,25 +589,14 @@ def unbounded_evidence(spec, tau, N, n_values, word_cap=DEFAULT_WORD_CAP):
 def profile_counts(spec, tau, n, word_cap=DEFAULT_WORD_CAP):
     """{(r, q): count} over L_{n,s} with q = r * c_m(V) = |V + {0..m-1}|.
 
-    Where counting_plan finds interval steps, q is the function r + m - 1
-    of r and the range histogram suffices; otherwise q depends on V
-    itself and is its cover size.  The visited sets are those of the
-    plan's factor, each counted times the dropped factors' words, and
-    their r histogram goes into the histograms' memo, so a later
-    range_distribution at this n enumerates nothing.
+    r and q are the size and cover size of each word's class
+    (plan_classes), which no translate changes.
     """
-    m = tau.bound
-    plan = counting_plan(spec, tau)
-    if plan.steps is not None:
-        dist = plan_histograms(plan, [n], word_cap)[n]
-        return {(r, r + m - 1): cnt for r, cnt in dist.items()}
-    sets = visited_sets(plan.factor, plan.rule, n, word_cap=word_cap)
-    _histogram_memo(plan, word_cap, 0).setdefault(n, _histogram(sets))
     out = {}
-    for V, cnt in sets.items():
-        key = (len(V), cover_size(V, m))
+    for F, cnt in plan_classes(counting_plan(spec, tau), n, word_cap).items():
+        key = (len(F), cover_size(F, tau.bound))
         out[key] = out.get(key, 0) + cnt
-    return _scaled(out, dropped_count(plan.dropped, n + 2 * tau.radius))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .cocycle import _check_steps, counting_plan, ergodic_sums, profile_counts
+from .cocycle import (_check_steps, counting_plan, ergodic_sums,
+                      profile_counts, range_distribution)
 from .fiber import spa_bracket
 from .sequence import hamming_ball_count, k_estimate  # noqa: F401
 from .skew import SkewSystem, capacity_A, request_histograms
@@ -104,12 +105,8 @@ class RangeInnerScale:
     def _classes(self, n):
         got = self._cache.get(n)
         if got is None:
-            counts = profile_counts(self.spec, self.tau, n,
-                                    word_cap=self.word_cap)
-            grouped = {}
-            for (r, _q), cnt in counts.items():
-                grouped[r] = grouped.get(r, 0) + cnt
-            got = sorted(grouped.items())
+            got = sorted(range_distribution(self.spec, self.tau, n,
+                                            word_cap=self.word_cap).items())
             self._cache[n] = got
         return got
 

@@ -2,7 +2,9 @@
 
 Four carriers: points of a subshift (the shift map), the circle under
 a rotation, a finite set of exact numbers under the identity, and the
-torus grid under an integer automorphism.  All expose the same small
+torus grid under an integer automorphism.  Each map is invertible and
+T^c carries the Bowen metric over F + c onto the one over F, so every
+count is the same over F and its translates.  All expose the same small
 surface: iterate, exact distance, a certified distance_le predicate,
 and sep_exact where a closed form or exact search exists (None
 otherwise).  The symbolic and toral carriers also give sample_points,
@@ -55,8 +57,6 @@ def _circle_distance(s, t):
 class SymbolicFiber:
     """A subshift under its shift map; points are WindowPoints."""
 
-    translation_invariant = True
-
     def __init__(self, spec):
         self.spec = spec
 
@@ -101,8 +101,6 @@ class RotationFiber:
     separated counts do not depend on F at all.
     """
 
-    translation_invariant = True
-
     def __init__(self, angle):
         if not isinstance(angle, QuadExact):
             angle = QuadExact(Fraction(angle))
@@ -132,8 +130,6 @@ class IdentityFiber:
     subset, which is fine at the couple dozen points this carrier is
     meant for.
     """
-
-    translation_invariant = True
 
     def __init__(self, points):
         pts = list(points)
@@ -188,9 +184,13 @@ class ToralAutoFiber:
     so all iterates stay exact.  The metric is the max of the coordinate
     circle metrics.  No closed-form separated count exists here; callers
     get greedy brackets only (sep_exact returns None).
-    """
 
-    translation_invariant = False
+    A bracket over F - min F is one over F: the matrix permutes the
+    grid, and d_{F+c}(x, y) = d_F(T^c x, T^c y), so T^c maps each
+    eps-separated (spanning) subset of the grid over F + c onto one over
+    F of the same size, a greedy set over F - min F onto a maximal
+    separated set over F.
+    """
 
     def __init__(self, matrix, grid):
         (a, b), (c, d) = matrix

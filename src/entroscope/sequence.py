@@ -23,11 +23,14 @@ from fractions import Fraction
 
 
 def cover_size(elems, m):
-    """|F + {0..m-1}| for a finite F given as its strictly increasing elements.
+    """|F + {0..m-1}| for a finite F given as its strictly increasing
+    elements, or as a nonempty range.
 
     Each consecutive gap g contributes min(g, m) fresh integers and the
-    last element m more.
+    last element m more; every gap of a range is its step.
     """
+    if isinstance(elems, range):
+        return m + (len(elems) - 1) * min(abs(elems.step), m)
     cover = m
     for a, b in zip(elems, elems[1:]):
         cover += min(b - a, m)
@@ -35,17 +38,10 @@ def cover_size(elems, m):
 
 
 def c_m(F, m):
-    """|F + {0..m-1}| / |F| for a finite integer set F.
-
-    Arithmetic progressions (range inputs) use the closed form, since
-    every gap equals the step.
-    """
+    """|F + {0..m-1}| / |F| for a finite integer set F (or a range)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if isinstance(F, range) and len(F) > 0:
-        count = len(F)
-        return Fraction(m + (count - 1) * min(abs(F.step), m), count)
-    elems = sorted(set(int(x) for x in F))
+    elems = F if isinstance(F, range) else sorted(set(int(x) for x in F))
     if not elems:
         raise ValueError("F must be nonempty")
     return Fraction(cover_size(elems, m), len(elems))

@@ -19,15 +19,16 @@ the base windows being the words of L_{n,s} padded by rho - s letters
 on each side.  capacity_A brackets A_n(eps) = sum over w in L_{n,s} of
 spa(T, V(w), eps) by two such sums over unpadded words.  All of them
 take the fiber classes of the words (_classes), then one sum of fiber
-counts (_fiber_sum, one memo per system).  A class is a visited set,
-translated to start at 0 when the fiber only sees translates; when
-visited sets are intervals it is range(r), counted by the range
-histograms, and request_histograms asks for every n of a run at once.
-Each system reads the counting plan (cocycle.counting_plan) it makes
-when built: on a product base whose rule reads one factor, the classes
-are those of that factor, each counted times the words of the factors
-the rule ignores; the fiber sees only the visited set, so the sums are
-exactly those over the product's own words.
+counts (_fiber_sum, one memo per system).  Every fiber map T here is
+invertible, and T^c carries the Bowen metric over F + c onto the one
+over F, so sep(T, F + c, eps) = sep(T, F, eps): a class is a visited
+set translated to start at 0.  cocycle.plan_classes builds them from
+the counting plan each system makes when built: range(r), counted by
+the range histograms, when visited sets are intervals (and
+request_histograms asks for every n of a run at once); otherwise the
+visited sets of the factor the rule reads, each counted times the words
+of the factors the rule ignores.  The fiber sees only the visited set,
+so the sums are exactly those over the product's own words.
 
 The independent oracle skew_sep_greedy uses neither reduction: it
 walks explicit representative pairs and groups them by the raw scan data
@@ -42,8 +43,8 @@ on finite data, inferring the minimal constant E from the run.
 from collections import namedtuple
 from fractions import Fraction
 
-from .cocycle import (Cocycle, counting_plan, dropped_count, ergodic_sums,
-                      plan_histograms, visited_sets)
+from .cocycle import (Cocycle, counting_plan, ergodic_sums, plan_classes,
+                      plan_histograms, translated, visited_sets)
 from .fiber import SymbolicFiber, sep_count
 from .symbolic import language_on, rho
 from .util import DEFAULT_WORD_CAP, CapExceeded, ConfigError
@@ -52,10 +53,8 @@ from .util import DEFAULT_WORD_CAP, CapExceeded, ConfigError
 class SkewSystem:
     """base subshift, integer cocycle, invertible fiber, as one object.
 
-    by_range: counts may group words by the range r of their visited set,
-    which interval steps fix up to translation, and a translation-invariant
-    fiber counts every translate alike.  plan is counting_plan(base, tau),
-    its histograms "enumeration" when words do not group by range.
+    plan is counting_plan(base, tau), made once: every count over the
+    system reads its fiber classes from it (cocycle.plan_classes).
     """
 
     def __init__(self, base, tau, fiber):
@@ -71,11 +70,7 @@ class SkewSystem:
         self.base = base
         self.tau = tau
         self.fiber = fiber
-        plan = counting_plan(base, tau)
-        self.by_range = (plan.steps is not None
-                         and fiber.translation_invariant)
-        self.plan = (plan if self.by_range
-                     else plan._replace(histograms="enumeration"))
+        self.plan = counting_plan(base, tau)
         # {eps: {class: (count, exact)}}: fiber counts, see _fiber_sum
         self._fiber_counts = {}
 
@@ -174,32 +169,13 @@ CapacityBracket = namedtuple("CapacityBracket", "n epsilon lower upper")
 
 
 def _classes(sys, n, pad, word_cap, force_enumeration):
-    """{fiber class: word count} over L_{n+2pad,s}.
-
-    A class is the visited set of a word's middle window, translated to
-    start at 0 when the fiber is translation-invariant.  When words group
-    by range (sys.by_range) the class of range r is range(r), counted by
-    the system's plan (plan_histograms); otherwise the visited sets of
-    the plan's factor are counted times the dropped factors' words.
-    force_enumeration reads the visited sets of the raw base instead.
-    """
+    """{fiber class: word count} over L_{n+2pad,s}: the system's
+    plan_classes, or with force_enumeration the visited sets of the raw
+    base's own words, translated to start at 0 alike."""
     if force_enumeration:
-        base, tau, dropped = sys.base, sys.tau, ()
-    elif sys.by_range:
-        hist = plan_histograms(sys.plan, [n], word_cap, pad)[n]
-        return {range(r): cnt for r, cnt in hist.items()}
-    else:
-        plan = sys.plan
-        base, tau, dropped = plan.factor, plan.rule, plan.dropped
-    k = dropped_count(dropped, n + 2 * tau.radius + 2 * pad)
-    sets = visited_sets(base, tau, n, word_cap=word_cap, pad=pad)
-    if not sys.fiber.translation_invariant:
-        return {V: cnt * k for V, cnt in sets.items()}
-    classes = {}
-    for V, cnt in sets.items():
-        key = tuple(v - V[0] for v in V)
-        classes[key] = classes.get(key, 0) + cnt * k
-    return classes
+        return translated(visited_sets(sys.base, sys.tau, n,
+                                       word_cap=word_cap, pad=pad))
+    return plan_classes(sys.plan, n, word_cap, pad)
 
 
 def _fiber_sum(sys, classes, epsilon, fresh, exact=False):
@@ -229,9 +205,9 @@ def request_histograms(sys, ns, epsilons, word_cap=DEFAULT_WORD_CAP):
 
     capacity_A reads pad 0 and skew_sep_direct at eps reads pad rho(eps);
     one request per pad lets a single pass serve every n.  A no-op when
-    words do not group by range.
+    the classes are not ranges (the plan has no interval steps).
     """
-    if not sys.by_range:
+    if sys.plan.steps is None:
         return
     for pad in sorted({0} | {rho(e) for e in epsilons}):
         plan_histograms(sys.plan, ns, word_cap, pad)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from entroscope.exactnum import GOLDEN_MEAN_ALPHA
 from entroscope.fiber import (IdentityFiber, RotationFiber, SymbolicFiber,
-                              ToralAutoFiber, bowen_distance, bowen_le,
+                              ToralAutoFiber, _max_far_subset,
+                              bowen_distance, bowen_le,
                               circle_sep_exact, fiber_from_json,
                               fiber_to_json, sep_count, sep_exact_symbolic,
                               sep_greedy, spa_bracket)
@@ -151,6 +152,29 @@ def test_toral_metric_and_greedy_bracket():
     assert count >= 4  # grid has 16 points; plenty stay 1/4-far for 2 steps
     lo, hi = spa_bracket(T, range(2), Fraction(1, 4))
     assert lo <= hi
+
+
+@pytest.mark.parametrize("grid", [3, 4])
+@pytest.mark.parametrize("matrix", [CAT, ((1, 1), (0, 1)), ((0, 1), (-1, 0))])
+def test_toral_counts_are_translation_invariant(matrix, grid):
+    # the premise of counting a toral fiber over visited sets translated
+    # to start at 0: T^c permutes the grid, so the exact separated count
+    # over F + c is the one over F, and greedy never exceeds it
+    T = ToralAutoFiber(matrix, grid)
+    pts = T.sample_points(range(1), 1)
+
+    def exact(F, eps):
+        return _max_far_subset([[not bowen_le(T, p, q, F, eps) for q in pts]
+                                for p in pts])
+
+    for F in ((0,), (0, 1), (0, 2), (0, 1, 3), (0, 2, 3)):
+        for eps in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 8)):
+            want = exact(F, eps)
+            for c in (0, 1, 2, 5, -3):
+                moved = [i + c for i in F]
+                if c:
+                    assert exact(moved, eps) == want, (F, c, eps)
+                assert sep_count(T, moved, eps)[0] <= want, (F, c, eps)
 
 
 # -- bowen consistency ------------------------------------------------------
