@@ -328,18 +328,20 @@ def self_check_skew(system, epsilon, word_cap):
 
 
 def self_check_distribution(base, tau, word_cap):
-    """Recompute two DP range histograms independently and compare.
+    """Recompute two counted range histograms independently and compare.
 
     The histograms are those of the counting plan (cocycle.counting_plan)
-    where it says "strips"; A is its factor's alphabet.  n = 6 is checked
-    against brute-force enumeration of the base's own words (a product's
-    raw pairs), and the smallest n with |A|^n >= 2^31, where counts no
-    longer fit 31 bits, against the dict DP on the factor times the
-    dropped factors' words (n = 31 on two letters, 20 on three).  Returns
-    the checked n, or None when the histograms are enumerated.
+    where it says "images" or "strips"; A is its factor's alphabet.
+    n = 6 is checked against brute-force enumeration of the base's own
+    words (a product's raw pairs), and the smallest n with
+    |A|^n >= 2^31, where counts no longer fit 31 bits, against the dict
+    DP on the factor times the dropped factors' words (n = 31 on two
+    letters, 20 on three), and the images there against the strips as
+    well.  Returns the checked n, or None when the histograms are
+    enumerated.
     """
     plan = cocycle.counting_plan(base, tau)
-    if plan.histograms != "strips":
+    if plan.histograms == "enumeration":
         return None
     n = 6
     n_big = 1
@@ -352,11 +354,17 @@ def self_check_distribution(base, tau, word_cap):
         raise OracleMismatch("range distribution fast path %r != brute %r "
                              "at n=%d" % (hists[n], dict(brute), n))
     k = cocycle.dropped_count(plan.dropped, n_big + 2 * tau.radius)
-    dp = cocycle.walk_range_distribution(plan.factor, n_big - 1, plan.steps)
-    oracle = {r: cnt * k for r, cnt in dp.items()}
-    if hists[n_big] != oracle:
-        raise OracleMismatch("range distribution fast path %r != dict DP %r "
-                             "at n=%d" % (hists[n_big], oracle, n_big))
+    oracles = [("dict DP", cocycle.walk_range_distribution(
+        plan.factor, n_big - 1, plan.steps))]
+    if plan.histograms == "images":
+        oracles.append(("strips", cocycle._walk_pass(
+            plan.factor, plan.steps, [n_big], 0)[n_big]))
+    for name, got in oracles:
+        oracle = {r: cnt * k for r, cnt in got.items()}
+        if hists[n_big] != oracle:
+            raise OracleMismatch("range distribution fast path %r != %s %r "
+                                 "at n=%d" % (hists[n_big], name, oracle,
+                                              n_big))
     return (n, n_big)
 
 
@@ -422,8 +430,8 @@ def _cmd_cocycle_stats(args, ctx, report):
     plan = cocycle.counting_plan(base, tau)
     _record_counting(report, plan)
     run_self_checks(args, ctx, report, distribution=True)
-    if plan.histograms == "strips":
-        # one strip pass for both tables; enumerated histograms gain
+    if plan.histograms != "enumeration":
+        # one engine call for both tables; enumerated histograms gain
         # nothing from a joint request
         cocycle.plan_histograms(plan, ns + [n_top], ctx["word_cap"])
     entries = []

@@ -24,14 +24,19 @@ interval steps); the skew counts and profile_counts read it.
 
 range_histograms is the one source of r histograms over a language,
 optionally over the middle window of longer words (pad).  Where the plan
-says "strips" it counts by strips instead of enumerating words: for each
-width w it counts the walks that stay inside [0, w] from each start,
-with each graph node's positions packed as fields of one exact Python
-integer, and the range histogram is a second difference of those
-counts in w.  One pass per width serves every requested n.  Results
-are memoized per process.  walk_range_distribution, a dynamic program
-over (graph node, cur - min, max - cur) on dicts of Python integers, is
-the independent oracle it is checked against.
+has interval steps it counts walks inside strips instead of enumerating
+words: for each width w, T_n(w) counts the walks that stay inside
+[0, w] from each start, and the range histogram is a second difference
+of those counts in w (_ranges_from_strips).  On a full shift with as
+many -1 letters as +1 letters the plan says "images": T_n(w) comes in
+closed form from one row of step counts by the method of images
+(_images_pass).  On any other SFT it says "strips": each graph node's
+positions are packed as fields of one exact Python integer, and one
+pass per width serves every requested n (_walk_pass), the runtime
+oracle of the images.  Results are memoized per process.
+walk_range_distribution, a dynamic program over (graph node,
+cur - min, max - cur) on dicts of Python integers, is the independent
+oracle both are checked against.
 """
 
 import json
@@ -216,11 +221,14 @@ def counting_plan(spec, tau):
     factor, rule and dropped are read_factor's.  steps is the rule as
     {label: step} when every visited set is an integer interval (a
     radius-0 rule with steps in {-1, 0, 1}: its size r fixes V up to
-    translation), else None.  histograms is "strips" (_walk_pass) for
-    such steps on a full shift or SFT factor, else "enumeration"
-    (visited_sets).  sup is how birkhoff_sup takes its max: "cell walk"
-    on a Sturmian factor, "graph pass" for a radius-0 rule on a full
-    shift or SFT, else "enumeration" (a loop over the words).
+    translation), else None.  histograms names the engine of the range
+    histograms: for such steps, "images" (_images_pass) on a full shift
+    (an SFT with no forbidden words) whose letters step -1 as often as
+    +1, the symmetric walk the method of images counts, else "strips"
+    (_walk_pass) on a full shift or SFT factor; "enumeration"
+    (visited_sets) otherwise.  sup is how birkhoff_sup takes its max:
+    "cell walk" on a Sturmian factor, "graph pass" for a radius-0 rule
+    on a full shift or SFT, else "enumeration" (a loop over the words).
     """
     factor, rule, dropped = read_factor(spec, tau)
     steps = rule.step_values()
@@ -229,8 +237,13 @@ def counting_plan(spec, tau):
     graph = isinstance(factor, SFT)
     sup = ("cell walk" if isinstance(factor, Sturmian) else
            "graph pass" if graph and rule.radius == 0 else "enumeration")
-    return CountingPlan(factor, rule, dropped, steps,
-                        "strips" if graph and steps else "enumeration", sup)
+    histograms = "enumeration"
+    if graph and steps:
+        moves = Counter(steps.get(a) for a in factor.labels)
+        symmetric = None not in moves and moves[1] == moves[-1]
+        histograms = ("images" if symmetric and not factor.forbidden
+                      else "strips")
+    return CountingPlan(factor, rule, dropped, steps, histograms, sup)
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +345,11 @@ def plan_histograms(plan, ns, word_cap=DEFAULT_WORD_CAP, pad=0):
     bounds the factor's words.  They are kept for the life of the
     process, keyed by what the factor and its rule are (their
     definitions), so equal systems built twice share them.  Where the
-    plan says "strips", the requested n with n + pad beyond the graph's
-    memory K come from one pass of _walk_pass to the largest of them;
-    shorter windows, and every n where it says "enumeration", are
-    enumerated word by word.  Each call returns fresh dicts.
+    plan says "images" or "strips", the requested n with n + pad beyond
+    the graph's memory K come from one call of that engine
+    (_images_pass or _walk_pass); shorter windows, and every n where it
+    says "enumeration", are enumerated word by word.  Each call returns
+    fresh dicts.
     """
     ns = sorted(set(int(n) for n in ns))
     if ns and ns[0] < 1:
@@ -343,19 +357,20 @@ def plan_histograms(plan, ns, word_cap=DEFAULT_WORD_CAP, pad=0):
     if pad < 0:
         raise ValueError("pad must be >= 0")
     spec, tau = plan.factor, plan.rule
-    strips = plan.histograms == "strips"
-    cap = None if strips else word_cap
+    counted = plan.histograms != "enumeration"
+    cap = None if counted else word_cap
     memo = _histogram_memo(plan, cap, pad)
     todo = [n for n in ns if n not in memo]
     # the strips start past the graph's memory K
-    passed = [n for n in todo if strips and n + pad > spec.context]
+    passed = [n for n in todo if counted and n + pad > spec.context]
     for n in todo:
         if n not in passed:
             memo[n] = _histogram(visited_sets(spec, tau, n, word_cap=cap,
                                               pad=pad))
     if passed:
         _check_steps(spec, plan.steps)
-        memo.update(_walk_pass(spec, plan.steps, passed, pad))
+        engine = _images_pass if plan.histograms == "images" else _walk_pass
+        memo.update(engine(spec, plan.steps, passed, pad))
     extra = 2 * tau.radius + 2 * pad  # letters of a word beyond n
     return {n: _scaled(memo[n], dropped_count(plan.dropped, n + extra))
             for n in ns}
@@ -366,7 +381,7 @@ def _histogram_memo(plan, cap, pad):
 
     It is keyed by what the plan's factor and rule are (their
     definitions); cap is the word cap of enumerated histograms, None for
-    the strips'.
+    counted ones.
     """
     rule = plan.rule
     key = (repr(plan.factor), rule.radius, tuple(sorted(rule.rule.items())),
@@ -418,9 +433,8 @@ def _walk_pass(base, vals, ns, pad):
 
     Counts the words of L_{n+2pad} by the range of their middle n-window,
     by strip counting.  T_n(w) counts the pairs (word, start x0) whose
-    middle walk from x0 stays inside [0, w]; a walk of range r fits from
-    max(0, w + 2 - r) starts, so #(range <= r) = T_n(r - 1) - T_n(r - 2)
-    and the histogram is its difference in r.  _strip_counts gives
+    middle walk from x0 stays inside [0, w], and the histogram is its
+    second difference in w (_ranges_from_strips).  _strip_counts gives
     T_n(w) for every n in one pass, so w = 0 .. max(ns) - 1 serve every n.
 
     The walk starts at each node with the steps among the node's own
@@ -449,19 +463,91 @@ def _walk_pass(base, vals, ns, pad):
     moves = [sorted(groups.items()) for groups in ins]
     starts = [[vals[a] for a in u[K - own:]] for u in states]
     F = _field_bits(len(base.labels), top, pad)
-    strips = {n: [0, 0] for n in ns}  # T_n(-2) = T_n(-1) = 0
+    strips = {n: [] for n in ns}
     for w in range(top):
         emit = {n - 1 - own: n for n in ns if n > w}
         for n, T in _strip_counts(w, F, moves, starts, left, right,
                                   emit).items():
             strips[n].append(T)
+    return {n: _ranges_from_strips(T) for n, T in strips.items()}
+
+
+def _ranges_from_strips(T):
+    """{r: count} from the strip counts T[w] = T_n(w), w = 0 .. n - 1.
+
+    A walk of range r fits in [0, w] from max(0, w + 2 - r) starts, so
+    #(range <= r) = T_n(r - 1) - T_n(r - 2), with T_n(-1) = T_n(-2) = 0,
+    and the histogram is its difference in r.
+    """
+    T = [0, 0] + T
+    at_most = [b - a for a, b in zip(T, T[1:])]  # range <= r, r = 0 .. n
+    return {r: at_most[r] - at_most[r - 1] for r in range(1, len(at_most))
+            if at_most[r] != at_most[r - 1]}
+
+
+def _images_pass(base, vals, ns, pad):
+    """{n: {r: count}} for every n in ns, on a full shift with as many
+    -1 letters as +1 letters: _walk_pass's counts in closed form.
+
+    On a full shift the pad letters and the middle window's last letter
+    are free, so T_n(w) is |A|^(2 pad + 1) times the weighted number of
+    pairs (walk of s = n - 1 steps, start a) that stay inside [0, w].
+    With c letters on each of the steps -1 and +1, c0 on 0, and P(d)
+    the coefficient of x^d in (c/x + c0 + c x)^s (_step_row), the walks
+    from a to b that stay inside [0, w] number, by the method of images
+    (the reflection principle; Feller, vol. 1, ch. XIV),
+        sum over k of P(b - a + 2kL) - P(-2 - a - b + 2kL),  L = w + 2.
+    Summed over a and b in [0, w], the two images are triangle-weighted
+    windows tri(2kL) and tri((2k - 1)L) of the row, so T_n(w) is the sum
+    over all integers j of (-1)^j tri(jL), where tri(-jL) = tri(jL) as P
+    is even.  With S2 the second-order prefix sums of the row, the
+    window centred at d is S2[d + s + w + 2] - 2 S2[d + s + 1] +
+    S2[d + s - w]: O(1) per image.  Width w meets the row in O(s / w)
+    images, so every width together costs O(n log n) big-integer
+    operations.
+    """
+    steps = [vals[a] for a in base.labels]
+    c, c0 = steps.count(1), steps.count(0)
+    if steps.count(-1) != c:
+        raise ValueError("images need as many -1 steps as +1 steps")
+    k = len(base.labels) ** (2 * pad + 1)
     out = {}
     for n in ns:
-        T = strips[n]
-        at_most = [T[r + 1] - T[r] for r in range(n + 1)]  # range <= r
-        out[n] = {r: at_most[r] - at_most[r - 1] for r in range(1, n + 1)
-                  if at_most[r] != at_most[r - 1]}
+        s = n - 1
+        # zeros past the row keep every index of an image in range
+        row = _step_row(c, c0, s) + [0] * (2 * s + 2)
+        S2 = list(accumulate(accumulate(row, initial=0), initial=0))
+        T = []
+        for w in range(n):
+            L = w + 2
+            t = S2[s + w + 2] - 2 * S2[s + 1] + S2[s - w]
+            sign = -2
+            for d in range(s + L, 2 * s + w + 1, L):  # d = jL + s, j >= 1
+                t += sign * (S2[d + w + 2] - 2 * S2[d + 1] + S2[d - w])
+                sign = -sign
+            T.append(t)
+        out[n] = _scaled(_ranges_from_strips(T), k)
     return out
+
+
+def _step_row(c, c0, s):
+    """Coefficients of (c/x + c0 + c x)^s at x^-s .. x^s, in O(s) steps.
+
+    With Q = c + c0 x + c x^2 the row is that of P = Q^s, and
+    Q P' = s Q' P gives the three-term recurrence
+        c (m + 1) p[m+1] = c0 (s - m) p[m] + c (2s - m + 1) p[m-1],
+    the binomial one when c0 = 0.  The row is symmetric, so its first
+    half is mirrored.
+    """
+    if c == 0:
+        return [0] * s + [c0 ** s] + [0] * s
+    half, prev = [c ** s], 0
+    for m in range(s):
+        p = half[m]
+        half.append((c0 * (s - m) * p + c * (2 * s - m + 1) * prev)
+                    // (c * (m + 1)))
+        prev = p
+    return half + half[-2::-1]
 
 
 def _strip_counts(width, F, moves, starts, left, right, emit):

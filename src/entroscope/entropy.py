@@ -70,6 +70,7 @@ class RangeExpScale:
         self.tau = tau
         self.word_cap = word_cap
         self._cache = {}
+        self._logs = {}  # {n: [(log count, q)]}, read by every grid t
 
     def _classes(self, n):
         got = self._cache.get(n)
@@ -82,8 +83,11 @@ class RangeExpScale:
 
     def log_eval(self, n, t):
         t = float(t)
-        return log_sum_exp([log_big(cnt) + t * q
-                            for q, cnt in self._classes(n)])
+        logs = self._logs.get(n)
+        if logs is None:
+            logs = self._logs[n] = [(log_big(cnt), q)
+                                    for q, cnt in self._classes(n)]
+        return log_sum_exp([lc + t * q for lc, q in logs])
 
     def eval_exact(self, n, base):
         """Exact sum with base = e^t rational, e.g. base 2 for t = ln 2."""

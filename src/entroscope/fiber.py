@@ -275,14 +275,20 @@ def sep_exact_symbolic(spec, F, epsilon, word_cap=DEFAULT_WORD_CAP):
     eps at some time in F, and any two agreeing there are eps-close at
     every time in F, so the language restriction counts a maximal
     separated family.  eps >= 2 makes every pair close: the count is 1.
+    An interval F (a range with step 1, as the fiber classes of interval
+    steps are) widens to the interval of len(F) + 2 rho letters.
     """
     e = _exact_eps(epsilon)
-    F = sorted(set(int(i) for i in F))
+    interval = isinstance(F, range) and F.step == 1
+    if not interval:
+        F = sorted(set(int(i) for i in F))
     if not F:
         raise ValueError("F must be nonempty")
     if e >= 2:
         return 1
     r = rho(e)
+    if interval:
+        return complexity(spec, len(F) + 2 * r)
     window = sorted({i + d for i in F for d in range(-r, r + 1)})
     span = window[-1] - window[0] + 1
     if span == len(window):

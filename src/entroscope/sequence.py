@@ -109,11 +109,14 @@ def sa_size(A, n, m):
     """|S_A(n, m)| = |{t_i + j : i <= n, 0 <= j < m}|, exactly.
 
     The C_m cover of the terms, which are strictly increasing already.
-    A geometric sequence's gaps (b - 1) b^i grow past m after
-    O(log_b m) terms, so its cover is summed without building them.
+    An arithmetic sequence's terms are a range, whose cover is closed
+    form, and a geometric sequence's gaps (b - 1) b^i grow past m after
+    O(log_b m) terms, so neither cover builds its terms.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
+    if isinstance(A, Arithmetic):
+        return cover_size(range(A.start, A.start + n * A.step, A.step), m)
     if isinstance(A, Geometric):
         # the gaps below m count in full, each later one adds m
         cover = m

@@ -202,8 +202,8 @@ def _mat_pow(m, e):
 class FullShift(SFT):
     """All bi-infinite sequences over the given alphabet.
 
-    The SFT with no forbidden words: the graph paths and counts take it
-    as it is, while its words come straight from the alphabet.
+    The SFT with no forbidden words: the graph paths take it as it is,
+    while its words and their count come straight from the alphabet.
     """
 
     def __init__(self, alphabet=2):
@@ -212,10 +212,13 @@ class FullShift(SFT):
     def __repr__(self):
         return "FullShift(%r)" % (self.labels,)
 
+    def count(self, length):
+        return len(self.labels) ** length
+
     def words(self, length, word_cap=DEFAULT_WORD_CAP):
         if length < 1:
             raise ValueError("length must be >= 1")
-        _check_cap(len(self.labels) ** length, word_cap)
+        _check_cap(self.count(length), word_cap)
         return [tuple(w) for w in itertools.product(self.labels, repeat=length)]
 
 

@@ -263,7 +263,7 @@ def test_product_sandwich_keeps_its_rising_constant(tmp_path, capsys):
 
 
 def test_summary_names_the_counted_base(tmp_path, capsys):
-    for preset, histograms in (("tt-inverse", "strips"),
+    for preset, histograms in (("tt-inverse", "images"),
                                ("sturmian-product", "enumeration")):
         out_dir = tmp_path / preset
         assert main(["sep", "--preset", preset, "--n-range", "2:3",
@@ -293,7 +293,8 @@ SYMBOLIC_BITS = {"variant": "symbolic",
                  "spec": {"variant": "full", "alphabet": [0, 1]}}
 # systems outside the presets: a radius-1 rule, a step of 2 over the
 # golden mean, and a toral fiber, whose skew counts cannot group words by
-# range
+# range, and the sign step over the golden mean, whose walk the strips
+# count
 PLAN_SYSTEMS = {
     "radius-1": {"base": {"variant": "full", "alphabet": [0, 1]},
                  "tau": {"radius": 1,
@@ -309,18 +310,23 @@ PLAN_SYSTEMS = {
               "tau": {"radius": 0, "rule": {"0": -1, "1": 1}},
               "fiber": {"variant": "toral", "matrix": [[2, 1], [1, 1]],
                         "grid": 3}},
+    "golden-sign": {"base": {"variant": "sft", "alphabet": [0, 1],
+                             "forbidden": ["11"]},
+                    "tau": {"radius": 0, "rule": {"0": -1, "1": 1}},
+                    "fiber": SYMBOLIC_BITS},
 }
 # the engine each summary names: histograms for cocycle-stats,
 # unbounded-profile and sep (slow-entropy on the toral system, which has
 # no exact sep), then birkhoff's sup
 COUNTED_ON = {
-    "tt-inverse": ("strips", "strips", "strips", "graph pass"),
+    "tt-inverse": ("images", "images", "images", "graph pass"),
     "sturmian-walk": ("enumeration",) * 3 + ("cell walk",),
     "sturmian-product": ("enumeration",) * 3 + ("cell walk",),
-    "identity-fiber-smoke": ("strips", "strips", "strips", "graph pass"),
+    "identity-fiber-smoke": ("images", "images", "images", "graph pass"),
     "radius-1": ("enumeration",) * 4,
     "step-2": ("enumeration",) * 3 + ("graph pass",),
-    "toral": ("strips", "strips", "strips", "graph pass"),
+    "toral": ("images", "images", "images", "graph pass"),
+    "golden-sign": ("strips", "strips", "strips", "graph pass"),
 }
 
 
@@ -346,6 +352,7 @@ def _engines_that_run(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
+    wrap(cocycle, "_images_pass", "images")
     wrap(cocycle, "_walk_pass", "strips")
     wrap(cocycle, "visited_sets", "enumeration")
     wrap(skew, "visited_sets", "enumeration")
@@ -385,13 +392,13 @@ def test_cocycle_stats_asks_the_range_engine_once(monkeypatch, capsys):
     from entroscope import cocycle
     monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
     passes = []
-    real = cocycle._walk_pass
+    real = cocycle._images_pass
 
     def counting(base, vals, ns, pad):
         passes.append(sorted(ns))
         return real(base, vals, ns, pad)
 
-    monkeypatch.setattr(cocycle, "_walk_pass", counting)
+    monkeypatch.setattr(cocycle, "_images_pass", counting)
     assert main(["cocycle-stats", "--preset", "tt-inverse", "--n-range",
                  "2:40", "--n", "50", "--no-self-check"]) == 0
     capsys.readouterr()
@@ -636,14 +643,35 @@ def _strip_off_by_one(real):
     return crooked
 
 
-def _pass_off_by_one_past_6(real):
+def _pass_off_by_one_where(real, hit):
     def crooked(base, vals, ns, pad):
         out = real(base, vals, ns, pad)
         for n, hist in out.items():
-            if n > 6:
+            if hit(n, pad):
                 hist[1] = hist.get(1, 0) + 1
         return out
     return crooked
+
+
+def _pass_off_by_one_past_6(real):
+    return _pass_off_by_one_where(real, lambda n, pad: n > 6)
+
+
+def _pass_off_by_one_at_6(real):
+    return _pass_off_by_one_where(real, lambda n, pad: n == 6)
+
+
+def _pass_off_by_one_padded(real):
+    return _pass_off_by_one_where(real, lambda n, pad: pad > 0)
+
+
+def _golden_sign_job(tmp_path, command, **parameters):
+    # the sign step over the golden mean: the strips count its histograms
+    cfg = tmp_path / "golden-sign.json"
+    cfg.write_text(json.dumps({"command": command,
+                               "system": PLAN_SYSTEMS["golden-sign"],
+                               "parameters": parameters}))
+    return ["run", "--config", str(cfg)]
 
 
 @pytest.mark.parametrize("name, plant, oracle", [
@@ -653,24 +681,31 @@ def _pass_off_by_one_past_6(real):
     # a fault past n = 6, where only the dict DP can see it
     ("_walk_pass", _pass_off_by_one_past_6, "dict DP"),
 ])
-def test_distribution_self_check_mismatch_exits_4(monkeypatch, capsys, name,
-                                                  plant, oracle):
+def test_distribution_self_check_mismatch_exits_4(monkeypatch, capsys,
+                                                  tmp_path, name, plant,
+                                                  oracle):
+    from entroscope import cocycle
+    monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
+    monkeypatch.setattr(cocycle, name, plant(getattr(cocycle, name)))
+    assert main(_golden_sign_job(tmp_path, "cocycle-stats")) == 4
+    err = capsys.readouterr().err
+    assert "internal inconsistency" in err and oracle in err
+
+
+@pytest.mark.parametrize("name, plant, oracle", [
+    ("_images_pass", _pass_off_by_one_at_6, "brute"),
+    ("_images_pass", _pass_off_by_one_past_6, "dict DP"),
+    # the strips are the images' second oracle at n = 31
+    ("_walk_pass", _pass_off_by_one_past_6, "strips"),
+])
+def test_images_self_check_mismatch_exits_4(monkeypatch, capsys, name,
+                                            plant, oracle):
     from entroscope import cocycle
     monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
     monkeypatch.setattr(cocycle, name, plant(getattr(cocycle, name)))
     assert main(["cocycle-stats", "--preset", "tt-inverse"]) == 4
     err = capsys.readouterr().err
     assert "internal inconsistency" in err and oracle in err
-
-
-def _pass_off_by_one_padded(real):
-    def crooked(base, vals, ns, pad):
-        out = real(base, vals, ns, pad)
-        if pad:
-            for hist in out.values():
-                hist[1] = hist.get(1, 0) + 1
-        return out
-    return crooked
 
 
 @pytest.mark.parametrize("argv", [
@@ -683,9 +718,28 @@ def test_sep_self_check_mismatch_exits_4(monkeypatch, capsys, argv):
     # and distribution checks pass and the sep check must catch it
     from entroscope import cocycle
     monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
+    monkeypatch.setattr(cocycle, "_images_pass",
+                        _pass_off_by_one_padded(cocycle._images_pass))
+    assert main(argv + ["--preset", "tt-inverse"]) == 4
+    err = capsys.readouterr().err
+    assert "internal inconsistency: sep fast path" in err
+
+
+@pytest.mark.parametrize("command, parameters", [
+    ("sep", {"n_range": [2, 3]}),
+    ("sandwich", {"n_range": [2, 3]}),
+    ("slow-entropy", {"n_max": 8, "t_grid": [0.5, 1.0]}),
+])
+def test_strips_sep_self_check_mismatch_exits_4(monkeypatch, capsys,
+                                                tmp_path, command,
+                                                parameters):
+    # the same fault in the strips, on an SFT base they count
+    from entroscope import cocycle
+    monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
     monkeypatch.setattr(cocycle, "_walk_pass",
                         _pass_off_by_one_padded(cocycle._walk_pass))
-    assert main(argv + ["--preset", "tt-inverse"]) == 4
+    argv = _golden_sign_job(tmp_path, command, epsilon="1/8", **parameters)
+    assert main(argv) == 4
     err = capsys.readouterr().err
     assert "internal inconsistency: sep fast path" in err
 

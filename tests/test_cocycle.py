@@ -140,7 +140,7 @@ def test_full_shift_is_the_sft_with_nothing_forbidden(labels, steps):
     ns = range(1, 13)
     for pad in (0, 1, 2):
         # the memo keys the two apart (their reprs differ), so each side
-        # runs its own strip pass
+        # runs its own pass
         assert range_histograms(full, tau, ns, pad=pad) == \
             range_histograms(sft, tau, ns, pad=pad), pad
     for n in ns:
@@ -309,6 +309,8 @@ def test_engine_counts_past_64_bits_exactly():
     got = hists[64]
     want = walk_range_distribution(SIGNS, 63, {-1: -1, 1: 1})
     assert got == want and max(want.values()) > 2 ** 31
+    # the full shift's images are checked against its strips
+    assert cocycle._walk_pass(SIGNS, SIGN.step_values(), [64], 0)[64] == want
     assert sum(got.values()) == 2 ** 64
     # every step moves, so no range is below 2
     assert sum(hists[200].values()) == 2 ** 200
@@ -318,13 +320,15 @@ def test_engine_counts_past_64_bits_exactly():
 def test_engine_serves_repeat_requests_from_its_memo(monkeypatch):
     monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
     passes = []
-    real = cocycle._walk_pass
+    real = cocycle._images_pass
 
     def counting(base, vals, ns, pad):
         passes.append(sorted(ns))
         return real(base, vals, ns, pad)
 
-    monkeypatch.setattr(cocycle, "_walk_pass", counting)
+    # the engine that counts the sign walk on the full shift
+    assert cocycle.counting_plan(SIGNS, SIGN).histograms == "images"
+    monkeypatch.setattr(cocycle, "_images_pass", counting)
     first = range_histograms(SIGNS, SIGN, [40, 10, 20])
     assert passes == [[10, 20, 40]]
     # an equal system built afresh hits the memo: keys are definitions
@@ -377,6 +381,8 @@ def test_padded_engine_counts_in_wide_fields():
         got = range_histograms(SIGNS, SIGN, [n], pad=pad)[n]
         want = walk_range_distribution(SIGNS, n - 1, {-1: -1, 1: 1})
         assert got == {r: c * 4 ** pad for r, c in want.items()}
+        assert cocycle._walk_pass(SIGNS, SIGN.step_values(), [n],
+                                  pad)[n] == got
         assert max(got.values()) > 2 ** 31
     # once a letter is 1 it stays 1: a small language, in fields sized for
     # 2^34 words all the same, with pad above the graph's memory of one
@@ -402,3 +408,59 @@ def test_padded_engine_slices_enumerated_bases():
                     mid = w[pad:pad + n]
                     want[len(set(ergodic_sums(tau, mid)[:-1]))] += 1
                 assert got[n] == dict(want)
+
+
+# -- the closed form on full shifts: the method of images ----------------------
+
+# step alphabets with as many -1 letters as +1 letters: the sign walk, a
+# lazy walk, two letters per sign, and the all-zero rule
+IMAGE_STEPS = [(-1, 1), (-1, 0, 1), (1, -1, 0, -1, 1), (0, 0)]
+
+
+@pytest.mark.parametrize("steps", IMAGE_STEPS)
+def test_images_match_strips_dict_dp_and_brute_force(steps):
+    labels = tuple(range(len(steps)))
+    base = FullShift(labels)
+    vals = dict(zip(labels, steps))
+    tau = Cocycle({(a,): v for a, v in vals.items()})
+    assert cocycle.counting_plan(base, tau).histograms == "images"
+    ns = list(range(1, 13)) + [40]
+    for pad in range(4):
+        got = cocycle._images_pass(base, vals, ns, pad)
+        assert got == cocycle._walk_pass(base, vals, ns, pad), pad
+        assert range_histograms(base, tau, ns, pad=pad) == got, pad
+        free = len(labels) ** (2 * pad)  # the pad letters
+        for n in ns:
+            want = walk_range_distribution(base, n - 1, vals)
+            assert got[n] == {r: c * free for r, c in want.items()}, (pad, n)
+            if len(labels) ** (n + 2 * pad) <= 5000:
+                assert got[n] == sliced_histogram(base, tau, n, pad), (pad, n)
+
+
+def test_images_match_strips_at_long_windows():
+    vals = SIGN.step_values()
+    ns = [2, 3, 5, 8, 13, 30, 100, 150]
+    for pad in (0, 2, 3):
+        assert cocycle._images_pass(SIGNS, vals, ns, pad) == \
+            cocycle._walk_pass(SIGNS, vals, ns, pad), pad
+
+
+@pytest.mark.parametrize("base, steps", [
+    # asymmetric steps on a full shift: +1, +1, -1
+    (FullShift(3), (1, 1, -1)),
+    (FullShift(2), (1, 0)),
+    # symmetric steps on an SFT with a forbidden word
+    (GOLDEN, (-1, 1)),
+])
+def test_images_need_a_symmetric_walk_on_a_full_shift(base, steps):
+    vals = dict(zip(base.labels, steps))
+    tau = Cocycle({(a,): v for a, v in vals.items()})
+    assert cocycle.counting_plan(base, tau).histograms == "strips"
+    got = range_histograms(base, tau, [5, 30], pad=1)
+    assert got[5] == sliced_histogram(base, tau, 5, 1)
+    if base.forbidden:
+        return
+    want = walk_range_distribution(base, 29, vals)
+    assert got[30] == {r: c * len(base.labels) ** 2 for r, c in want.items()}
+    with pytest.raises(ValueError):
+        cocycle._images_pass(base, vals, [5], 0)

@@ -74,14 +74,15 @@ def test_slow_entropy_ladder_rows_are_the_direct_ratios(monkeypatch):
     from entroscope import cocycle
     monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
     passes = []
-    real = cocycle._walk_pass
+    real = cocycle._images_pass
 
     def counting(base, vals, ns, pad):
         passes.append((sorted(ns), pad))
         return real(base, vals, ns, pad)
 
-    monkeypatch.setattr(cocycle, "_walk_pass", counting)
+    monkeypatch.setattr(cocycle, "_images_pass", counting)
     sys = SkewSystem(SIGNS, SIGN, SymbolicFiber(FullShift(2)))
+    assert sys.plan.histograms == "images"
     scale = RangeExpScale(SIGNS, SIGN)
     eps = Fraction(1, 4)
     rep = slow_entropy_report(sys, scale, eps, 24, [0.9, 0.5, 0.7])
@@ -198,6 +199,22 @@ def test_sa_size_geometric_sums_its_cover_in_closed_form(monkeypatch):
     monkeypatch.setattr(Geometric, "terms", no_terms)
     # gaps 2, 4 and 8 fall below m = 16; the other 9996 add 16 each
     assert sa_size(Geometric(2), 10 ** 4, 16) == 16 + 2 + 4 + 8 + 9996 * 16
+
+
+def test_sa_size_arithmetic_is_its_cover_in_closed_form(monkeypatch):
+    for start, d in ((1, 1), (1, 3), (5, 2), (2, 7)):
+        A = Arithmetic(start, d)
+        for n in (1, 2, 3, 10, 40):
+            for m in (1, 2, 3, 7, 8, 100):
+                want = m + (n - 1) * min(d, m)
+                assert cover_size(A.terms(n), m) == want
+                assert sa_size(A, n, m) == want, (start, d, n, m)
+
+    def no_terms(self, n):
+        raise AssertionError("sa_size built the terms")
+
+    monkeypatch.setattr(Arithmetic, "terms", no_terms)
+    assert sa_size(Arithmetic(1, 3), 10 ** 4, 16) == 16 + 9999 * 3
 
 
 def test_sa_size_monotone_in_m():

@@ -12,7 +12,8 @@ from entroscope.fiber import (IdentityFiber, RotationFiber, SymbolicFiber,
                               circle_sep_exact, fiber_from_json,
                               fiber_to_json, sep_count, sep_exact_symbolic,
                               sep_greedy, spa_bracket)
-from entroscope.symbolic import SFT, FullShift, WindowPoint, language_on
+from entroscope.symbolic import (SFT, FullShift, Product, Sturmian,
+                                 WindowPoint, language_on)
 from entroscope.util import ConfigError, WindowError
 
 FULL2 = FullShift(2)
@@ -38,6 +39,28 @@ def test_sep_exact_symbolic_gapped_window():
     assert sep_exact_symbolic(FULL2, {0, 4}, 1) == 4
     got = sep_exact_symbolic(GOLDEN, {0, 4}, 1)
     assert got == len(language_on(GOLDEN, [0, 4]))
+
+
+@pytest.mark.parametrize("spec", [
+    FullShift(3), GOLDEN, Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2)),
+    Product(GOLDEN, FULL2)])
+def test_sep_exact_symbolic_interval_fast_path(spec):
+    # an interval as a range takes the closed form, the same F as a set
+    # the window scan
+    for start in (0, 3, -2):
+        for size in (1, 2, 5):
+            F = range(start, start + size)
+            for eps in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1,
+                        2):
+                assert sep_exact_symbolic(spec, F, eps) == \
+                    sep_exact_symbolic(spec, set(F), eps), (F, eps)
+    gapped = range(0, 6, 2)
+    assert sep_exact_symbolic(spec, gapped, Fraction(1, 2)) == \
+        len(language_on(spec, [-1, 0, 1, 2, 3, 4, 5]))
+    assert sep_exact_symbolic(spec, gapped, 1) == \
+        len(language_on(spec, [0, 2, 4]))
+    with pytest.raises(ValueError):
+        sep_exact_symbolic(spec, range(0), 1)
 
 
 def test_greedy_on_cylinder_sample_matches_exact():
