@@ -35,7 +35,7 @@ from .sequence import (FAMILIES, Arithmetic, Explicit, Geometric,
                        folner_defect, goodwyn_check, hamming_ball_count,
                        hamming_exponent, k_estimate)
 from .util import (DEFAULT_WORD_CAP, CapExceeded, ConfigError, OracleMismatch,
-                   SturmianHorizonError, log_big)
+                   SturmianHorizonError, as_int, log_big)
 
 # the self-check's greedy skew count stays within about half a second
 SELF_CHECK_PAIRS = 2 ** 18
@@ -50,7 +50,7 @@ _REQUIRED = object()
 def parse_int_list(value):
     """Int list from "2,5,9", an inclusive range "2:6", or a JSON list."""
     if not isinstance(value, str):
-        return [int(x) for x in value]
+        return [as_int(x) for x in value]
     text = value.strip()
     if ":" in text:
         parts = text.split(":")
@@ -130,21 +130,21 @@ def parse_sequence(text):
     return Explicit(nums)
 
 
-# scale token -> the entropy class it names; the range scales read a base
-# and a cocycle
+# scale token -> the entropy class it names; the range scales read the
+# counting plan of a base and a cocycle
 SCALES = {"exp": "ExpScale", "poly": "PolyScale",
           "range-exp": "RangeExpScale", "range-inner": "RangeInnerScale"}
 
 
-def make_scale(name, base, tau, word_cap):
+def make_scale(name, plan):
     """Scale object from its CLI token (one of PARAMS' scale choices)."""
     scale = getattr(entropy, SCALES[name])
     if not name.startswith("range-"):
         return scale()
-    if base is None or tau is None:
+    if plan is None:
         raise ConfigError("scale %r needs a base subshift and a cocycle"
                           % name)
-    return scale(base, tau, word_cap=word_cap)
+    return scale(plan)
 
 
 # config parameter -> its flag, the type that reads the flag's text and
@@ -153,7 +153,7 @@ Param = namedtuple("Param", "flag kind help choices", defaults=(None, None))
 
 PARAMS = {
     "epsilon": Param("--eps", fraction, "epsilon, e.g. 1/4 or 0.25"),
-    "n_max": Param("--n-max", int),
+    "n_max": Param("--n-max", as_int),
     "n_range": Param("--n-range", parse_int_list,
                      "window sizes, e.g. 2:6 or 2,4,8"),
     "n_list": Param("--n-list", parse_int_list, "n values, e.g. 10,100,1000"),
@@ -161,17 +161,18 @@ PARAMS = {
     "scale": Param("--scale", str, choices=tuple(SCALES)),
     "threshold": Param("--threshold", float,
                        "ratio threshold for the slow-entropy estimate"),
-    "word_cap": Param("--cap-words", int,
+    "word_cap": Param("--cap-words", as_int,
                       "word enumeration budget (default 2^20)"),
-    "length": Param("--length", int),
-    "n": Param("--n", int, "word length (goodwyn: number of sequence terms)"),
-    "reach": Param("--reach", int, "level the sums must reach"),
+    "length": Param("--length", as_int),
+    "n": Param("--n", as_int,
+               "word length (goodwyn: number of sequence terms)"),
+    "reach": Param("--reach", as_int, "level the sums must reach"),
     "sequence": Param("--sequence", str,
                       "arithmetic(a,d) | geometric(b) | explicit:v1,v2,..."),
-    "k_symbols": Param("--k-symbols", int),
+    "k_symbols": Param("--k-symbols", as_int),
     "radius": Param("--radius", fraction, "relative radius, e.g. 3/10"),
     "family": Param("--family", str, choices=sorted(FAMILIES)),
-    "m": Param("--m", int),
+    "m": Param("--m", as_int),
 }
 
 _CONFIG_KEYS = ("command", "preset", "system", "parameters", "output")
@@ -215,7 +216,6 @@ def apply_config(ctx, doc):
                 ctx["fiber"] = fiber.fiber_from_json(system["fiber"])
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError("bad system descriptor: %s" % exc)
-        ctx.pop("system", None)
     for key, value in doc.get("parameters", {}).items():
         if key not in PARAMS:
             raise ConfigError("unknown parameter %r (known: %s)"
@@ -228,7 +228,10 @@ def apply_config(ctx, doc):
 
 
 def load_context(args):
-    """Context from preset, then config file, then flag overrides."""
+    """Context from preset, then config file, then flag overrides; then
+    the command's one counting plan, ctx["plan"], which every count,
+    self-check and summary of the command reads (the skew system's own
+    when there is a fiber)."""
     ctx = {"word_cap": DEFAULT_WORD_CAP}
     if getattr(args, "preset", None):
         ctx.update(presets.get_preset(args.preset))
@@ -251,9 +254,14 @@ def load_context(args):
     for key in ("n_range", "n_list", "t_grid"):
         if key in ctx and not ctx[key]:
             raise ConfigError("%s must be nonempty" % key)
-    if all(k in ctx for k in ("base", "tau", "fiber")) and "system" not in ctx:
-        ctx["system"] = skew.SkewSystem(ctx["base"], ctx["tau"],
-                                        ctx["fiber"])
+    if "base" in ctx and "tau" in ctx:
+        if "fiber" in ctx:
+            ctx["system"] = skew.SkewSystem(ctx["base"], ctx["tau"],
+                                            ctx["fiber"], ctx["word_cap"])
+            ctx["plan"] = ctx["system"].plan
+        else:
+            ctx["plan"] = cocycle.counting_plan(ctx["base"], ctx["tau"],
+                                                ctx["word_cap"])
     return ctx
 
 
@@ -262,6 +270,13 @@ def need(ctx, key, what):
         raise ConfigError("this command needs %s; supply a preset or a "
                           "config file (missing: %s)" % (what, key))
     return ctx[key]
+
+
+def need_plan(ctx):
+    """The command's counting plan (see load_context)."""
+    need(ctx, "base", "a base subshift")
+    need(ctx, "tau", "a cocycle")
+    return ctx["plan"]
 
 
 def param(ctx, key, default=_REQUIRED):
@@ -274,7 +289,7 @@ def param(ctx, key, default=_REQUIRED):
 
 def echo_params(ctx):
     """Re-runnable echo of the context for the report metadata."""
-    out = {key: value for key, value in ctx.items() if key != "system"}
+    out = {k: v for k, v in ctx.items() if k not in ("system", "plan")}
     # each codec is looked up only when its entry is there, so a command
     # without a system loads none of the system modules
     if "base" in out:
@@ -290,7 +305,7 @@ def echo_params(ctx):
 # runtime self-checks (fast path vs defining enumeration; exit 4)
 
 
-def self_check_skew(system, epsilon, word_cap):
+def self_check_skew(system, epsilon):
     """Recompute capacity_A and skew_sep_direct at n = 3 by enumeration.
 
     Where the plan has no interval steps, the fast path and the
@@ -307,7 +322,7 @@ def self_check_skew(system, epsilon, word_cap):
               ("sep", skew.skew_sep_direct, "enumeration",
                partial(skew.skew_sep_direct, force_enumeration=True))]
     if system.plan.steps is None:
-        def greedy(sys, n, eps, word_cap):
+        def greedy(sys, n, eps):
             return skew.skew_sep_greedy(sys, n, eps,
                                         margin=symbolic.rho(eps),
                                         pair_cap=SELF_CHECK_PAIRS)
@@ -316,8 +331,8 @@ def self_check_skew(system, epsilon, word_cap):
     notes = []
     for name, count, oracle_name, oracle in checks:
         try:
-            fast = count(system, n, epsilon, word_cap=word_cap)
-            slow = oracle(system, n, epsilon, word_cap=word_cap)
+            fast = count(system, n, epsilon)
+            slow = oracle(system, n, epsilon)
         except (CapExceeded, SturmianHorizonError, ConfigError):
             continue
         if fast != slow:
@@ -327,7 +342,7 @@ def self_check_skew(system, epsilon, word_cap):
     return notes
 
 
-def self_check_distribution(base, tau, word_cap):
+def self_check_distribution(plan):
     """Recompute two counted range histograms independently and compare.
 
     The histograms are those of the counting plan (cocycle.counting_plan)
@@ -340,16 +355,17 @@ def self_check_distribution(base, tau, word_cap):
     well.  Returns the checked n, or None when the histograms are
     enumerated.
     """
-    plan = cocycle.counting_plan(base, tau)
     if plan.histograms == "enumeration":
         return None
+    base, tau = plan.spec, plan.tau
     n = 6
     n_big = 1
     while len(plan.factor.labels) ** n_big < 2 ** 31:
         n_big += 1
-    hists = cocycle.plan_histograms(plan, [n, n_big], word_cap)
+    hists = cocycle.plan_histograms(plan, [n, n_big])
     brute = Counter(cocycle.cocycle_profile(tau, w).r
-                    for w in base.words(n + 2 * tau.radius, word_cap=word_cap))
+                    for w in base.words(n + 2 * tau.radius,
+                                        word_cap=plan.word_cap))
     if hists[n] != dict(brute):
         raise OracleMismatch("range distribution fast path %r != brute %r "
                              "at n=%d" % (hists[n], dict(brute), n))
@@ -387,10 +403,9 @@ def run_self_checks(args, ctx, report, skew_counts=False,
         return
     notes = []
     if skew_counts and "system" in ctx:
-        notes += self_check_skew(ctx["system"], param(ctx, "epsilon"),
-                                 ctx["word_cap"])
-    if distribution and "base" in ctx and "tau" in ctx:
-        ns = self_check_distribution(ctx["base"], ctx["tau"], ctx["word_cap"])
+        notes += self_check_skew(ctx["system"], param(ctx, "epsilon"))
+    if distribution and "plan" in ctx:
+        ns = self_check_distribution(ctx["plan"])
         if ns is not None:
             notes.append("distribution@n=%d,%d" % ns)
     if notes:
@@ -423,27 +438,26 @@ def _cmd_language(args, ctx, report):
 
 
 def _cmd_cocycle_stats(args, ctx, report):
-    base = need(ctx, "base", "a base subshift")
-    tau = need(ctx, "tau", "a cocycle")
+    plan = need_plan(ctx)
     ns = sorted(set(param(ctx, "n_range", [2, 3, 4, 5, 6])))
     n_top = param(ctx, "n", max(ns))
-    plan = cocycle.counting_plan(base, tau)
     _record_counting(report, plan)
     run_self_checks(args, ctx, report, distribution=True)
     if plan.histograms != "enumeration":
-        # one engine call for both tables; enumerated histograms gain
+        # one engine call for both tables; enumerated classes gain
         # nothing from a joint request
-        cocycle.plan_histograms(plan, ns + [n_top], ctx["word_cap"])
+        cocycle.plan_classes(plan, ns + [n_top])
     entries = []
     for n in ns:
-        counts = cocycle.profile_counts(base, tau, n, word_cap=ctx["word_cap"])
+        counts = cocycle.profile_counts(plan, n)
         for (r, q), count in sorted(counts.items()):
             entries.append((n, r, q, count))
     report.add_table("profiles", ("n", "r", "q", "count"), entries)
-    dist = cocycle.range_distribution(base, tau, n_top,
-                                      word_cap=ctx["word_cap"])
+    dist = cocycle.range_distribution(plan, n_top)
     report.add_table("distribution", ("r", "count"), sorted(dist.items()))
     total = sum(dist.values())
+    if not total:
+        raise ValueError("empty language at n=%d" % n_top)
     mean_r = sum(r * c for r, c in dist.items()) / total
     report.add_verdict("cocycle-stats", "OBSERVED",
                        "n=%d: %d words, mean range %.3f" % (n_top, total,
@@ -452,17 +466,15 @@ def _cmd_cocycle_stats(args, ctx, report):
           % (n_top, total, mean_r))
 
 
-def _cmd_unbounded_profile(args, ctx, report):
-    base = need(ctx, "base", "a base subshift")
-    tau = need(ctx, "tau", "a cocycle")
+def _cmd_unbounded(args, ctx, report):
+    plan = need_plan(ctx)
     # default level: the smallest one a +-bound step walk cannot reach in a
     # two-step window, so the curve starts strictly below 1 and its climb
     # toward 1 is the visible evidence
-    reach = param(ctx, "reach", 2 * max(1, tau.bound) + 1)
+    reach = param(ctx, "reach", 2 * max(1, plan.tau.bound) + 1)
     ns = param(ctx, "n_list", [4, 8, 12, 16])
-    _record_counting(report, cocycle.counting_plan(base, tau))
-    ev = cocycle.unbounded_evidence(base, tau, reach, ns,
-                                    word_cap=ctx["word_cap"])
+    _record_counting(report, plan)
+    ev = cocycle.unbounded_evidence(plan, reach, ns)
     report.add_table("unbounded", ("n", "proportion"), ev["curve"])
     detail = ("reach %d, n up to %d, %snondecreasing from start"
               % (reach, ev["n_max"],
@@ -479,15 +491,12 @@ def _cmd_sep(args, ctx, report):
     ns = sorted(set(param(ctx, "n_range", [param(ctx, "n", 4)])))
     _record_counting(report, system.plan)
     run_self_checks(args, ctx, report, skew_counts=True)
-    skew.request_histograms(system, ns, (epsilon, 2 * epsilon),
-                            word_cap=ctx["word_cap"])
+    skew.request_histograms(system, ns, (epsilon, 2 * epsilon))
     rows = []
     for n in ns:
-        sep = skew.skew_sep_direct(system, n, epsilon,
-                                   word_cap=ctx["word_cap"])
-        sep2 = skew.skew_sep_direct(system, n, 2 * epsilon,
-                                    word_cap=ctx["word_cap"])
-        cap = skew.capacity_A(system, n, epsilon, word_cap=ctx["word_cap"])
+        sep = skew.skew_sep_direct(system, n, epsilon)
+        sep2 = skew.skew_sep_direct(system, n, 2 * epsilon)
+        cap = skew.capacity_A(system, n, epsilon)
         rows.append((n, epsilon, sep, sep2, cap.lower, cap.upper))
     report.add_table("sep", ("n", "epsilon", "sep", "sep_2eps",
                              "capacity_lower", "capacity_upper"), rows)
@@ -510,8 +519,7 @@ def _cmd_sandwich(args, ctx, report):
     ns = param(ctx, "n_range")
     _record_counting(report, system.plan)
     run_self_checks(args, ctx, report, skew_counts=True)
-    result = skew.sandwich_check(system, ns, epsilon,
-                                 word_cap=ctx["word_cap"])
+    result = skew.sandwich_check(system, ns, epsilon)
     # a SandwichRow's fields, in order
     report.add_table("sandwich", (
         "n", "epsilon", "a_lower_2eps", "a_upper_2eps", "skew_lower",
@@ -531,8 +539,7 @@ def _cmd_sandwich(args, ctx, report):
 def _cmd_slow_entropy(args, ctx, report):
     target = ctx.get("system") or need(ctx, "fiber", "a fiber (or a full "
                                        "skew system)")
-    base, tau = ctx.get("base"), ctx.get("tau")
-    scale = make_scale(param(ctx, "scale", "exp"), base, tau, ctx["word_cap"])
+    scale = make_scale(param(ctx, "scale", "exp"), ctx.get("plan"))
     epsilon = param(ctx, "epsilon")
     n_max = param(ctx, "n_max")
     grid = param(ctx, "t_grid")
@@ -542,8 +549,7 @@ def _cmd_slow_entropy(args, ctx, report):
         run_self_checks(args, ctx, report, skew_counts=True,
                         distribution=True)
     rep = entropy.slow_entropy_report(target, scale, epsilon, n_max, grid,
-                                      threshold=threshold,
-                                      word_cap=ctx["word_cap"])
+                                      threshold=threshold)
     header = ("t", "n", "ratio_lower", "ratio_upper")
     report.add_table("ratios", header,
                      [row for row in rep.rows if row[1] == rep.n_max])
@@ -642,14 +648,11 @@ def _cmd_folner(args, ctx, report):
 
 
 def _cmd_birkhoff(args, ctx, report):
-    base = need(ctx, "base", "a base subshift")
-    tau = need(ctx, "tau", "a cocycle")
+    plan = need_plan(ctx)
     ns = sorted(set(param(ctx, "n_list", [8, 12, 16])))
-    _record_counting(report, cocycle.counting_plan(base, tau), "sup")
-    rows = [(n, v, float(v)) for n, v in
-            ((n, entropy.birkhoff_sup(base, tau, n,
-                                      word_cap=ctx["word_cap"]))
-             for n in ns)]
+    _record_counting(report, plan, "sup")
+    rows = [(n, v, float(v))
+            for n, v in ((n, entropy.birkhoff_sup(plan, n)) for n in ns)]
     report.add_table("birkhoff", ("n", "sup", "sup_float"), rows)
     detail = "max |sum|/n at n=%d: %s" % (rows[-1][0], rows[-1][1])
     report.add_verdict("birkhoff", "OBSERVED", detail)
@@ -668,7 +671,7 @@ COMMANDS = {
     "cocycle-stats": Command(_cmd_cocycle_stats,
                              "visited-set profiles and range distribution",
                              ("n",)),
-    "unbounded-profile": Command(_cmd_unbounded_profile,
+    "unbounded-profile": Command(_cmd_unbounded,
                                  "proportion of words whose sums reach a "
                                  "level", ("reach",)),
     "sep": Command(_cmd_sep, "separated count and capacity bracket per n"),

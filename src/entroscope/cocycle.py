@@ -12,28 +12,29 @@ ergodic_sums is the one ergodic-sum routine, and visited_sets the one
 loop from words to visited sets, read by every enumerated count.
 
 counting_plan is the one place that decides how (base, rule) is
-counted, and every count reads it.  It reduces a product base to the
-factor the rule reads (read_factor): the rule is rewritten on that
-factor, and every count over the product is the same count over the
-factor times the word counts of the dropped factors (dropped_count).
-visited_sets itself enumerates whatever base it is given, so
-enumeration of the raw product stays the oracle.  plan_classes is the
-one routine that turns a plan's words into fiber classes, each word's
-visited set translated to start at 0 (range(r) where the plan has
-interval steps); the skew counts and profile_counts read it.
+counted, and its plan, which records the word budget and owns the memo
+of the counts, is the handle of every count.  It reduces a product base
+to the factor the rule reads (read_factor): the rule is rewritten on
+that factor, and every count over the product is the same count over
+the factor times the word counts of the dropped factors
+(dropped_count).  visited_sets itself enumerates whatever base it is
+given, so enumeration of the raw product stays the oracle.
 
-range_histograms is the one source of r histograms over a language,
-optionally over the middle window of longer words (pad).  Where the plan
-has interval steps it counts walks inside strips instead of enumerating
-words: for each width w, T_n(w) counts the walks that stay inside
-[0, w] from each start, and the range histogram is a second difference
-of those counts in w (_ranges_from_strips).  On a full shift with as
-many -1 letters as +1 letters the plan says "images": T_n(w) comes in
-closed form from one row of step counts by the method of images
-(_images_pass).  On any other SFT it says "strips": each graph node's
-positions are packed as fields of one exact Python integer, and one
-pass per width serves every requested n (_walk_pass), the runtime
-oracle of the images.  Results are memoized per process.
+plan_classes is the one routine that turns a plan's words into fiber
+classes, each word's visited set translated to start at 0 (range(r)
+where the plan has interval steps), optionally over the middle window
+of longer words (pad), and keeps them in the plan's memo; the skew
+counts read them and plan_histograms, profile_counts and
+unbounded_evidence project them.  Where the plan has interval steps it
+counts walks inside strips instead of enumerating words: for each width
+w, T_n(w) counts the walks that stay inside [0, w] from each start, and
+the range histogram is a second difference of those counts in w
+(_ranges_from_strips).  On a full shift with as many -1 letters as +1
+letters the plan says "images": T_n(w) comes in closed form from one
+row of step counts by the method of images (_images_pass).  On any
+other SFT it says "strips": each graph node's positions are packed as
+fields of one exact Python integer, and one pass per width serves every
+requested n (_walk_pass), the runtime oracle of the images.
 walk_range_distribution, a dynamic program over (graph node,
 cur - min, max - cur) on dicts of Python integers, is the independent
 oracle both are checked against.
@@ -49,17 +50,19 @@ from .sequence import c_m, cover_size
 from .symbolic import (SFT, Product, Sturmian, word_from_str,
                        word_to_str)
 from .util import (DEFAULT_WORD_CAP, CapExceeded, ConfigError,
-                   SturmianHorizonError)
+                   SturmianHorizonError, as_int)
 
 
 class Cocycle:
     """Radius-s integer cocycle given by a total rule on centered windows.
 
     bound is max(1, max |value|); the floor of 1 keeps the zero cocycle
-    usable wherever a positive bound m is required.
+    usable wherever a positive bound m is required.  The radius and the
+    values must be integers (as_int).
     """
 
     def __init__(self, rule, radius=0):
+        radius = as_int(radius)
         if radius < 0:
             raise ValueError("radius must be >= 0")
         width = 2 * radius + 1
@@ -69,7 +72,7 @@ class Cocycle:
             if len(key) != width:
                 raise ValueError("rule key %r has length %d, expected %d"
                                  % (key, len(key), width))
-            clean[key] = int(v)
+            clean[key] = as_int(v)
         if not clean:
             raise ValueError("rule must be nonempty")
         self.radius = radius
@@ -211,24 +214,28 @@ def dropped_count(dropped, length):
 # the counting plan
 
 
-CountingPlan = namedtuple("CountingPlan",
-                          "factor rule dropped steps histograms sup")
+CountingPlan = namedtuple("CountingPlan", "spec tau factor rule dropped "
+                          "steps histograms sup word_cap memo")
 
 
-def counting_plan(spec, tau):
+def counting_plan(spec, tau, word_cap=DEFAULT_WORD_CAP):
     """How every count over (spec, tau) runs, decided once.
 
-    factor, rule and dropped are read_factor's.  steps is the rule as
-    {label: step} when every visited set is an integer interval (a
-    radius-0 rule with steps in {-1, 0, 1}: its size r fixes V up to
-    translation), else None.  histograms names the engine of the range
-    histograms: for such steps, "images" (_images_pass) on a full shift
-    (an SFT with no forbidden words) whose letters step -1 as often as
-    +1, the symmetric walk the method of images counts, else "strips"
-    (_walk_pass) on a full shift or SFT factor; "enumeration"
+    spec and tau are the base and rule as given, read by the oracles and
+    for tau's bound; factor, rule and dropped are read_factor's.  steps
+    is the rule as {label: step} when every visited set is an integer
+    interval (a radius-0 rule with steps in {-1, 0, 1}: its size r fixes
+    V up to translation), else None.  histograms names the engine of the
+    range histograms: for such steps, "images" (_images_pass) on a full
+    shift (an SFT with no forbidden words) whose letters step -1 as
+    often as +1, the symmetric walk the method of images counts, else
+    "strips" (_walk_pass) on a full shift or SFT factor; "enumeration"
     (visited_sets) otherwise.  sup is how birkhoff_sup takes its max:
     "cell walk" on a Sturmian factor, "graph pass" for a radius-0 rule
     on a full shift or SFT, else "enumeration" (a loop over the words).
+    word_cap is the budget of the words that its counts enumerate (see
+    plan_classes) and that its oracles enumerate on spec.  memo is
+    {pad: {n: {class: count}}}, the factor's classes (plan_classes).
     """
     factor, rule, dropped = read_factor(spec, tau)
     steps = rule.step_values()
@@ -243,7 +250,8 @@ def counting_plan(spec, tau):
         symmetric = None not in moves and moves[1] == moves[-1]
         histograms = ("images" if symmetric and not factor.forbidden
                       else "strips")
-    return CountingPlan(factor, rule, dropped, steps, histograms, sup)
+    return CountingPlan(spec, tau, factor, rule, dropped, steps, histograms,
+                        sup, word_cap, {})
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +261,7 @@ def counting_plan(spec, tau):
 def walk_range_distribution(spec, steps, values):
     """Histogram {r: word count} of visited-set sizes over L_{steps+1}.
 
-    The oracle for range_histograms, one n at a time in dicts of Python
+    The oracle for plan_histograms, one n at a time in dicts of Python
     integers, and a different formulation from its strip counts: it
     tracks each walk's own extent rather than walks inside fixed strips.
     Valid for radius-0 step rules with values in {-1, 0, 1} on a full
@@ -321,35 +329,24 @@ def _check_steps(base, vals):
         raise ConfigError("step rule undefined on labels %r" % (missing,))
 
 
-# {(base definition, rule definition, word cap or None, pad):
-#  {n: {r: count}}}; the cap is part of the key only for enumerated
-# histograms, where it can raise CapExceeded.  Process-wide and unlocked:
-# callers are serial.
-_HISTOGRAMS = {}
+# ---------------------------------------------------------------------------
+# a plan's fiber classes and their projections
 
 
-def range_histograms(spec, tau, ns, word_cap=DEFAULT_WORD_CAP, pad=0):
-    """{n: {r: word count}} for every n in ns, counted as counting_plan
-    (spec, tau) says (see plan_histograms)."""
-    return plan_histograms(counting_plan(spec, tau), ns, word_cap, pad)
+def plan_classes(plan, ns, pad=0):
+    """{n: {fiber class: word count}} over L_{n+2pad,s} for every n in ns.
 
-
-def plan_histograms(plan, ns, word_cap=DEFAULT_WORD_CAP, pad=0):
-    """{n: {r: word count}} for every n in ns under a counting plan, memoized.
-
-    With pad = 0 the words are L_{n,s}.  With pad = p they are the words
-    of L_{n+2p,s}, each counted by the range of its middle window of
-    n (+ 2s) letters: the base windows a skew separated count at
-    rho(eps) = p ranges over.  The histograms are those of the plan's
-    factor, scaled by the dropped factors' word count, so word_cap
-    bounds the factor's words.  They are kept for the life of the
-    process, keyed by what the factor and its rule are (their
-    definitions), so equal systems built twice share them.  Where the
-    plan says "images" or "strips", the requested n with n + pad beyond
-    the graph's memory K come from one call of that engine
-    (_images_pass or _walk_pass); shorter windows, and every n where it
-    says "enumeration", are enumerated word by word.  Each call returns
-    fresh dicts.
+    A class is the visited set of a word's middle window of n (+ 2s)
+    letters translated to start at 0, which no fiber count tells apart
+    (see fiber): range(r) where the plan has interval steps.  With
+    pad = p the words are the base windows a skew separated count at
+    rho(eps) = p ranges over.  The factor's classes fill the plan's memo
+    once: where the plan says "images" or "strips", the requested n with
+    n + pad beyond the graph's memory K come from one call of that
+    engine (_images_pass or _walk_pass); shorter windows, and every n
+    where it says "enumeration", are enumerated word by word, within the
+    plan's word cap only where no engine counts.  Each call returns
+    fresh dicts: the factor's counts times the dropped factors' words.
     """
     ns = sorted(set(int(n) for n in ns))
     if ns and ns[0] < 1:
@@ -357,36 +354,39 @@ def plan_histograms(plan, ns, word_cap=DEFAULT_WORD_CAP, pad=0):
     if pad < 0:
         raise ValueError("pad must be >= 0")
     spec, tau = plan.factor, plan.rule
-    counted = plan.histograms != "enumeration"
-    cap = None if counted else word_cap
-    memo = _histogram_memo(plan, cap, pad)
+    memo = plan.memo.setdefault(pad, {})
     todo = [n for n in ns if n not in memo]
+    counted = plan.histograms != "enumeration"
     # the strips start past the graph's memory K
     passed = [n for n in todo if counted and n + pad > spec.context]
     for n in todo:
         if n not in passed:
-            memo[n] = _histogram(visited_sets(spec, tau, n, word_cap=cap,
-                                              pad=pad))
+            sets = visited_sets(spec, tau, n, pad=pad,
+                                word_cap=None if counted else plan.word_cap)
+            memo[n] = (translated(sets) if plan.steps is None
+                       else _ranges(_histogram(sets)))
     if passed:
         _check_steps(spec, plan.steps)
         engine = _images_pass if plan.histograms == "images" else _walk_pass
-        memo.update(engine(spec, plan.steps, passed, pad))
+        for n, hist in engine(spec, plan.steps, passed, pad).items():
+            memo[n] = _ranges(hist)
     extra = 2 * tau.radius + 2 * pad  # letters of a word beyond n
     return {n: _scaled(memo[n], dropped_count(plan.dropped, n + extra))
             for n in ns}
 
 
-def _histogram_memo(plan, cap, pad):
-    """The {n: {r: count}} memo of plan_histograms for one request shape.
+def translated(sets):
+    """{V - min V: count, summed} from {visited set V: count}."""
+    out = {}
+    for V, cnt in sets.items():
+        key = tuple(v - V[0] for v in V)
+        out[key] = out.get(key, 0) + cnt
+    return out
 
-    It is keyed by what the plan's factor and rule are (their
-    definitions); cap is the word cap of enumerated histograms, None for
-    counted ones.
-    """
-    rule = plan.rule
-    key = (repr(plan.factor), rule.radius, tuple(sorted(rule.rule.items())),
-           cap, pad)
-    return _HISTOGRAMS.setdefault(key, {})
+
+def _ranges(hist):
+    """{range(r): count} from {r: count}: the classes of interval steps."""
+    return {range(r): cnt for r, cnt in hist.items()}
 
 
 def _scaled(counts, k):
@@ -395,11 +395,66 @@ def _scaled(counts, k):
 
 
 def _histogram(sets):
-    """{r: count} from {visited set: count}."""
+    """{r: count} from {set: count}, r the size of each set."""
     out = {}
     for V, cnt in sets.items():
         out[len(V)] = out.get(len(V), 0) + cnt
     return out
+
+
+def plan_histograms(plan, ns, pad=0):
+    """{n: {r: word count}} for every n in ns: plan_classes' class sizes."""
+    return {n: _histogram(classes)
+            for n, classes in plan_classes(plan, ns, pad).items()}
+
+
+def range_distribution(plan, n):
+    """{r: count} over L_{n,s}."""
+    return plan_histograms(plan, [n])[n]
+
+
+def unbounded_evidence(plan, N, n_values):
+    """Proportion of words w in L_{n,s} with r_n(w) >= N over the given
+    n values, plus a qualitative flag.
+
+    This is the finite-n observable behind lambda-unboundedness; the
+    defining property is a statement about all n and is not decidable
+    from any single value.  The curve is read off one request, so one
+    pass serves every n.  The flag only says the proportion stayed at or
+    above its starting level through n_max; it is evidence at level
+    (N, n_max), never a verdict on the unboundedness property itself.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    hists = plan_histograms(plan, n_values)
+    curve = []
+    for n, hist in hists.items():  # n ascending
+        total = sum(hist.values())
+        if total == 0:
+            raise ValueError("empty language at n=%d" % n)
+        hit = sum(cnt for r, cnt in hist.items() if r >= N)
+        curve.append((n, Fraction(hit, total)))
+    flag = all(p >= curve[0][1] for _, p in curve)
+    return {"N": N, "curve": curve, "nondecreasing_from_start": flag,
+            "n_max": curve[-1][0]}
+
+
+def profile_counts(plan, n):
+    """{(r, q): count} over L_{n,s} with q = r * c_m(V) = |V + {0..m-1}|,
+    m the bound of the plan's tau.
+
+    r and q are the size and cover size of each word's class
+    (plan_classes), which no translate changes.
+    """
+    out = {}
+    for F, cnt in plan_classes(plan, [n])[n].items():
+        key = (len(F), cover_size(F, plan.tau.bound))
+        out[key] = out.get(key, 0) + cnt
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the range engines
 
 
 def _path_counts(edges, length, into):
@@ -606,85 +661,6 @@ def _strip_counts(width, F, moves, starts, left, right, emit):
     return out
 
 
-def plan_classes(plan, n, word_cap=DEFAULT_WORD_CAP, pad=0):
-    """{fiber class: word count} over L_{n+2pad,s} under a counting plan.
-
-    A class is the visited set of a word's middle window translated to
-    start at 0, which no fiber count tells apart (see fiber): range(r)
-    from plan_histograms where the plan has interval steps, else the
-    factor's visited sets times the dropped factors' words, whose r
-    histogram then seeds the histograms' memo.
-    """
-    if plan.steps is not None:
-        hist = plan_histograms(plan, [n], word_cap, pad)[n]
-        return {range(r): cnt for r, cnt in hist.items()}
-    sets = visited_sets(plan.factor, plan.rule, n, word_cap=word_cap, pad=pad)
-    _histogram_memo(plan, word_cap, pad).setdefault(n, _histogram(sets))
-    k = dropped_count(plan.dropped, n + 2 * plan.rule.radius + 2 * pad)
-    return translated(sets, k)
-
-
-def translated(sets, k=1):
-    """{V - min V: count * k, summed} from {visited set V: count}."""
-    out = {}
-    for V, cnt in sets.items():
-        key = tuple(v - V[0] for v in V)
-        out[key] = out.get(key, 0) + cnt * k
-    return out
-
-
-def range_distribution(spec, tau, n, word_cap=DEFAULT_WORD_CAP):
-    """{r: count} over L_{n,s}."""
-    return range_histograms(spec, tau, [n], word_cap=word_cap)[n]
-
-
-def unbounded_profile(spec, tau, N, n, word_cap=DEFAULT_WORD_CAP):
-    """Exact proportion of words w in L_{n,s} with r_n(w) >= N.
-
-    This is the finite-n observable behind lambda-unboundedness; the
-    defining property is a statement about all n and is not decidable
-    from any single value, so callers track curves over n instead.
-    """
-    return unbounded_evidence(spec, tau, N, [n], word_cap)["curve"][0][1]
-
-
-def unbounded_evidence(spec, tau, N, n_values, word_cap=DEFAULT_WORD_CAP):
-    """Proportion curve over the given n values, plus a qualitative flag.
-
-    The curve is read off one request, so one pass serves every n.  The
-    flag only says the proportion stayed at or above its starting level
-    through n_max; it is evidence at level (N, n_max), never a verdict
-    on the unboundedness property itself.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    ns = sorted(set(int(n) for n in n_values))
-    hists = range_histograms(spec, tau, ns, word_cap=word_cap)
-    curve = []
-    for n, hist in hists.items():  # ns ascending
-        total = sum(hist.values())
-        if total == 0:
-            raise ValueError("empty language at n=%d" % n)
-        hit = sum(cnt for r, cnt in hist.items() if r >= N)
-        curve.append((n, Fraction(hit, total)))
-    flag = all(p >= curve[0][1] for _, p in curve)
-    return {"N": N, "curve": curve, "nondecreasing_from_start": flag,
-            "n_max": ns[-1]}
-
-
-def profile_counts(spec, tau, n, word_cap=DEFAULT_WORD_CAP):
-    """{(r, q): count} over L_{n,s} with q = r * c_m(V) = |V + {0..m-1}|.
-
-    r and q are the size and cover size of each word's class
-    (plan_classes), which no translate changes.
-    """
-    out = {}
-    for F, cnt in plan_classes(counting_plan(spec, tau), n, word_cap).items():
-        key = (len(F), cover_size(F, tau.bound))
-        out[key] = out.get(key, 0) + cnt
-    return out
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -704,8 +680,8 @@ def cocycle_to_json(tau):
 
 def cocycle_from_json(doc):
     rule = {(_tuples(json.loads(k)) if k.startswith("[") else
-             word_from_str(k)): int(v) for k, v in doc["rule"].items()}
-    return Cocycle(rule, radius=int(doc.get("radius", 0)))
+             word_from_str(k)): v for k, v in doc["rule"].items()}
+    return Cocycle(rule, radius=doc.get("radius", 0))
 
 
 def _tuples(x):

@@ -11,7 +11,8 @@ grid t whose ratio at n_max still exceeds a threshold.
 Two scale families come from range profiles of a cocycle walk:
     range-exp    a_n(t) = sum over w in L_{n,s} of exp(t * q_n(w))
     range-inner  c_n(t) = sum over w in L_{n,s} of r_n(w)^t
-both grouped by profile class, evaluated in the log domain against
+both grouped by profile class of a counting plan's words (sharing its
+memo with the count brackets), evaluated in the log domain against
 overflow, with exact big-rational modes for regression tests.
 
 The Birkhoff sup |tau^n| / n, whose decay witnesses zero entropy of the
@@ -24,12 +25,12 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .cocycle import (_check_steps, counting_plan, ergodic_sums,
-                      profile_counts, range_distribution)
+from .cocycle import (_check_steps, ergodic_sums, profile_counts,
+                      range_distribution)
 from .fiber import spa_bracket
 from .sequence import hamming_ball_count, k_estimate  # noqa: F401
 from .skew import SkewSystem, capacity_A, request_histograms
-from .util import DEFAULT_WORD_CAP, log_big, log_sum_exp
+from .util import log_big, log_sum_exp
 
 
 # ---------------------------------------------------------------------------
@@ -63,20 +64,17 @@ class PolyScale:
 
 
 class RangeExpScale:
-    """a_n(t) = sum over words of e^{t q_n(w)}, grouped by profile class."""
+    """a_n(t) = sum over a plan's words of e^{t q_n(w)}, by profile class."""
 
-    def __init__(self, spec, tau, word_cap=DEFAULT_WORD_CAP):
-        self.spec = spec
-        self.tau = tau
-        self.word_cap = word_cap
+    def __init__(self, plan):
+        self.plan = plan
         self._cache = {}
         self._logs = {}  # {n: [(log count, q)]}, read by every grid t
 
     def _classes(self, n):
         got = self._cache.get(n)
         if got is None:
-            counts = profile_counts(self.spec, self.tau, n,
-                                    word_cap=self.word_cap)
+            counts = profile_counts(self.plan, n)
             got = sorted((q, cnt) for (_r, q), cnt in counts.items())
             self._cache[n] = got
         return got
@@ -96,21 +94,18 @@ class RangeExpScale:
 
 
 class RangeInnerScale:
-    """c_n(t) = sum over words of r_n(w)^t, grouped by range."""
+    """c_n(t) = sum over a plan's words of r_n(w)^t, grouped by range."""
 
     _poly = PolyScale()  # r^t
 
-    def __init__(self, spec, tau, word_cap=DEFAULT_WORD_CAP):
-        self.spec = spec
-        self.tau = tau
-        self.word_cap = word_cap
+    def __init__(self, plan):
+        self.plan = plan
         self._cache = {}
 
     def _classes(self, n):
         got = self._cache.get(n)
         if got is None:
-            got = sorted(range_distribution(self.spec, self.tau, n,
-                                            word_cap=self.word_cap).items())
+            got = sorted(range_distribution(self.plan, n).items())
             self._cache[n] = got
         return got
 
@@ -127,10 +122,10 @@ class RangeInnerScale:
 # count brackets and the slow-entropy estimator
 
 
-def count_bracket(target, n, epsilon, word_cap=DEFAULT_WORD_CAP):
+def count_bracket(target, n, epsilon):
     """Certified (lower, upper) spanning bracket for a fiber or skew system."""
     if isinstance(target, SkewSystem):
-        cb = capacity_A(target, n, epsilon, word_cap=word_cap)
+        cb = capacity_A(target, n, epsilon)
         return cb.lower, cb.upper
     return spa_bracket(target, range(n), epsilon)
 
@@ -145,7 +140,7 @@ SlowEntropyReport = namedtuple("SlowEntropyReport", (
 
 
 def slow_entropy_report(target, scale, epsilon, n_max, t_grid,
-                        threshold=1e-3, word_cap=DEFAULT_WORD_CAP):
+                        threshold=1e-3):
     """Ratios A_n(eps) / a_n(t) and threshold-crossing estimates of t.
 
     The ratios are taken at n_max and on the doubling ladder
@@ -175,10 +170,10 @@ def slow_entropy_report(target, scale, epsilon, n_max, t_grid,
     if isinstance(target, SkewSystem):
         # one request for every n: the brackets, and a range scale on
         # the same plan, read the histograms back from the memo
-        request_histograms(target, ns, (), word_cap=word_cap)
+        request_histograms(target, ns, ())
     # one count bracket per n serves the whole grid; only the scale
     # varies with t
-    brackets = {n: count_bracket(target, n, epsilon, word_cap) for n in ns}
+    brackets = {n: count_bracket(target, n, epsilon) for n in ns}
     rows = []
     for t in grid:
         for n in ns:
@@ -212,31 +207,30 @@ def h_top_estimate(fiber, epsilon, n_max):
 # Birkhoff sup
 
 
-def birkhoff_sup(spec, tau, n, word_cap=DEFAULT_WORD_CAP):
+def birkhoff_sup(plan, n):
     """max over w in L_{n,s} of |tau^n(w)| / n, an exact rational.
 
     Decay in n witnesses uniform convergence of the ergodic averages to
     zero, the zero-entropy criterion's hypothesis; the full shift with a
     coordinate cocycle stays at 1 forever, as it should.  The max is
     taken over the factor the rule reads: the dropped factors change no
-    sum.  The counting plan's sup (cocycle.counting_plan) says how: on a
+    sum.  The plan's sup (cocycle.counting_plan) says how: on a
     Sturmian factor the sums stream along the cells of its cut walk and
     no word list is built (_cell_sum_max); a radius-0 rule on a full
     shift or SFT takes the extreme sums in one pass over the graph
-    (_graph_sum_max), so word_cap does not apply; every other base loops
-    over its words.
+    (_graph_sum_max), so the plan's word cap does not apply; every other
+    base loops over its words.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    plan = counting_plan(spec, tau)
     spec, tau = plan.factor, plan.rule
     if plan.sup == "cell walk":
-        return Fraction(_cell_sum_max(spec, tau, n, word_cap), n)
+        return Fraction(_cell_sum_max(plan, n), n)
     if plan.sup == "graph pass":
         return Fraction(_graph_sum_max(spec, tau.step_values(), n), n)
     s = tau.radius
     best = None
-    for w in spec.words(n + 2 * s, word_cap=word_cap):
+    for w in spec.words(n + 2 * s, word_cap=plan.word_cap):
         v = abs(ergodic_sums(tau, w)[-1])
         if best is None or v > best:
             best = v
@@ -274,8 +268,8 @@ def _graph_sum_max(spec, vals, n):
     return max(max(hi), -min(lo))
 
 
-def _cell_sum_max(spec, tau, n, word_cap):
-    """max |tau^n| over the words of Sturmian.cells(n + 2s).
+def _cell_sum_max(plan, n):
+    """max |tau^n| over the words of a plan's Sturmian.cells(n + 2s).
 
     A flip at word index p changes only the window values j in
     [p - 2s, p], so each crossed cut recomputes those and moves the
@@ -283,8 +277,9 @@ def _cell_sum_max(spec, tau, n, word_cap):
     crossed position, so a window shared by two flips is recomputed to
     the same value and moves the total once.
     """
+    tau = plan.rule
     width = 2 * tau.radius + 1
-    cells = spec.cells(n + width - 1, word_cap)
+    cells = plan.factor.cells(n + width - 1, plan.word_cap)
     cur, _ = next(cells)
     vals = [tau.value(cur[j:j + width]) for j in range(n)]
     total = sum(vals)

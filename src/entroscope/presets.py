@@ -1,10 +1,11 @@
 """Ready-made systems with desk-scale default parameters.
 
-Each preset bundles a base subshift, a step cocycle, a fiber, the
-assembled skew product, and the experiment defaults (epsilon, window
-ranges, scale grid) under which the associated claims are checkable in
-seconds.  Presets are built fresh on every call so callers can mutate
-the returned objects freely.
+Each preset bundles a base subshift, a step cocycle, a fiber, and the
+experiment defaults (epsilon, window ranges, scale grid) under which the
+associated claims are checkable in seconds; the reader assembles the
+skew product (the CLI once its flags, the word cap among them, are
+read).  Presets are built fresh on every call so callers can mutate the
+returned objects freely.
 """
 
 from fractions import Fraction
@@ -12,7 +13,6 @@ from fractions import Fraction
 from .cocycle import Cocycle
 from .exactnum import GOLDEN_MEAN_ALPHA
 from .fiber import IdentityFiber, SymbolicFiber
-from .skew import SkewSystem
 from .symbolic import FullShift, Product, Sturmian
 from .util import ConfigError
 
@@ -42,9 +42,8 @@ def _sign_step():
 
 
 def _preset(base, tau, fiber, **defaults):
-    """A system's parts, the skew product they assemble, and its defaults."""
-    return dict(base=base, tau=tau, fiber=fiber,
-                system=SkewSystem(base, tau, fiber), **defaults)
+    """A system's parts and its defaults."""
+    return dict(base=base, tau=tau, fiber=fiber, **defaults)
 
 
 def _tt_inverse():

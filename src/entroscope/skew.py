@@ -22,13 +22,14 @@ take the fiber classes of the words (_classes), then one sum of fiber
 counts (_fiber_sum, one memo per system).  Every fiber map T here is
 invertible, and T^c carries the Bowen metric over F + c onto the one
 over F, so sep(T, F + c, eps) = sep(T, F, eps): a class is a visited
-set translated to start at 0.  cocycle.plan_classes builds them from
-the counting plan each system makes when built: range(r), counted by
-the range histograms, when visited sets are intervals (and
-request_histograms asks for every n of a run at once); otherwise the
-visited sets of the factor the rule reads, each counted times the words
-of the factors the rule ignores.  The fiber sees only the visited set,
-so the sums are exactly those over the product's own words.
+set translated to start at 0.  Each system makes one counting plan
+when built, with the word budget of its counts, and
+cocycle.plan_classes builds the classes from it into the plan's memo:
+range(r), counted by the range engines, when visited sets are intervals
+(and request_histograms asks for every n of a run at once); otherwise
+the visited sets of the factor the rule reads, each counted times the
+words of the factors the rule ignores.  The fiber sees only the visited
+set, so the sums are exactly those over the product's own words.
 
 The independent oracle skew_sep_greedy uses neither reduction: it
 walks explicit representative pairs and groups them by the raw scan data
@@ -44,7 +45,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .cocycle import (Cocycle, counting_plan, ergodic_sums, plan_classes,
-                      plan_histograms, translated, visited_sets)
+                      translated, visited_sets)
 from .fiber import SymbolicFiber, sep_count
 from .symbolic import language_on, rho
 from .util import DEFAULT_WORD_CAP, CapExceeded, ConfigError
@@ -53,11 +54,11 @@ from .util import DEFAULT_WORD_CAP, CapExceeded, ConfigError
 class SkewSystem:
     """base subshift, integer cocycle, invertible fiber, as one object.
 
-    plan is counting_plan(base, tau), made once: every count over the
-    system reads its fiber classes from it (cocycle.plan_classes).
+    plan is counting_plan(base, tau, word_cap), made once: every count
+    over the system reads its fiber classes from it (plan_classes).
     """
 
-    def __init__(self, base, tau, fiber):
+    def __init__(self, base, tau, fiber, word_cap=DEFAULT_WORD_CAP):
         if not isinstance(tau, Cocycle):
             raise TypeError("tau must be a Cocycle")
         s = tau.radius
@@ -70,7 +71,7 @@ class SkewSystem:
         self.base = base
         self.tau = tau
         self.fiber = fiber
-        self.plan = counting_plan(base, tau)
+        self.plan = counting_plan(base, tau, word_cap)
         # {eps: {class: (count, exact)}}: fiber counts, see _fiber_sum
         self._fiber_counts = {}
 
@@ -87,8 +88,7 @@ def _require_window_dominates_radius(tau, epsilon):
     return r
 
 
-def skew_sep_direct(sys, n, epsilon, word_cap=DEFAULT_WORD_CAP,
-                    force_enumeration=False):
+def skew_sep_direct(sys, n, epsilon, force_enumeration=False):
     """Exact maximal eps,{0..n-1}-separated count of the skew product.
 
     Adds, per base window on [-rho, n-1+rho], the fiber's exact separated
@@ -104,8 +104,7 @@ def skew_sep_direct(sys, n, epsilon, word_cap=DEFAULT_WORD_CAP,
     if e >= 2:
         # every pair of skew points is eps-close at this range
         return 1
-    classes = _classes(sys, n, r - sys.tau.radius, word_cap,
-                       force_enumeration)
+    classes = _classes(sys, n, r - sys.tau.radius, force_enumeration)
     return _fiber_sum(sys, classes, e, force_enumeration, exact=True)
 
 
@@ -168,14 +167,14 @@ def skew_sep_greedy(sys, n, epsilon, margin=None, pair_cap=2 ** 24):
 CapacityBracket = namedtuple("CapacityBracket", "n epsilon lower upper")
 
 
-def _classes(sys, n, pad, word_cap, force_enumeration):
+def _classes(sys, n, pad, force_enumeration):
     """{fiber class: word count} over L_{n+2pad,s}: the system's
     plan_classes, or with force_enumeration the visited sets of the raw
     base's own words, translated to start at 0 alike."""
     if force_enumeration:
         return translated(visited_sets(sys.base, sys.tau, n,
-                                       word_cap=word_cap, pad=pad))
-    return plan_classes(sys.plan, n, word_cap, pad)
+                                       word_cap=sys.plan.word_cap, pad=pad))
+    return plan_classes(sys.plan, [n], pad)[n]
 
 
 def _fiber_sum(sys, classes, epsilon, fresh, exact=False):
@@ -200,7 +199,7 @@ def _fiber_sum(sys, classes, epsilon, fresh, exact=False):
     return total
 
 
-def request_histograms(sys, ns, epsilons, word_cap=DEFAULT_WORD_CAP):
+def request_histograms(sys, ns, epsilons):
     """Ask the system's plan once for every n of a run, per distinct pad.
 
     capacity_A reads pad 0 and skew_sep_direct at eps reads pad rho(eps);
@@ -210,11 +209,10 @@ def request_histograms(sys, ns, epsilons, word_cap=DEFAULT_WORD_CAP):
     if sys.plan.steps is None:
         return
     for pad in sorted({0} | {rho(e) for e in epsilons}):
-        plan_histograms(sys.plan, ns, word_cap, pad)
+        plan_classes(sys.plan, ns, pad)
 
 
-def capacity_A(sys, n, epsilon, word_cap=DEFAULT_WORD_CAP,
-               force_enumeration=False):
+def capacity_A(sys, n, epsilon, force_enumeration=False):
     """Bracket on A_n(eps) = sum over w in L_{n,s} of spa(T, V(w), eps).
 
     Each word's spanning count is carried as the bracket
@@ -226,7 +224,7 @@ def capacity_A(sys, n, epsilon, word_cap=DEFAULT_WORD_CAP,
     e = Fraction(epsilon)
     if e <= 0:
         raise ValueError("epsilon must be positive")
-    classes = _classes(sys, n, 0, word_cap, force_enumeration)
+    classes = _classes(sys, n, 0, force_enumeration)
     return CapacityBracket(
         n=n, epsilon=e,
         lower=_fiber_sum(sys, classes, 2 * e, force_enumeration),
@@ -238,7 +236,7 @@ SandwichRow = namedtuple("SandwichRow", (
     "e_inferred left_certified left_stated"))
 
 
-def sandwich_check(sys, n_range, epsilon, word_cap=DEFAULT_WORD_CAP):
+def sandwich_check(sys, n_range, epsilon):
     """Finite-n verification of A_n(2e) <= spa(skew, e) <= E * A_n(e/2).
 
     Per n the report carries the A_n(2 eps) bracket, the skew spanning
@@ -255,13 +253,15 @@ def sandwich_check(sys, n_range, epsilon, word_cap=DEFAULT_WORD_CAP):
         raise ConfigError("sandwich needs eps in (0, 2^-(s+1)); got %s with s=%d"
                           % (e, s))
     ns = sorted(set(int(n) for n in n_range))
-    request_histograms(sys, ns, (2 * e, e), word_cap=word_cap)
+    request_histograms(sys, ns, (2 * e, e))
     rows = []
     for n in ns:
-        a2 = capacity_A(sys, n, 2 * e, word_cap=word_cap)
-        ahalf = capacity_A(sys, n, e / 2, word_cap=word_cap)
-        skew_lo = skew_sep_direct(sys, n, 2 * e, word_cap=word_cap)
-        skew_hi = skew_sep_direct(sys, n, e, word_cap=word_cap)
+        a2 = capacity_A(sys, n, 2 * e)
+        ahalf = capacity_A(sys, n, e / 2)
+        if ahalf.lower == 0:  # no word carries a fiber point: no E
+            raise ValueError("empty language at n=%d" % n)
+        skew_lo = skew_sep_direct(sys, n, 2 * e)
+        skew_hi = skew_sep_direct(sys, n, e)
         e_inf = Fraction(skew_hi, ahalf.lower)
         rows.append(SandwichRow(
             n=n, epsilon=e,

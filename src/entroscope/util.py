@@ -1,4 +1,5 @@
-"""Shared plumbing: error types, the default word cap, big-integer logs."""
+"""Shared plumbing: error types, the default word cap, integer reading,
+big-integer logs."""
 
 import math
 
@@ -24,6 +25,16 @@ class WindowError(ValueError):
 
 class SturmianHorizonError(ValueError):
     """Rotation-coding request past the validity horizon of a rational angle."""
+
+
+def as_int(value):
+    """An int from an integral number (3 or 3.0) or integer text; int()
+    alone reads 2.7 as 2 and True as 1, ValueErrors here."""
+    out = int(value)
+    if isinstance(value, bool) or (not isinstance(value, str)
+                                   and out != value):
+        raise ValueError("expected an integer, got %r" % (value,))
+    return out
 
 
 def log_big(x):

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from entroscope.cocycle import Cocycle, cocycle_profile, range_distribution
+from entroscope.cocycle import (Cocycle, cocycle_profile, counting_plan,
+                                range_distribution)
 from entroscope.entropy import (RangeExpScale, birkhoff_sup, h_top_estimate,
                                 slow_entropy_report)
 from entroscope.exactnum import GOLDEN_MEAN_ALPHA
@@ -28,7 +29,7 @@ from entroscope.sequence import (Arithmetic, Explicit, Geometric, evens_family,
                                  folner_defect, goodwyn_check,
                                  hamming_ball_count, hamming_exponent,
                                  interval_family, k_estimate)
-from entroscope.skew import capacity_A, sandwich_check
+from entroscope.skew import SkewSystem, capacity_A, sandwich_check
 from entroscope.symbolic import SFT, FullShift, Sturmian, complexity, rho
 
 LOG2 = math.log(2)
@@ -109,7 +110,8 @@ def test_capacity_sandwich_certified():
     integers.  Budget 5 min."""
     t0 = time.monotonic()
     ctx = get_preset("tt-inverse")
-    res = sandwich_check(ctx["system"], range(2, 7), Fraction(1, 4))
+    system = SkewSystem(ctx["base"], ctx["tau"], ctx["fiber"])
+    res = sandwich_check(system, range(2, 7), Fraction(1, 4))
     assert res["pass"]
     e_vals = [row.e_inferred for row in res["rows"]]
     assert all(e <= 64 for e in e_vals)
@@ -128,8 +130,9 @@ def test_slow_entropy_estimates_near_log2():
     t estimates within 0.1 of ln 2.  Budget 2 min."""
     t0 = time.monotonic()
     ctx = get_preset("tt-inverse")
-    scale = RangeExpScale(ctx["base"], ctx["tau"])
-    rep = slow_entropy_report(ctx["system"], scale, Fraction(1, 4), 200,
+    system = SkewSystem(ctx["base"], ctx["tau"], ctx["fiber"])
+    scale = RangeExpScale(system.plan)
+    rep = slow_entropy_report(system, scale, Fraction(1, 4), 200,
                               ctx["t_grid"])
     assert not rep.empty_upper and not rep.empty_lower
     assert abs(rep.t_upper - LOG2) <= 0.1
@@ -144,8 +147,9 @@ def test_range_distribution_dp_vs_enumeration():
     t0 = time.monotonic()
     tau = Cocycle({(-1,): -1, (1,): 1})
     for base in (FullShift((-1, 1)), SFT((-1, 1), [(1, 1)])):
+        plan = counting_plan(base, tau)
         for n in range(1, 15):
-            dist = range_distribution(base, tau, n)
+            dist = range_distribution(plan, n)
             brute = Counter(cocycle_profile(tau, w).r for w in base.words(n))
             assert dist == dict(brute), (base, n)
     assert time.monotonic() - t0 < 30.0
@@ -200,9 +204,10 @@ def test_sturmian_zero_entropy_family():
     for n in range(1, 31):
         assert complexity(coding, n) == n + 1
     ctx = get_preset("sturmian-walk")
-    b = [birkhoff_sup(ctx["base"], ctx["tau"], n) for n in (10, 100, 1000)]
+    system = SkewSystem(ctx["base"], ctx["tau"], ctx["fiber"])
+    b = [birkhoff_sup(system.plan, n) for n in (10, 100, 1000)]
     assert b[0] > b[1] > b[2]
-    cb = capacity_A(ctx["system"], 2000, Fraction(1, 2))
+    cb = capacity_A(system, 2000, Fraction(1, 2))
     assert math.log(cb.upper) / 2000 <= 0.05
     assert time.monotonic() - t0 < 120.0
 

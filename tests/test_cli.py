@@ -13,7 +13,7 @@ import entroscope
 from entroscope import cli
 from entroscope.cli import (main, make_scale, parse_int_list, parse_sequence,
                             parse_t_grid)
-from entroscope.cocycle import Cocycle
+from entroscope.cocycle import Cocycle, counting_plan
 from entroscope.entropy import ExpScale, RangeExpScale
 from entroscope.presets import preset_names
 from entroscope.sequence import Arithmetic, Explicit, Geometric
@@ -59,10 +59,11 @@ def test_parse_sequence():
 def test_make_scale():
     base = FullShift((-1, 1))
     tau = Cocycle({(-1,): -1, (1,): 1})
-    assert isinstance(make_scale("exp", None, None, 100), ExpScale)
-    assert isinstance(make_scale("range-exp", base, tau, 100), RangeExpScale)
+    assert isinstance(make_scale("exp", None), ExpScale)
+    assert isinstance(make_scale("range-exp", counting_plan(base, tau)),
+                      RangeExpScale)
     with pytest.raises(ConfigError):
-        make_scale("range-exp", None, None, 100)
+        make_scale("range-exp", None)
     # an unknown scale is refused where a config is read, as argparse
     # refuses the flag
     with pytest.raises(ConfigError):
@@ -351,7 +352,6 @@ def _engines_that_run(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
 
-    monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
     wrap(cocycle, "_images_pass", "images")
     wrap(cocycle, "_walk_pass", "strips")
     wrap(cocycle, "visited_sets", "enumeration")
@@ -388,9 +388,32 @@ def test_counted_on_names_the_engine_that_ran(monkeypatch, tmp_path, capsys,
         assert ran - {"cell walk"} == {counted["histograms"]}
 
 
+@pytest.mark.parametrize("argv", [
+    "slow-entropy --preset tt-inverse",
+    "sep --preset sturmian-product",
+    "cocycle-stats --preset tt-inverse",
+    "birkhoff --preset sturmian-walk",
+])
+def test_each_command_makes_one_counting_plan(monkeypatch, capsys, argv):
+    # its counts, its scale and its self-checks share the one plan and
+    # its memo
+    from entroscope import cocycle, skew
+    plans = []
+    real = cocycle.counting_plan
+
+    def counting(*args, **kwargs):
+        plans.append(args)
+        return real(*args, **kwargs)
+
+    for module in (cocycle, skew):
+        monkeypatch.setattr(module, "counting_plan", counting)
+    assert main(argv.split()) == 0
+    capsys.readouterr()
+    assert len(plans) == 1
+
+
 def test_cocycle_stats_asks_the_range_engine_once(monkeypatch, capsys):
     from entroscope import cocycle
-    monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
     passes = []
     real = cocycle._images_pass
 
@@ -500,15 +523,15 @@ def test_config_strings_read_as_their_flags(tmp_path, capsys, command, key,
 PARAM_VALUES = {
     "epsilon": ("0.1", [0.1]),
     "n_max": ("24", [24]),
-    "n_range": ("2:5", [[2, 3, 4, 5]]),
+    "n_range": ("2:5", [[2, 3, 4, 5], [2.0, 3, 4, 5.0]]),
     "n_list": ("4,8", [[4, 8]]),
     "t_grid": ("0.3:0.5:0.1", [[0.3, 0.4, 0.5],
                                {"start": 0.3, "stop": 0.5, "step": 0.1}]),
     "scale": ("poly", []),
     "threshold": ("0.01", [0.01]),
-    "word_cap": ("4096", [4096]),
+    "word_cap": ("4096", [4096, 4096.0]),
     "length": ("3", [3]),
-    "n": ("7", [7]),
+    "n": ("7", [7, 7.0]),
     "reach": ("3", [3]),
     "sequence": ("geometric:2", []),
     "k_symbols": ("3", [3]),
@@ -548,6 +571,47 @@ def test_unreadable_numbers_are_exit_2(tmp_path, capsys):
         path.write_text(json.dumps({"parameters": params}))
         assert main(["hamming", "--config", str(path)]) == 2
         assert "bad value for parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, reason", [
+    # int() would read -1.5 as -1 and run the sign walk
+    ({"system": {"tau": {"radius": 0, "rule": {"0": -1.5, "1": 1}}}},
+     "bad system descriptor: expected an integer, got -1.5"),
+    ({"system": {"tau": {"radius": 0.5, "rule": {"0": -1, "1": 1}}}},
+     "bad system descriptor: expected an integer, got 0.5"),
+    # and n = 2.7 as n = 2
+    ({"parameters": {"n_range": [2.7, 3]}},
+     "bad value for parameter 'n_range': expected an integer, got 2.7"),
+    ({"parameters": {"n_max": 8.5}},
+     "bad value for parameter 'n_max': expected an integer, got 8.5"),
+    ({"parameters": {"word_cap": True}},
+     "bad value for parameter 'word_cap': expected an integer, got True"),
+])
+def test_non_integral_numbers_are_exit_2(tmp_path, capsys, doc, reason):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(dict(doc, command="sep", preset="tt-inverse")))
+    assert main(["run", "--config", str(path)]) == 2
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sandwich", "cocycle-stats"])
+def test_empty_base_language_is_exit_2(tmp_path, capsys, command):
+    # every letter forbidden: no word has a range or carries a fiber point
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "command": command,
+        "system": {"base": {"variant": "sft", "alphabet": [0, 1],
+                            "forbidden": ["0", "1"]},
+                   "tau": {"radius": 0, "rule": {"0": -1, "1": 1}},
+                   "fiber": SYMBOLIC_BITS},
+        "parameters": {"epsilon": "1/4", "n_range": [2, 3]}}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "config error: empty language at n=" in capsys.readouterr().err
+    path.write_text(json.dumps(dict(json.loads(path.read_text()),
+                                    command="language",
+                                    parameters={"length": 3})))
+    assert main(["run", "--config", str(path)]) == 0
+    assert "words of length 3: 0" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, key, text, reason", [
@@ -622,8 +686,8 @@ def test_cap_exceeded_writes_partial_report(tmp_path, capsys):
 # -- exit code 4: fast path disagreement -----------------------------------------
 
 def test_oracle_mismatch_exits_4(monkeypatch, capsys):
-    def crooked(sys, n, epsilon, word_cap=2 ** 20, force_enumeration=False):
-        cb = real_capacity_A(sys, n, epsilon, word_cap=word_cap,
+    def crooked(sys, n, epsilon, force_enumeration=False):
+        cb = real_capacity_A(sys, n, epsilon,
                              force_enumeration=force_enumeration)
         if force_enumeration:
             return cb
@@ -685,7 +749,6 @@ def test_distribution_self_check_mismatch_exits_4(monkeypatch, capsys,
                                                   tmp_path, name, plant,
                                                   oracle):
     from entroscope import cocycle
-    monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
     monkeypatch.setattr(cocycle, name, plant(getattr(cocycle, name)))
     assert main(_golden_sign_job(tmp_path, "cocycle-stats")) == 4
     err = capsys.readouterr().err
@@ -701,7 +764,6 @@ def test_distribution_self_check_mismatch_exits_4(monkeypatch, capsys,
 def test_images_self_check_mismatch_exits_4(monkeypatch, capsys, name,
                                             plant, oracle):
     from entroscope import cocycle
-    monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
     monkeypatch.setattr(cocycle, name, plant(getattr(cocycle, name)))
     assert main(["cocycle-stats", "--preset", "tt-inverse"]) == 4
     err = capsys.readouterr().err
@@ -717,7 +779,6 @@ def test_sep_self_check_mismatch_exits_4(monkeypatch, capsys, argv):
     # only skew separated counts read padded histograms, so the capacity
     # and distribution checks pass and the sep check must catch it
     from entroscope import cocycle
-    monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
     monkeypatch.setattr(cocycle, "_images_pass",
                         _pass_off_by_one_padded(cocycle._images_pass))
     assert main(argv + ["--preset", "tt-inverse"]) == 4
@@ -735,7 +796,6 @@ def test_strips_sep_self_check_mismatch_exits_4(monkeypatch, capsys,
                                                 parameters):
     # the same fault in the strips, on an SFT base they count
     from entroscope import cocycle
-    monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
     monkeypatch.setattr(cocycle, "_walk_pass",
                         _pass_off_by_one_padded(cocycle._walk_pass))
     argv = _golden_sign_job(tmp_path, command, epsilon="1/8", **parameters)

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from entroscope import cocycle
 from entroscope.cocycle import (Cocycle, cocycle_from_json, cocycle_profile,
-                                cocycle_to_json, ergodic_sums, profile_counts,
-                                range_distribution, range_histograms,
-                                unbounded_evidence, unbounded_profile,
+                                cocycle_to_json, counting_plan, ergodic_sums,
+                                plan_histograms, profile_counts,
+                                range_distribution, unbounded_evidence,
                                 walk_range_distribution)
 from entroscope.entropy import birkhoff_sup
 from entroscope.sequence import c_m
@@ -33,6 +33,12 @@ def test_cocycle_validation():
     assert SIGN.bound == 1
     assert Cocycle({(0,): 0}).bound == 1  # floor keeps the zero cocycle usable
     assert Cocycle({(0,): -5, (1,): 2}).bound == 5
+    # integral numbers read as integers; others are refused, not truncated
+    assert Cocycle({(0,): -1.0}, radius=0.0).rule == {(0,): -1}
+    for rule, radius in (({(0,): -1.5}, 0), ({(0,): True}, 0),
+                         ({(0,): 1}, 0.5)):
+        with pytest.raises(ValueError):
+            Cocycle(rule, radius)
 
 
 def test_cocycle_value_and_step_values():
@@ -138,16 +144,16 @@ def test_full_shift_is_the_sft_with_nothing_forbidden(labels, steps):
     assert isinstance(full, SFT)
     assert full.graph() == sft.graph()
     ns = range(1, 13)
+    plans = counting_plan(full, tau), counting_plan(sft, tau)
     for pad in (0, 1, 2):
-        # the memo keys the two apart (their reprs differ), so each side
-        # runs its own pass
-        assert range_histograms(full, tau, ns, pad=pad) == \
-            range_histograms(sft, tau, ns, pad=pad), pad
+        # each side's plan runs its own pass
+        assert plan_histograms(plans[0], ns, pad) == \
+            plan_histograms(plans[1], ns, pad), pad
     for n in ns:
         assert full.count(n) == sft.count(n) == len(labels) ** n
         assert walk_range_distribution(full, n - 1, vals) == \
             walk_range_distribution(sft, n - 1, vals), n
-        assert birkhoff_sup(full, tau, n) == birkhoff_sup(sft, tau, n) == 1
+        assert birkhoff_sup(plans[0], n) == birkhoff_sup(plans[1], n) == 1
 
 
 def test_range_dp_requires_total_small_steps():
@@ -159,14 +165,14 @@ def test_range_dp_requires_total_small_steps():
 
 def test_range_distribution_dispatches_to_enumeration():
     walk = Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2))
-    dist = range_distribution(walk, SIGN, 8)
+    dist = range_distribution(counting_plan(walk, SIGN), 8)
     assert dist == brute_distribution(walk, SIGN, 8)
     assert sum(dist.values()) == 16  # complexity 2n
 
 
 def test_profile_counts_dp_and_enumeration_agree():
     for spec in (SIGNS, GOLDEN):
-        fast = profile_counts(spec, SIGN, 9)
+        fast = profile_counts(counting_plan(spec, SIGN), 9)
         slow = Counter()
         for w in spec.words(9):
             prof = cocycle_profile(SIGN, w)
@@ -183,7 +189,7 @@ def test_profile_counts_dp_and_enumeration_agree():
         for w in spec.words(9 + 2 * tau.radius):
             prof = cocycle_profile(tau, w)
             slow[(prof.r, prof.q)] += 1
-        assert profile_counts(spec, tau, 9) == dict(slow)
+        assert profile_counts(counting_plan(spec, tau), 9) == dict(slow)
 
 
 def test_cocycle_stats_enumerates_each_length_once(monkeypatch, tmp_path,
@@ -194,7 +200,6 @@ def test_cocycle_stats_enumerates_each_length_once(monkeypatch, tmp_path,
     from entroscope.cli import main
     wide = Cocycle({(a, b, c): a + c - 1 for a in (0, 1) for b in (0, 1)
                     for c in (0, 1)}, radius=1)
-    monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
     asked = Counter()
     real = FullShift.words
 
@@ -215,9 +220,10 @@ def test_cocycle_stats_enumerates_each_length_once(monkeypatch, tmp_path,
 
 def test_unbounded_profile_values():
     # length 4 sign words with range >= 3 are those leaving a 2-point set
-    assert unbounded_profile(SIGNS, SIGN, 3, 4) == Fraction(3, 4)
-    assert unbounded_profile(SIGNS, SIGN, 1, 4) == 1
-    ev = unbounded_evidence(SIGNS, SIGN, 3, [4, 8, 12])
+    plan = counting_plan(SIGNS, SIGN)
+    assert unbounded_evidence(plan, 3, [4])["curve"] == [(4, Fraction(3, 4))]
+    assert unbounded_evidence(plan, 1, [4])["curve"] == [(4, 1)]
+    ev = unbounded_evidence(plan, 3, [4, 8, 12])
     assert ev["curve"][0] == (4, Fraction(3, 4))
     assert ev["curve"][1] == (8, Fraction(63, 64))
     assert ev["nondecreasing_from_start"]
@@ -277,7 +283,7 @@ def test_engine_matches_dict_dp_on_random_sfts(forbidden, down, up, ns,
     tau = Cocycle({(-1,): down, (1,): up})
     # counts up to 2^n_big: past 31 bits, in strip fields past 32 bits
     assert cocycle._field_bits(2, n_big, 0) > 32
-    got = range_histograms(base, tau, ns | {n_big})
+    got = plan_histograms(counting_plan(base, tau), ns | {n_big})
     for n in ns | {n_big}:
         assert got[n] == walk_range_distribution(base, n - 1,
                                                  tau.step_values()), n
@@ -296,7 +302,7 @@ def test_engine_matches_dict_dp_on_three_letters(forbidden, steps, ns, n_big):
     tau = Cocycle({(a,): v for a, v in vals.items()})
     assert 3 ** n_big >= 2 ** 31
     assert cocycle._field_bits(3, n_big, 0) > 32
-    got = range_histograms(base, tau, ns | {n_big})
+    got = plan_histograms(counting_plan(base, tau), ns | {n_big})
     for n in ns | {n_big}:
         assert got[n] == walk_range_distribution(base, n - 1, vals), n
 
@@ -305,7 +311,7 @@ def test_engine_counts_past_64_bits_exactly():
     # at n = 64 single counts of the sign walk exceed 2^31, the total is
     # 2^64, and a strip field holds more than 64 bits
     assert cocycle._field_bits(2, 64, 0) > 64
-    hists = range_histograms(SIGNS, SIGN, [64, 200])
+    hists = plan_histograms(counting_plan(SIGNS, SIGN), [64, 200])
     got = hists[64]
     want = walk_range_distribution(SIGNS, 63, {-1: -1, 1: 1})
     assert got == want and max(want.values()) > 2 ** 31
@@ -318,7 +324,6 @@ def test_engine_counts_past_64_bits_exactly():
 
 
 def test_engine_serves_repeat_requests_from_its_memo(monkeypatch):
-    monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
     passes = []
     real = cocycle._images_pass
 
@@ -327,23 +332,26 @@ def test_engine_serves_repeat_requests_from_its_memo(monkeypatch):
         return real(base, vals, ns, pad)
 
     # the engine that counts the sign walk on the full shift
-    assert cocycle.counting_plan(SIGNS, SIGN).histograms == "images"
+    plan = counting_plan(SIGNS, SIGN)
+    assert plan.histograms == "images"
     monkeypatch.setattr(cocycle, "_images_pass", counting)
-    first = range_histograms(SIGNS, SIGN, [40, 10, 20])
+    first = plan_histograms(plan, [40, 10, 20])
     assert passes == [[10, 20, 40]]
-    # an equal system built afresh hits the memo: keys are definitions
-    again = range_histograms(FullShift((-1, 1)),
-                             Cocycle({(1,): 1, (-1,): -1}), [20, 40])
+    # a second request on the same plan reads its memo
+    again = plan_histograms(plan, [20, 40])
     assert again == {20: first[20], 40: first[40]}
-    assert range_distribution(SIGNS, SIGN, 10) == first[10]
-    assert profile_counts(SIGNS, SIGN, 40) == {(r, r): c
-                                               for r, c in first[40].items()}
+    assert range_distribution(plan, 10) == first[10]
+    assert profile_counts(plan, 40) == {(r, r): c
+                                        for r, c in first[40].items()}
     assert passes == [[10, 20, 40]]
     # callers get copies, never the memo itself
     again[20].clear()
-    assert range_histograms(SIGNS, SIGN, [20])[20] == first[20]
-    range_histograms(SIGNS, SIGN, [10, 50])
+    assert plan_histograms(plan, [20])[20] == first[20]
+    plan_histograms(plan, [10, 50])
     assert passes == [[10, 20, 40], [50]]
+    # the memo is the plan's: an equal plan built afresh runs its own pass
+    plan_histograms(counting_plan(SIGNS, SIGN), [10])
+    assert passes == [[10, 20, 40], [50], [10]]
 
 
 # -- the padded engine: middle windows of L_{n+2 pad} ---------------------------
@@ -366,7 +374,7 @@ def test_padded_engine_matches_sliced_enumeration(forbidden, down, up, ns,
                                                   pad):
     base = SFT((-1, 1), forbidden)
     tau = Cocycle({(-1,): down, (1,): up})
-    got = range_histograms(base, tau, ns, pad=pad)
+    got = plan_histograms(counting_plan(base, tau), ns, pad=pad)
     for n in ns:
         assert got[n] == sliced_histogram(base, tau, n, pad), n
 
@@ -378,7 +386,7 @@ def test_padded_engine_counts_in_wide_fields():
     for n, pad in ((29, 3), (5, 16)):
         assert 2 ** n < 2 ** 31 < 2 ** (n + 2 * pad)
         assert cocycle._field_bits(2, n, pad) > 32
-        got = range_histograms(SIGNS, SIGN, [n], pad=pad)[n]
+        got = plan_histograms(counting_plan(SIGNS, SIGN), [n], pad=pad)[n]
         want = walk_range_distribution(SIGNS, n - 1, {-1: -1, 1: 1})
         assert got == {r: c * 4 ** pad for r, c in want.items()}
         assert cocycle._walk_pass(SIGNS, SIGN.step_values(), [n],
@@ -391,7 +399,7 @@ def test_padded_engine_counts_in_wide_fields():
     assert stair.count(30 + 2 * 2) < 2 ** 6
     assert cocycle._field_bits(2, 30, 2) > 34
     for pad in (0, 1, 2):
-        assert (range_histograms(stair, SIGN, [30], pad=pad)[30]
+        assert (plan_histograms(counting_plan(stair, SIGN), [30], pad=pad)[30]
                 == sliced_histogram(stair, SIGN, 30, pad))
 
 
@@ -401,7 +409,7 @@ def test_padded_engine_slices_enumerated_bases():
         tau = Cocycle({(a,): a for a in (-1, 1)} if base is walk else
                       {((a, b),): a for a in (-1, 1) for b in (-1, 1)})
         for pad in (0, 2):
-            got = range_histograms(base, tau, [3, 5], pad=pad)
+            got = plan_histograms(counting_plan(base, tau), [3, 5], pad=pad)
             for n in (3, 5):
                 want = Counter()
                 for w in base.words(n + 2 * pad):
@@ -423,12 +431,12 @@ def test_images_match_strips_dict_dp_and_brute_force(steps):
     base = FullShift(labels)
     vals = dict(zip(labels, steps))
     tau = Cocycle({(a,): v for a, v in vals.items()})
-    assert cocycle.counting_plan(base, tau).histograms == "images"
+    assert counting_plan(base, tau).histograms == "images"
     ns = list(range(1, 13)) + [40]
     for pad in range(4):
         got = cocycle._images_pass(base, vals, ns, pad)
         assert got == cocycle._walk_pass(base, vals, ns, pad), pad
-        assert range_histograms(base, tau, ns, pad=pad) == got, pad
+        assert plan_histograms(counting_plan(base, tau), ns, pad) == got, pad
         free = len(labels) ** (2 * pad)  # the pad letters
         for n in ns:
             want = walk_range_distribution(base, n - 1, vals)
@@ -455,8 +463,8 @@ def test_images_match_strips_at_long_windows():
 def test_images_need_a_symmetric_walk_on_a_full_shift(base, steps):
     vals = dict(zip(base.labels, steps))
     tau = Cocycle({(a,): v for a, v in vals.items()})
-    assert cocycle.counting_plan(base, tau).histograms == "strips"
-    got = range_histograms(base, tau, [5, 30], pad=1)
+    assert counting_plan(base, tau).histograms == "strips"
+    got = plan_histograms(counting_plan(base, tau), [5, 30], pad=1)
     assert got[5] == sliced_histogram(base, tau, 5, 1)
     if base.forbidden:
         return

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from entroscope.cocycle import Cocycle, ergodic_sums
+from entroscope.cocycle import Cocycle, counting_plan, ergodic_sums
 from entroscope.entropy import (ExpScale, PolyScale, RangeExpScale,
                                 RangeInnerScale, birkhoff_sup, count_bracket,
                                 h_top_estimate, slow_entropy_report)
@@ -45,12 +45,13 @@ def test_exp_and_poly_scales():
 
 def test_range_scales_exact_anchors():
     # 2^3 sign words: ranges r (and q = r) are 2,2,3,2,4,2,3,2 over words
-    assert RangeExpScale(SIGNS, SIGN).eval_exact(3, 2) == 48
-    assert RangeInnerScale(SIGNS, SIGN).eval_exact(3, 2) == 52
+    plan = counting_plan(SIGNS, SIGN)
+    assert RangeExpScale(plan).eval_exact(3, 2) == 48
+    assert RangeInnerScale(plan).eval_exact(3, 2) == 52
 
 
 def test_range_scale_log_matches_exact():
-    scale = RangeExpScale(SIGNS, SIGN)
+    scale = RangeExpScale(counting_plan(SIGNS, SIGN))
     for n in (2, 5, 9):
         exact = scale.eval_exact(n, 2)
         assert math.isclose(scale.log_eval(n, LOG2), math.log(exact),
@@ -72,7 +73,6 @@ def test_ratio_curve_full_shift_constants():
 
 def test_slow_entropy_ladder_rows_are_the_direct_ratios(monkeypatch):
     from entroscope import cocycle
-    monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
     passes = []
     real = cocycle._images_pass
 
@@ -83,7 +83,7 @@ def test_slow_entropy_ladder_rows_are_the_direct_ratios(monkeypatch):
     monkeypatch.setattr(cocycle, "_images_pass", counting)
     sys = SkewSystem(SIGNS, SIGN, SymbolicFiber(FullShift(2)))
     assert sys.plan.histograms == "images"
-    scale = RangeExpScale(SIGNS, SIGN)
+    scale = RangeExpScale(sys.plan)
     eps = Fraction(1, 4)
     rep = slow_entropy_report(sys, scale, eps, 24, [0.9, 0.5, 0.7])
     # one engine pass at pad 0 serves every bracket and the scale
@@ -111,7 +111,7 @@ def test_count_bracket_dispatches_on_target():
 
 def test_slow_entropy_threshold_crossings():
     sys = SkewSystem(SIGNS, SIGN, SymbolicFiber(FullShift(2)))
-    scale = RangeExpScale(SIGNS, SIGN)
+    scale = RangeExpScale(sys.plan)
     grid = [round(0.3 + 0.05 * i, 10) for i in range(17)]
     rep = slow_entropy_report(sys, scale, Fraction(1, 4), 60, grid,
                               threshold=1e-2)
@@ -144,8 +144,9 @@ def test_slow_entropy_flags_a_top_of_grid_answer(preset, saturated, capsys):
                  "--no-self-check"]) == 0
     out = capsys.readouterr().out
     p = get_preset(preset)
-    rep = slow_entropy_report(p["system"], RangeExpScale(p["base"], p["tau"]),
-                              p["epsilon"], 40, p["t_grid"])
+    sys = SkewSystem(p["base"], p["tau"], p["fiber"])
+    rep = slow_entropy_report(sys, RangeExpScale(sys.plan), p["epsilon"], 40,
+                              p["t_grid"])
     assert rep.saturated_upper == rep.saturated_lower == saturated
     assert (rep.t_upper == max(p["t_grid"])) == saturated
     assert not rep.empty_upper and not rep.empty_lower
@@ -331,13 +332,13 @@ def test_folner_powers_stay_bad():
 
 def test_birkhoff_zero_cocycle():
     zero = Cocycle({(-1,): 0, (1,): 0})
-    assert birkhoff_sup(SIGNS, zero, 7) == 0
+    assert birkhoff_sup(counting_plan(SIGNS, zero), 7) == 0
 
 
 def test_birkhoff_full_shift_stays_at_one():
-    assert birkhoff_sup(SIGNS, SIGN, 9) == 1
+    assert birkhoff_sup(counting_plan(SIGNS, SIGN), 9) == 1
     with pytest.raises(ValueError):
-        birkhoff_sup(SIGNS, SIGN, 0)
+        birkhoff_sup(counting_plan(SIGNS, SIGN), 0)
 
 
 def sft_shapes():
@@ -360,11 +361,11 @@ RADIUS_ZERO = (SIGN, Cocycle({(-1,): 3, (1,): -1}),
 def test_birkhoff_graph_pass_matches_word_loop(tau):
     for spec in [SIGNS, GOLDEN] + sft_shapes():
         for n in range(1, 11):
-            assert birkhoff_sup(spec, tau, n) == \
+            assert birkhoff_sup(counting_plan(spec, tau), n) == \
                 birkhoff_by_words(spec, tau, n, None), (spec, n)
     three = Cocycle({(0,): -1, (1,): 0, (2,): 2})
     for n in range(1, 8):
-        assert birkhoff_sup(FullShift(3), three, n) == \
+        assert birkhoff_sup(counting_plan(FullShift(3), three), n) == \
             birkhoff_by_words(FullShift(3), three, n, None)
 
 
@@ -377,10 +378,10 @@ def test_birkhoff_graph_pass_lists_no_words(monkeypatch):
 
     monkeypatch.setattr(SFT, "words", no_words)
     monkeypatch.setattr(FullShift, "words", no_words)
-    assert birkhoff_sup(GOLDEN, drift, 21) == want
+    assert birkhoff_sup(counting_plan(GOLDEN, drift), 21) == want
     # past the word cap: 2^21 words of L_21 on the full 2-shift
-    assert birkhoff_sup(SIGNS, SIGN, 21) == 1
-    assert birkhoff_sup(SIGNS, SIGN, 10 ** 4, word_cap=1) == 1
+    assert birkhoff_sup(counting_plan(SIGNS, SIGN), 21) == 1
+    assert birkhoff_sup(counting_plan(SIGNS, SIGN, word_cap=1), 10 ** 4) == 1
 
 
 def test_birkhoff_graph_pass_rule_coverage():
@@ -390,20 +391,20 @@ def test_birkhoff_graph_pass_rule_coverage():
         with pytest.raises(ConfigError):
             birkhoff_by_words(spec, partial, 4, None)
         with pytest.raises(ConfigError):
-            birkhoff_sup(spec, partial, 4)
+            birkhoff_sup(counting_plan(spec, partial), 4)
     # a letter in no word of the language needs no step
     dead = SFT((-1, 0, 1), [(0,)])
-    assert birkhoff_sup(dead, SIGN, 6) == birkhoff_by_words(dead, SIGN, 6,
-                                                            None) == 1
+    assert birkhoff_sup(counting_plan(dead, SIGN), 6) == \
+        birkhoff_by_words(dead, SIGN, 6, None) == 1
     with pytest.raises(ValueError):
-        birkhoff_sup(SFT((-1, 1), [(-1,), (1,)]), SIGN, 3)
+        birkhoff_sup(counting_plan(SFT((-1, 1), [(-1,), (1,)]), SIGN), 3)
 
 
 def test_birkhoff_sturmian_walk_decays():
     walk = Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2))
-    assert birkhoff_sup(walk, SIGN, 5) == Fraction(1, 5)
-    assert birkhoff_sup(walk, SIGN, 25) == Fraction(3, 25)
-    assert birkhoff_sup(walk, SIGN, 500) == Fraction(1, 125)
+    assert birkhoff_sup(counting_plan(walk, SIGN), 5) == Fraction(1, 5)
+    assert birkhoff_sup(counting_plan(walk, SIGN), 25) == Fraction(3, 25)
+    assert birkhoff_sup(counting_plan(walk, SIGN), 500) == Fraction(1, 125)
 
 
 # radius 1, values in -2..2, so flips change up to three window values
@@ -433,7 +434,7 @@ def test_birkhoff_streamed_on_cells_matches_word_loop(tau):
     for make in STURMIAN_BASES:
         spec = make()
         for n in range(1, 19):
-            assert birkhoff_sup(spec, tau, n) == \
+            assert birkhoff_sup(counting_plan(spec, tau), n) == \
                 birkhoff_by_words(spec, tau, n, None), (spec, n)
 
 
@@ -444,8 +445,8 @@ def test_birkhoff_streamed_refuses_the_same_requests(tau):
     for make in STURMIAN_BASES:
         for n in (3, 8, 19, 20, 25):
             for cap in (None, n, n + 2 * tau.radius, 2 * n, 2 * n + 4):
-                got = outcome(lambda: birkhoff_sup(make(), tau, n,
-                                                   word_cap=cap))
+                got = outcome(lambda: birkhoff_sup(
+                    counting_plan(make(), tau, word_cap=cap), n))
                 want = outcome(lambda: birkhoff_by_words(make(), tau, n,
                                                          cap))
                 assert got == want, (make(), n, cap)
@@ -457,5 +458,5 @@ def test_birkhoff_sturmian_walk_streams_at_ten_thousand(monkeypatch):
 
     walk = get_preset("sturmian-walk")
     monkeypatch.setattr(Sturmian, "words", no_words)
-    assert birkhoff_sup(walk["base"], walk["tau"], 10 ** 4) == \
-        Fraction(3, 5000)
+    plan = counting_plan(walk["base"], walk["tau"])
+    assert birkhoff_sup(plan, 10 ** 4) == Fraction(3, 5000)

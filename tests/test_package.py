@@ -16,9 +16,9 @@ SYSTEM_STACK = ("symbolic", "cocycle", "fiber", "skew", "entropy", "presets",
 # every name the package exports, by the module that defines it
 EXPORTS = {
     "cocycle": ("Cocycle", "CocycleProfile", "cocycle_from_json",
-                "cocycle_profile", "cocycle_to_json", "ergodic_sums",
-                "profile_counts", "range_distribution", "range_histograms",
-                "read_factor", "unbounded_evidence", "unbounded_profile",
+                "cocycle_profile", "cocycle_to_json", "counting_plan",
+                "ergodic_sums", "plan_histograms", "profile_counts",
+                "range_distribution", "read_factor", "unbounded_evidence",
                 "visited_sets", "walk_range_distribution"),
     "entropy": ("ExpScale", "PolyScale", "RangeExpScale", "RangeInnerScale",
                 "SlowEntropyReport", "birkhoff_sup", "count_bracket",

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from entroscope import cocycle
 from entroscope.cli import self_check_distribution
-from entroscope.cocycle import (Cocycle, cocycle_profile, ergodic_sums,
-                                profile_counts, range_histograms,
+from entroscope.cocycle import (Cocycle, cocycle_profile, counting_plan,
+                                ergodic_sums, plan_histograms, profile_counts,
                                 read_factor, visited_sets)
 from entroscope.entropy import birkhoff_sup
 from entroscope.exactnum import GOLDEN_MEAN_ALPHA
@@ -82,7 +82,8 @@ def test_histograms_and_profiles_match_raw_product_words(system, pad):
     spec, tau, _ = system
     s = tau.radius
     ns = longest(spec, 2 * s + 2 * pad)
-    got = range_histograms(spec, tau, ns, pad=pad)
+    plan = counting_plan(spec, tau)
+    got = plan_histograms(plan, ns, pad)
     for n in ns:
         want = Counter(
             len(set(ergodic_sums(tau, w[pad:pad + n + 2 * s])[:-1]))
@@ -93,7 +94,7 @@ def test_histograms_and_profiles_match_raw_product_words(system, pad):
         for w in spec.words(n + 2 * s, word_cap=None):
             prof = cocycle_profile(tau, w)
             want[(prof.r, int(prof.q))] += 1
-        assert profile_counts(spec, tau, n) == dict(want), n
+        assert profile_counts(plan, n) == dict(want), n
 
 
 @settings(deadline=None, max_examples=40)
@@ -123,7 +124,7 @@ def test_birkhoff_sup_matches_raw_product_words(system):
     for n in longest(spec, 2 * tau.radius, top=6):
         best = max(abs(ergodic_sums(tau, w)[-1])
                    for w in spec.words(n + 2 * tau.radius, word_cap=None))
-        assert birkhoff_sup(spec, tau, n) == Fraction(best, n)
+        assert birkhoff_sup(counting_plan(spec, tau), n) == Fraction(best, n)
 
 
 @settings(deadline=None, max_examples=40)
@@ -163,7 +164,7 @@ def test_rules_reading_both_coordinates_stay_unreduced():
     assert read_factor(spec, wide) == (spec, wide, ())
     want = Counter(len(set(ergodic_sums(wide, w)[:-1]))
                    for w in spec.words(5, word_cap=None))
-    assert range_histograms(spec, wide, [3])[3] == dict(want)
+    assert plan_histograms(counting_plan(spec, wide), [3])[3] == dict(want)
 
 
 def test_an_empty_factor_keeps_the_product():
@@ -171,7 +172,7 @@ def test_an_empty_factor_keeps_the_product():
     # windows to rewrite a rule on
     spec = Product(sft([(-1,), (1,)]), BITS)
     assert read_factor(spec, SIGN_PAIRS) == (spec, SIGN_PAIRS, ())
-    assert range_histograms(spec, SIGN_PAIRS, [3], pad=1) == {3: {}}
+    assert plan_histograms(counting_plan(spec, SIGN_PAIRS), [3], 1) == {3: {}}
 
 
 @pytest.mark.parametrize("rule", [
@@ -186,9 +187,10 @@ def test_partial_rules_raise_the_unreduced_error(rule):
     assert read_factor(spec, partial) == (spec, partial, ())
     with pytest.raises(ConfigError) as raw:
         visited_sets(spec, partial, 3)
-    for count in (lambda: range_histograms(spec, partial, [3]),
-                  lambda: profile_counts(spec, partial, 3),
-                  lambda: birkhoff_sup(spec, partial, 3)):
+    plan = counting_plan(spec, partial)
+    for count in (lambda: plan_histograms(plan, [3]),
+                  lambda: profile_counts(plan, 3),
+                  lambda: birkhoff_sup(plan, 3)):
         with pytest.raises(ConfigError) as got:
             count()
         assert str(got.value) == str(raw.value)
@@ -199,20 +201,23 @@ def test_partial_rules_raise_the_unreduced_error(rule):
 
 def test_word_cap_bounds_the_read_factor_and_forcing_the_product():
     tau = Cocycle({((a, b),): a for a in (-1, 1) for b in (-1, 1)})
-    sys = SkewSystem(Product(WALK, SIGNS), tau, SymbolicFiber(FullShift(2)))
+
+    def capped(word_cap):
+        return SkewSystem(Product(WALK, SIGNS), tau,
+                          SymbolicFiber(FullShift(2)), word_cap=word_cap)
+
     # L_3 of the rotation coding has 6 words, of the product 48
-    assert sys.base.count(3) == 48
-    fast = capacity_A(sys, 3, Fraction(1, 4), word_cap=20)
-    assert fast == capacity_A(sys, 3, Fraction(1, 4), word_cap=48,
+    assert capped(20).base.count(3) == 48
+    fast = capacity_A(capped(20), 3, Fraction(1, 4))
+    assert fast == capacity_A(capped(48), 3, Fraction(1, 4),
                               force_enumeration=True)
     with pytest.raises(CapExceeded):
-        capacity_A(sys, 3, Fraction(1, 4), word_cap=20,
-                   force_enumeration=True)
+        capacity_A(capped(20), 3, Fraction(1, 4), force_enumeration=True)
     with pytest.raises(CapExceeded):
-        skew_sep_direct(sys, 3, Fraction(1, 4), word_cap=20,
+        skew_sep_direct(capped(20), 3, Fraction(1, 4),
                         force_enumeration=True)
     with pytest.raises(CapExceeded):
-        capacity_A(sys, 3, Fraction(1, 4), word_cap=4)
+        capacity_A(capped(4), 3, Fraction(1, 4))
 
 
 def _pass_off_by_one(real):
@@ -227,13 +232,12 @@ def _pass_off_by_one(real):
 def test_self_check_runs_the_dp_of_a_product_over_an_sft(monkeypatch):
     golden = sft([(1, 1)])
     spec = Product(golden, BITS)
-    assert self_check_distribution(spec, SIGN_PAIRS, 2 ** 20) == (6, 31)
+    assert self_check_distribution(counting_plan(spec, SIGN_PAIRS)) == (6, 31)
     # a fault in the strip pass shows against the raw product words
-    monkeypatch.setattr(cocycle, "_HISTOGRAMS", {})
     monkeypatch.setattr(cocycle, "_walk_pass",
                         _pass_off_by_one(cocycle._walk_pass))
     with pytest.raises(OracleMismatch, match="brute"):
-        self_check_distribution(spec, SIGN_PAIRS, 2 ** 20)
+        self_check_distribution(counting_plan(spec, SIGN_PAIRS))
 
 
 def test_letters_outside_the_factor_language_need_no_step():
@@ -244,8 +248,9 @@ def test_letters_outside_the_factor_language_need_no_step():
     tau = Cocycle({((1, b),): 1 for b in (0, 1)})
     base, rule, _ = read_factor(spec, tau)
     assert base is stuck and rule.rule == {(1,): 1}
+    plan = counting_plan(spec, tau)
     for pad in (0, 1):
         want = Counter(len(set(ergodic_sums(tau, w[pad:pad + 5])[:-1]))
                        for w in spec.words(5 + 2 * pad, word_cap=None))
-        assert range_histograms(spec, tau, [5], pad=pad)[5] == dict(want)
-    assert self_check_distribution(spec, tau, 2 ** 20) == (6, 31)
+        assert plan_histograms(plan, [5], pad)[5] == dict(want)
+    assert self_check_distribution(plan) == (6, 31)

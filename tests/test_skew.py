@@ -31,8 +31,8 @@ HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 
-def full_sys():
-    return SkewSystem(SIGNS, SIGN, SymbolicFiber(FullShift(2)))
+def full_sys(**word_cap):
+    return SkewSystem(SIGNS, SIGN, SymbolicFiber(FullShift(2)), **word_cap)
 
 
 def golden_sys():
@@ -217,13 +217,13 @@ def test_self_check_reads_no_memoized_fiber_count():
     checks = [(sys, ["capacity@n=3", "sep@n=3", "greedy@n=3"])
               for sys, _ns in visited_set_systems()]
     for sys, notes in checks + [(full_sys(), ["capacity@n=3", "sep@n=3"])]:
-        assert self_check_skew(sys, QUARTER, 2 ** 20) == notes
+        assert self_check_skew(sys, QUARTER) == notes
         memo = next(iter(sys._fiber_counts.values()))
         key = next(iter(memo))
         count, exact = memo[key]
         memo[key] = (count + 1, exact)
         with pytest.raises(OracleMismatch):
-            self_check_skew(sys, QUARTER, 2 ** 20)
+            self_check_skew(sys, QUARTER)
 
 
 # -- capacity ---------------------------------------------------------------
@@ -283,7 +283,7 @@ def test_sandwich_full_shift_passes_with_constant_E():
 
 def test_sandwich_full_shift_constant_E_past_enumeration():
     # L_{n+4} at n = 64 is far beyond any word cap; the pass needs none
-    res = sandwich_check(full_sys(), [20, 64], QUARTER, word_cap=4)
+    res = sandwich_check(full_sys(word_cap=4), [20, 64], QUARTER)
     assert [row.e_inferred for row in res["rows"]] == [16, 16]
     assert res["pass"]
 
