@@ -22,9 +22,8 @@ import json
 import math
 import re
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
-from functools import partial
 
 # the subshift and skew-product modules load lazily (see the package
 # docstring): binding them as modules and calling them qualified leaves
@@ -230,8 +229,8 @@ def apply_config(ctx, doc):
 def load_context(args):
     """Context from preset, then config file, then flag overrides; then
     the command's one counting plan, ctx["plan"], which every count,
-    self-check and summary of the command reads (the skew system's own
-    when there is a fiber)."""
+    self-check and summary of the command reads, and with a fiber the
+    skew system over it, ctx["system"]."""
     ctx = {"word_cap": DEFAULT_WORD_CAP}
     if getattr(args, "preset", None):
         ctx.update(presets.get_preset(args.preset))
@@ -255,13 +254,10 @@ def load_context(args):
         if key in ctx and not ctx[key]:
             raise ConfigError("%s must be nonempty" % key)
     if "base" in ctx and "tau" in ctx:
+        ctx["plan"] = cocycle.counting_plan(ctx["base"], ctx["tau"],
+                                            ctx["word_cap"])
         if "fiber" in ctx:
-            ctx["system"] = skew.SkewSystem(ctx["base"], ctx["tau"],
-                                            ctx["fiber"], ctx["word_cap"])
-            ctx["plan"] = ctx["system"].plan
-        else:
-            ctx["plan"] = cocycle.counting_plan(ctx["base"], ctx["tau"],
-                                                ctx["word_cap"])
+            ctx["system"] = skew.SkewSystem(ctx["plan"], ctx["fiber"])
     return ctx
 
 
@@ -308,31 +304,35 @@ def echo_params(ctx):
 def self_check_skew(system, epsilon):
     """Recompute capacity_A and skew_sep_direct at n = 3 by enumeration.
 
-    Where the plan has no interval steps, the fast path and the
-    enumeration read the same visited sets, so skew_sep_direct is also
-    compared with the independent skew_sep_greedy (on the narrowest hulls
-    its scan allows, within SELF_CHECK_PAIRS representative pairs).  Returns a
-    note per check made.  A check is skipped where its count is out of
-    reach: a cap, a Sturmian horizon, or a system without exact skew
-    counts.
+    The enumeration is the same count on a system over the plan's oracle
+    (cocycle.enumeration_plan), whose own memos hold no count of the
+    fast path.  Where the plan has no interval steps, the fast path and
+    the enumeration read the same visited sets, so skew_sep_direct is
+    also compared with the independent skew_sep_greedy (on the narrowest
+    hulls its scan allows, within SELF_CHECK_PAIRS representative
+    pairs).  Returns a note per check made.  A check is skipped where
+    its count is out of reach: a cap, a Sturmian horizon, or a system
+    without exact skew counts.
     """
     n = 3
+    plan = system.plan
+    enumerated = skew.SkewSystem(
+        cocycle.enumeration_plan(plan.spec, plan.tau, plan.word_cap),
+        system.fiber)
     checks = [("capacity", skew.capacity_A, "enumeration",
-               partial(skew.capacity_A, force_enumeration=True)),
+               lambda eps: skew.capacity_A(enumerated, n, eps)),
               ("sep", skew.skew_sep_direct, "enumeration",
-               partial(skew.skew_sep_direct, force_enumeration=True))]
-    if system.plan.steps is None:
-        def greedy(sys, n, eps):
-            return skew.skew_sep_greedy(sys, n, eps,
-                                        margin=symbolic.rho(eps),
-                                        pair_cap=SELF_CHECK_PAIRS)
+               lambda eps: skew.skew_sep_direct(enumerated, n, eps))]
+    if plan.steps is None:
         checks.append(("greedy", skew.skew_sep_direct, "greedy count",
-                       greedy))
+                       lambda eps: skew.skew_sep_greedy(
+                           system, n, eps, margin=symbolic.rho(eps),
+                           pair_cap=SELF_CHECK_PAIRS)))
     notes = []
     for name, count, oracle_name, oracle in checks:
         try:
             fast = count(system, n, epsilon)
-            slow = oracle(system, n, epsilon)
+            slow = oracle(epsilon)
         except (CapExceeded, SturmianHorizonError, ConfigError):
             continue
         if fast != slow:
@@ -348,27 +348,26 @@ def self_check_distribution(plan):
     The histograms are those of the counting plan (cocycle.counting_plan)
     where it says "images" or "strips"; A is its factor's alphabet.
     n = 6 is checked against brute-force enumeration of the base's own
-    words (a product's raw pairs), and the smallest n with
-    |A|^n >= 2^31, where counts no longer fit 31 bits, against the dict
-    DP on the factor times the dropped factors' words (n = 31 on two
-    letters, 20 on three), and the images there against the strips as
-    well.  Returns the checked n, or None when the histograms are
-    enumerated.
+    words (a product's raw pairs; cocycle.enumeration_plan), and the
+    smallest n with |A|^n >= 2^31, where counts no longer fit 31 bits,
+    against the dict DP on the factor times the dropped factors' words
+    (n = 31 on two letters, 20 on three), and the images there against
+    the strips as well.  Returns the checked n, or None when the
+    histograms are enumerated.
     """
     if plan.histograms == "enumeration":
         return None
-    base, tau = plan.spec, plan.tau
+    tau = plan.tau
     n = 6
     n_big = 1
     while len(plan.factor.labels) ** n_big < 2 ** 31:
         n_big += 1
     hists = cocycle.plan_histograms(plan, [n, n_big])
-    brute = Counter(cocycle.cocycle_profile(tau, w).r
-                    for w in base.words(n + 2 * tau.radius,
-                                        word_cap=plan.word_cap))
-    if hists[n] != dict(brute):
+    brute = cocycle.range_distribution(
+        cocycle.enumeration_plan(plan.spec, tau, plan.word_cap), n)
+    if hists[n] != brute:
         raise OracleMismatch("range distribution fast path %r != brute %r "
-                             "at n=%d" % (hists[n], dict(brute), n))
+                             "at n=%d" % (hists[n], brute, n))
     k = cocycle.dropped_count(plan.dropped, n_big + 2 * tau.radius)
     oracles = [("dict DP", cocycle.walk_range_distribution(
         plan.factor, n_big - 1, plan.steps))]

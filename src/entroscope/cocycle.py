@@ -4,9 +4,8 @@ A cocycle tau of radius s reads the centered window [-s, s] of a point
 and returns an integer.  Over a word w of length n + 2s (the window
 [-s, n+s-1], as spec.words(n + 2s) lists them) the ergodic sums
 tau^0 = 0, tau^j = sum of the first j window values are all determined,
-and the profile of w collects the visited set V = {tau^0, ..., tau^{n-1}},
-its size r, the covering ratio c_m(V) at the cocycle's own bound m, and
-q = r * c_m(V) = |V + {0, ..., m-1}|.
+and the profile of w is its visited set V = {tau^0, ..., tau^{n-1}}, its
+size r and q = |V + {0, ..., m-1}| at the cocycle's own bound m.
 
 ergodic_sums is the one ergodic-sum routine, and visited_sets the one
 loop from words to visited sets, read by every enumerated count.
@@ -17,8 +16,8 @@ of the counts, is the handle of every count.  It reduces a product base
 to the factor the rule reads (read_factor): the rule is rewritten on
 that factor, and every count over the product is the same count over
 the factor times the word counts of the dropped factors
-(dropped_count).  visited_sets itself enumerates whatever base it is
-given, so enumeration of the raw product stays the oracle.
+(dropped_count).  enumeration_plan is the oracle of every plan count:
+a plan over the raw base, product included, that enumerates its words.
 
 plan_classes is the one routine that turns a plan's words into fiber
 classes, each word's visited set translated to start at 0 (range(r)
@@ -46,7 +45,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import prod
 
-from .sequence import c_m, cover_size
+from .sequence import cover_size
 from .symbolic import (SFT, Product, Sturmian, word_from_str,
                        word_to_str)
 from .util import (DEFAULT_WORD_CAP, CapExceeded, ConfigError,
@@ -116,19 +115,6 @@ def ergodic_sums(tau, w):
     except KeyError as exc:
         missing = exc.args[0]
     tau.value(missing)  # raises the ConfigError naming the window
-
-
-CocycleProfile = namedtuple("CocycleProfile", "partial_sums visited r cm q")
-
-
-def cocycle_profile(tau, w):
-    """Profile of one word: visited sums, r, c_m at the cocycle's bound, q."""
-    sums = ergodic_sums(tau, w)[:-1]
-    visited = tuple(sorted(set(sums)))
-    r = len(visited)
-    cm = c_m(visited, tau.bound)
-    return CocycleProfile(partial_sums=tuple(sums), visited=visited,
-                          r=r, cm=cm, q=r * cm)
 
 
 def visited_sets(spec, tau, n, word_cap=DEFAULT_WORD_CAP, pad=0):
@@ -234,9 +220,12 @@ def counting_plan(spec, tau, word_cap=DEFAULT_WORD_CAP):
     "cell walk" on a Sturmian factor, "graph pass" for a radius-0 rule
     on a full shift or SFT, else "enumeration" (a loop over the words).
     word_cap is the budget of the words that its counts enumerate (see
-    plan_classes) and that its oracles enumerate on spec.  memo is
-    {pad: {n: {class: count}}}, the factor's classes (plan_classes).
+    plan_classes) and that its oracle enumerates (enumeration_plan).
+    memo is {pad: {n: {class: count}}}, the factor's classes
+    (plan_classes).
     """
+    if not isinstance(tau, Cocycle):
+        raise TypeError("tau must be a Cocycle")
     factor, rule, dropped = read_factor(spec, tau)
     steps = rule.step_values()
     if steps and any(abs(v) > 1 for v in steps.values()):
@@ -252,6 +241,14 @@ def counting_plan(spec, tau, word_cap=DEFAULT_WORD_CAP):
                       else "strips")
     return CountingPlan(spec, tau, factor, rule, dropped, steps, histograms,
                         sup, word_cap, {})
+
+
+def enumeration_plan(spec, tau, word_cap=DEFAULT_WORD_CAP):
+    """The oracle of counting_plan(spec, tau, word_cap): a plan that
+    enumerates the words of spec itself, a product's raw pairs included,
+    for every count, within word_cap, into a memo of its own."""
+    return CountingPlan(spec, tau, spec, tau, (), None, "enumeration",
+                        "enumeration", word_cap, {})
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ class RangeExpScale:
         self._cache = {}
         self._logs = {}  # {n: [(log count, q)]}, read by every grid t
 
-    def _classes(self, n):
+    def _counts(self, n):
         got = self._cache.get(n)
         if got is None:
             counts = profile_counts(self.plan, n)
@@ -84,13 +84,13 @@ class RangeExpScale:
         logs = self._logs.get(n)
         if logs is None:
             logs = self._logs[n] = [(log_big(cnt), q)
-                                    for q, cnt in self._classes(n)]
+                                    for q, cnt in self._counts(n)]
         return log_sum_exp([lc + t * q for lc, q in logs])
 
     def eval_exact(self, n, base):
         """Exact sum with base = e^t rational, e.g. base 2 for t = ln 2."""
         b = Fraction(base)
-        return sum(cnt * b ** q for q, cnt in self._classes(n))
+        return sum(cnt * b ** q for q, cnt in self._counts(n))
 
 
 class RangeInnerScale:
@@ -102,7 +102,7 @@ class RangeInnerScale:
         self.plan = plan
         self._cache = {}
 
-    def _classes(self, n):
+    def _counts(self, n):
         got = self._cache.get(n)
         if got is None:
             got = sorted(range_distribution(self.plan, n).items())
@@ -111,11 +111,11 @@ class RangeInnerScale:
 
     def log_eval(self, n, t):
         return log_sum_exp([log_big(cnt) + self._poly.log_eval(r, t)
-                            for r, cnt in self._classes(n)])
+                            for r, cnt in self._counts(n)])
 
     def eval_exact(self, n, t):
         return sum(cnt * self._poly.eval_exact(r, t)
-                   for r, cnt in self._classes(n))
+                   for r, cnt in self._counts(n))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .exactnum import QuadExact, frac_exact, num_from_json, num_to_json
 from .symbolic import (WindowPoint, complexity, language_on, rho,
                        spec_from_json, spec_to_json, subshift_close,
                        subshift_distance)
-from .util import DEFAULT_WORD_CAP, ConfigError
+from .util import DEFAULT_WORD_CAP, ConfigError, as_int
 
 
 def _exact_eps(epsilon):
@@ -194,17 +194,18 @@ class ToralAutoFiber:
 
     def __init__(self, matrix, grid):
         (a, b), (c, d) = matrix
-        a, b, c, d = int(a), int(b), int(c), int(d)
+        a, b, c, d = as_int(a), as_int(b), as_int(c), as_int(d)
         det = a * d - b * c
         if det not in (1, -1):
             raise ConfigError("matrix determinant must be +-1, got %d" % det)
+        grid = as_int(grid)
         if grid < 1:
             raise ValueError("grid resolution must be >= 1")
         self.matrix = ((a, b), (c, d))
         self.det = det
         # exact integer inverse: adjugate over the unit determinant
         self.inverse = ((d * det, -b * det), (-c * det, a * det))
-        self.grid = int(grid)
+        self.grid = grid
         self._powers = {0: ((1, 0), (0, 1))}
 
     def __repr__(self):
@@ -379,5 +380,5 @@ def fiber_from_json(doc):
     if variant == "identity":
         return IdentityFiber([num_from_json(p) for p in doc["points"]])
     if variant == "toral":
-        return ToralAutoFiber(doc["matrix"], int(doc["grid"]))
+        return ToralAutoFiber(doc["matrix"], doc["grid"])
     raise ValueError("unknown fiber variant %r" % (variant,))

@@ -18,18 +18,19 @@ regardless of the fiber.  Hence
 the base windows being the words of L_{n,s} padded by rho - s letters
 on each side.  capacity_A brackets A_n(eps) = sum over w in L_{n,s} of
 spa(T, V(w), eps) by two such sums over unpadded words.  All of them
-take the fiber classes of the words (_classes), then one sum of fiber
-counts (_fiber_sum, one memo per system).  Every fiber map T here is
-invertible, and T^c carries the Bowen metric over F + c onto the one
-over F, so sep(T, F + c, eps) = sep(T, F, eps): a class is a visited
-set translated to start at 0.  Each system makes one counting plan
-when built, with the word budget of its counts, and
-cocycle.plan_classes builds the classes from it into the plan's memo:
-range(r), counted by the range engines, when visited sets are intervals
-(and request_histograms asks for every n of a run at once); otherwise
-the visited sets of the factor the rule reads, each counted times the
-words of the factors the rule ignores.  The fiber sees only the visited
-set, so the sums are exactly those over the product's own words.
+take the fiber classes of the words from the system's counting plan
+(cocycle.plan_classes), then one sum of fiber counts (_fiber_sum, one
+memo per system).  Every fiber map T here is invertible, and T^c
+carries the Bowen metric over F + c onto the one over F, so
+sep(T, F + c, eps) = sep(T, F, eps): a class is a visited set
+translated to start at 0.  A system is a plan and a fiber, so systems
+on one plan share its classes.  A counting_plan gives range(r), counted
+by the range engines, when visited sets are intervals (and
+request_histograms asks for every n of a run at once); otherwise the
+visited sets of the factor the rule reads, each counted times the words
+of the factors the rule ignores.  The fiber sees only the visited set,
+so the sums are exactly those over the product's own words, and the
+same counts over cocycle.enumeration_plan are their oracle.
 
 The independent oracle skew_sep_greedy uses neither reduction: it
 walks explicit representative pairs and groups them by the raw scan data
@@ -44,39 +45,37 @@ on finite data, inferring the minimal constant E from the run.
 from collections import namedtuple
 from fractions import Fraction
 
-from .cocycle import (Cocycle, counting_plan, ergodic_sums, plan_classes,
-                      translated, visited_sets)
+from .cocycle import ergodic_sums, plan_classes
 from .fiber import SymbolicFiber, sep_count
 from .symbolic import language_on, rho
 from .util import DEFAULT_WORD_CAP, CapExceeded, ConfigError
 
 
 class SkewSystem:
-    """base subshift, integer cocycle, invertible fiber, as one object.
+    """Base subshift, integer cocycle and invertible fiber, as one object:
+    the plan of base and cocycle (cocycle.counting_plan, or
+    enumeration_plan for an oracle) and the fiber.
 
-    plan is counting_plan(base, tau, word_cap), made once: every count
-    over the system reads its fiber classes from it (plan_classes).
+    Every count over the system reads its fiber classes from the plan
+    (plan_classes) and keeps its fiber counts in the system's own memo.
     """
 
-    def __init__(self, base, tau, fiber, word_cap=DEFAULT_WORD_CAP):
-        if not isinstance(tau, Cocycle):
-            raise TypeError("tau must be a Cocycle")
-        s = tau.radius
-        width = 2 * s + 1
+    def __init__(self, plan, fiber):
+        tau = plan.tau
         # totality of the rule over the base language, checked up front
-        for w in base.words(width, word_cap=DEFAULT_WORD_CAP):
+        for w in plan.spec.words(2 * tau.radius + 1,
+                                 word_cap=DEFAULT_WORD_CAP):
             if w not in tau.rule:
                 raise ConfigError(
                     "cocycle rule missing base window %r" % (w,))
-        self.base = base
-        self.tau = tau
+        self.plan = plan
         self.fiber = fiber
-        self.plan = counting_plan(base, tau, word_cap)
         # {eps: {class: (count, exact)}}: fiber counts, see _fiber_sum
         self._fiber_counts = {}
 
     def __repr__(self):
-        return "SkewSystem(%r, %r, %r)" % (self.base, self.tau, self.fiber)
+        return "SkewSystem(%r, %r, %r)" % (self.plan.spec, self.plan.tau,
+                                           self.fiber)
 
 
 def _require_window_dominates_radius(tau, epsilon):
@@ -88,24 +87,25 @@ def _require_window_dominates_radius(tau, epsilon):
     return r
 
 
-def skew_sep_direct(sys, n, epsilon, force_enumeration=False):
+def skew_sep_direct(sys, n, epsilon):
     """Exact maximal eps,{0..n-1}-separated count of the skew product.
 
     Adds, per base window on [-rho, n-1+rho], the fiber's exact separated
     count over the eps-ball structure of its visited exponent set: the
-    fiber classes of L_{n,s} padded by rho - s on each side (see
-    _classes).  Needs rho(eps) >= s and a fiber with an exact count
-    (every carrier here except the toral grid).
+    plan's fiber classes of L_{n,s} padded by rho - s on each side.
+    Needs rho(eps) >= s and a fiber with an exact count (every carrier
+    here except the toral grid).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     e = Fraction(epsilon)
-    r = _require_window_dominates_radius(sys.tau, e)
+    tau = sys.plan.tau
+    r = _require_window_dominates_radius(tau, e)
     if e >= 2:
         # every pair of skew points is eps-close at this range
         return 1
-    classes = _classes(sys, n, r - sys.tau.radius, force_enumeration)
-    return _fiber_sum(sys, classes, e, force_enumeration, exact=True)
+    classes = plan_classes(sys.plan, [n], r - tau.radius)[n]
+    return _fiber_sum(sys, classes, e, exact=True)
 
 
 def skew_sep_greedy(sys, n, epsilon, margin=None, pair_cap=2 ** 24):
@@ -122,8 +122,9 @@ def skew_sep_greedy(sys, n, epsilon, margin=None, pair_cap=2 ** 24):
     """
     if not isinstance(sys.fiber, SymbolicFiber):
         raise ConfigError("greedy skew oracle needs a symbolic fiber")
+    base, tau = sys.plan.spec, sys.plan.tau
     e = Fraction(epsilon)
-    r = _require_window_dominates_radius(sys.tau, e)
+    r = _require_window_dominates_radius(tau, e)
     if e >= 2:
         return 1
     if margin is None:
@@ -131,14 +132,14 @@ def skew_sep_greedy(sys, n, epsilon, margin=None, pair_cap=2 ** 24):
     if margin < r:
         raise ValueError("margin below the scan radius")
     base_lo = -margin
-    base_words = language_on(sys.base, range(base_lo, n + margin),
+    base_words = language_on(base, range(base_lo, n + margin),
                              word_cap=None)
     # fiber hull: all exponents any base word can visit, widened by margin
     lo_e = hi_e = 0
     exps_per_word = []
-    cut = margin - sys.tau.radius
+    cut = margin - tau.radius
     for w in base_words:
-        exps = ergodic_sums(sys.tau, w[cut:len(w) - cut])[:-1]
+        exps = ergodic_sums(tau, w[cut:len(w) - cut])[:-1]
         exps_per_word.append(exps)
         lo_e = min(lo_e, min(exps))
         hi_e = max(hi_e, max(exps))
@@ -167,26 +168,17 @@ def skew_sep_greedy(sys, n, epsilon, margin=None, pair_cap=2 ** 24):
 CapacityBracket = namedtuple("CapacityBracket", "n epsilon lower upper")
 
 
-def _classes(sys, n, pad, force_enumeration):
-    """{fiber class: word count} over L_{n+2pad,s}: the system's
-    plan_classes, or with force_enumeration the visited sets of the raw
-    base's own words, translated to start at 0 alike."""
-    if force_enumeration:
-        return translated(visited_sets(sys.base, sys.tau, n,
-                                       word_cap=sys.plan.word_cap, pad=pad))
-    return plan_classes(sys.plan, [n], pad)[n]
-
-
-def _fiber_sum(sys, classes, epsilon, fresh, exact=False):
+def _fiber_sum(sys, classes, epsilon, exact=False):
     """sum over classes F of count(F) * sep(T, F, eps).
 
-    Each fiber count is computed once per system and (F, eps), or with
-    fresh set once per call, so an oracle run reads no count that the
-    fast path stored.  The memo holds one dict per eps, keyed by class,
-    so a lookup hashes no Fraction.  With exact set, a fiber that has
-    only a greedy count is a config error.
+    Each fiber count is computed once per system and (F, eps), so a
+    system over an oracle plan reads no count that the fast path's
+    system stored.  The memo
+    holds one dict per eps, keyed by class, so a lookup hashes no
+    Fraction.  With exact set, a fiber that has only a greedy count is a
+    config error.
     """
-    memo = {} if fresh else sys._fiber_counts.setdefault(epsilon, {})
+    memo = sys._fiber_counts.setdefault(epsilon, {})
     total = 0
     for F, cnt in classes.items():
         got = memo.get(F)
@@ -212,23 +204,22 @@ def request_histograms(sys, ns, epsilons):
         plan_classes(sys.plan, ns, pad)
 
 
-def capacity_A(sys, n, epsilon, force_enumeration=False):
+def capacity_A(sys, n, epsilon):
     """Bracket on A_n(eps) = sum over w in L_{n,s} of spa(T, V(w), eps).
 
     Each word's spanning count is carried as the bracket
     [sep(T, V, 2 eps), sep(T, V, eps)] and the sums keep both endpoints,
-    over the fiber classes of L_{n,s} (see _classes).
+    over the plan's fiber classes of L_{n,s}.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     e = Fraction(epsilon)
     if e <= 0:
         raise ValueError("epsilon must be positive")
-    classes = _classes(sys, n, 0, force_enumeration)
-    return CapacityBracket(
-        n=n, epsilon=e,
-        lower=_fiber_sum(sys, classes, 2 * e, force_enumeration),
-        upper=_fiber_sum(sys, classes, e, force_enumeration))
+    classes = plan_classes(sys.plan, [n])[n]
+    return CapacityBracket(n=n, epsilon=e,
+                           lower=_fiber_sum(sys, classes, 2 * e),
+                           upper=_fiber_sum(sys, classes, e))
 
 
 SandwichRow = namedtuple("SandwichRow", (
@@ -248,7 +239,7 @@ def sandwich_check(sys, n_range, epsilon):
     the finite signature of an n-free constant.
     """
     e = Fraction(epsilon)
-    s = sys.tau.radius
+    s = sys.plan.tau.radius
     if not (0 < e < Fraction(1, 2 ** (s + 1))):
         raise ConfigError("sandwich needs eps in (0, 2^-(s+1)); got %s with s=%d"
                           % (e, s))

@@ -27,7 +27,7 @@ from functools import cmp_to_key
 from .exactnum import (QuadExact, _sign, floor_coords, integer_coords,
                        num_from_json, num_to_json)
 from .util import (DEFAULT_WORD_CAP, CapExceeded, SturmianHorizonError,
-                   WindowError)
+                   WindowError, as_int)
 
 
 def _normalize_alphabet(alphabet):
@@ -36,7 +36,7 @@ def _normalize_alphabet(alphabet):
         if alphabet < 2:
             raise ValueError("alphabet size must be >= 2")
         return tuple(range(alphabet))
-    labels = tuple(sorted(int(a) for a in alphabet))
+    labels = tuple(sorted(as_int(a) for a in alphabet))
     if len(labels) < 2:
         raise ValueError("alphabet size must be >= 2")
     if len(set(labels)) != len(labels):
@@ -61,7 +61,7 @@ class SFT:
         self.labels = _normalize_alphabet(alphabet)
         fw = []
         for f in forbidden:
-            w = tuple(int(a) for a in f)
+            w = tuple(as_int(a) for a in f)
             if len(w) == 0:
                 raise ValueError("forbidden words must be nonempty")
             if any(a not in self.labels for a in w):

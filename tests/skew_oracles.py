@@ -24,7 +24,7 @@ def skew_orbit(sys, y, x, n):
     """States (S^k y, T^{tau^k(y)} x) for k = 0..n-1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    exps = exponents(sys.tau, y, n)
+    exps = exponents(sys.plan.tau, y, n)
     return [(y.shift(k), sys.fiber.iterate(x, e)) for k, e in enumerate(exps)]
 
 
@@ -41,10 +41,10 @@ def skew_bowen_distance(sys, p, q, n, mode="raw"):
     y, x = p
     z, w = q
     fib = sys.fiber
-    base = SymbolicFiber(sys.base)
+    base = SymbolicFiber(sys.plan.spec)
     if mode == "raw":
-        ey = exponents(sys.tau, y, n)
-        ez = exponents(sys.tau, z, n)
+        ey = exponents(sys.plan.tau, y, n)
+        ez = exponents(sys.plan.tau, z, n)
         best = None
         for k in range(n):
             db = base.distance(y.shift(k), z.shift(k))
@@ -55,12 +55,12 @@ def skew_bowen_distance(sys, p, q, n, mode="raw"):
         return best
     if mode != "decomposition":
         raise ValueError("mode must be 'raw' or 'decomposition'")
-    s = sys.tau.radius
+    s = sys.plan.tau.radius
     for i in range(-s, n + s):
         if y.get(i) != z.get(i):
             raise ValueError("decomposition mode needs base agreement on "
                              "[%d, %d]; points differ at %d" % (-s, n + s - 1, i))
-    exps = exponents(sys.tau, y, n)
+    exps = exponents(sys.plan.tau, y, n)
     visited = sorted(set(exps))
     db = max(base.distance(y.shift(k), z.shift(k)) for k in range(n))
     df = max(fib.distance(fib.iterate(x, e), fib.iterate(w, e))
@@ -79,24 +79,24 @@ def skew_sep_pairwise(sys, n, epsilon, margin=None, pair_cap=2 ** 22):
     if not isinstance(sys.fiber, SymbolicFiber):
         raise ConfigError("pairwise skew oracle needs a symbolic fiber")
     e = Fraction(epsilon)
-    r = _require_window_dominates_radius(sys.tau, e)
+    r = _require_window_dominates_radius(sys.plan.tau, e)
     if margin is None:
         margin = r + 1
     base_lo = -margin
-    base_words = language_on(sys.base, range(base_lo, n + margin),
+    base_words = language_on(sys.plan.spec, range(base_lo, n + margin),
                              word_cap=None)
-    lo_e = min(0, -(n - 1) * sys.tau.bound) - margin
-    hi_e = max(0, (n - 1) * sys.tau.bound) + margin
+    lo_e = min(0, -(n - 1) * sys.plan.tau.bound) - margin
+    hi_e = max(0, (n - 1) * sys.plan.tau.bound) + margin
     fiber_words = language_on(sys.fiber.spec, range(lo_e, hi_e + 1),
                               word_cap=None)
     fib = sys.fiber
-    base_fib = SymbolicFiber(sys.base)
+    base_fib = SymbolicFiber(sys.plan.spec)
 
     def close(p, q):
         y, x = p
         z, w = q
-        ey = exponents(sys.tau, y, n)
-        ez = exponents(sys.tau, z, n)
+        ey = exponents(sys.plan.tau, y, n)
+        ez = exponents(sys.plan.tau, z, n)
         for k in range(n):
             if not base_fib.distance_le(y.shift(k), z.shift(k), e):
                 return False

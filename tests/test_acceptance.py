@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from entroscope.cocycle import (Cocycle, cocycle_profile, counting_plan,
+from entroscope.cocycle import (Cocycle, counting_plan, ergodic_sums,
                                 range_distribution)
 from entroscope.entropy import (RangeExpScale, birkhoff_sup, h_top_estimate,
                                 slow_entropy_report)
@@ -110,7 +110,8 @@ def test_capacity_sandwich_certified():
     integers.  Budget 5 min."""
     t0 = time.monotonic()
     ctx = get_preset("tt-inverse")
-    system = SkewSystem(ctx["base"], ctx["tau"], ctx["fiber"])
+    system = SkewSystem(counting_plan(ctx["base"], ctx["tau"]),
+                        ctx["fiber"])
     res = sandwich_check(system, range(2, 7), Fraction(1, 4))
     assert res["pass"]
     e_vals = [row.e_inferred for row in res["rows"]]
@@ -130,7 +131,8 @@ def test_slow_entropy_estimates_near_log2():
     t estimates within 0.1 of ln 2.  Budget 2 min."""
     t0 = time.monotonic()
     ctx = get_preset("tt-inverse")
-    system = SkewSystem(ctx["base"], ctx["tau"], ctx["fiber"])
+    system = SkewSystem(counting_plan(ctx["base"], ctx["tau"]),
+                        ctx["fiber"])
     scale = RangeExpScale(system.plan)
     rep = slow_entropy_report(system, scale, Fraction(1, 4), 200,
                               ctx["t_grid"])
@@ -150,7 +152,8 @@ def test_range_distribution_dp_vs_enumeration():
         plan = counting_plan(base, tau)
         for n in range(1, 15):
             dist = range_distribution(plan, n)
-            brute = Counter(cocycle_profile(tau, w).r for w in base.words(n))
+            brute = Counter(len(set(ergodic_sums(tau, w)[:-1]))
+                            for w in base.words(n))
             assert dist == dict(brute), (base, n)
     assert time.monotonic() - t0 < 30.0
 
@@ -204,7 +207,8 @@ def test_sturmian_zero_entropy_family():
     for n in range(1, 31):
         assert complexity(coding, n) == n + 1
     ctx = get_preset("sturmian-walk")
-    system = SkewSystem(ctx["base"], ctx["tau"], ctx["fiber"])
+    system = SkewSystem(counting_plan(ctx["base"], ctx["tau"]),
+                        ctx["fiber"])
     b = [birkhoff_sup(system.plan, n) for n in (10, 100, 1000)]
     assert b[0] > b[1] > b[2]
     cb = capacity_A(system, 2000, Fraction(1, 2))

@@ -341,7 +341,7 @@ def _counting_runs():
 
 def _engines_that_run(monkeypatch):
     """The set of counting engines called from now on, by plan name."""
-    from entroscope import cocycle, entropy, skew, symbolic
+    from entroscope import cocycle, entropy, symbolic
     ran = set()
 
     def wrap(owner, name, engine):
@@ -355,7 +355,6 @@ def _engines_that_run(monkeypatch):
     wrap(cocycle, "_images_pass", "images")
     wrap(cocycle, "_walk_pass", "strips")
     wrap(cocycle, "visited_sets", "enumeration")
-    wrap(skew, "visited_sets", "enumeration")
     wrap(entropy, "_graph_sum_max", "graph pass")
     wrap(symbolic.Sturmian, "cells", "cell walk")
     return ran
@@ -397,7 +396,7 @@ def test_counted_on_names_the_engine_that_ran(monkeypatch, tmp_path, capsys,
 def test_each_command_makes_one_counting_plan(monkeypatch, capsys, argv):
     # its counts, its scale and its self-checks share the one plan and
     # its memo
-    from entroscope import cocycle, skew
+    from entroscope import cocycle
     plans = []
     real = cocycle.counting_plan
 
@@ -405,8 +404,7 @@ def test_each_command_makes_one_counting_plan(monkeypatch, capsys, argv):
         plans.append(args)
         return real(*args, **kwargs)
 
-    for module in (cocycle, skew):
-        monkeypatch.setattr(module, "counting_plan", counting)
+    monkeypatch.setattr(cocycle, "counting_plan", counting)
     assert main(argv.split()) == 0
     capsys.readouterr()
     assert len(plans) == 1
@@ -586,6 +584,18 @@ def test_unreadable_numbers_are_exit_2(tmp_path, capsys):
      "bad value for parameter 'n_max': expected an integer, got 8.5"),
     ({"parameters": {"word_cap": True}},
      "bad value for parameter 'word_cap': expected an integer, got True"),
+    # and the labels 0, 1.7 (or 0, true) as the full shift on {0, 1}
+    ({"system": {"base": {"variant": "full", "alphabet": [0, 1.7]}}},
+     "bad system descriptor: expected an integer, got 1.7"),
+    ({"system": {"base": {"variant": "full", "alphabet": [0, True]}}},
+     "bad system descriptor: expected an integer, got True"),
+    # and a toral fiber's grid 3.9 as 3, a matrix entry 1.5 as 1
+    ({"system": {"fiber": {"variant": "toral", "matrix": [[2, 1], [1, 1]],
+                           "grid": 3.9}}},
+     "bad system descriptor: expected an integer, got 3.9"),
+    ({"system": {"fiber": {"variant": "toral", "matrix": [[2, 1], [1, 1.5]],
+                           "grid": 3}}},
+     "bad system descriptor: expected an integer, got 1.5"),
 ])
 def test_non_integral_numbers_are_exit_2(tmp_path, capsys, doc, reason):
     path = tmp_path / "job.json"
@@ -686,10 +696,9 @@ def test_cap_exceeded_writes_partial_report(tmp_path, capsys):
 # -- exit code 4: fast path disagreement -----------------------------------------
 
 def test_oracle_mismatch_exits_4(monkeypatch, capsys):
-    def crooked(sys, n, epsilon, force_enumeration=False):
-        cb = real_capacity_A(sys, n, epsilon,
-                             force_enumeration=force_enumeration)
-        if force_enumeration:
+    def crooked(sys, n, epsilon):
+        cb = real_capacity_A(sys, n, epsilon)
+        if sys.plan.histograms == "enumeration":  # the oracle
             return cb
         return CapacityBracket(n=cb.n, epsilon=cb.epsilon,
                                lower=cb.lower + 1, upper=cb.upper)
@@ -845,9 +854,8 @@ def test_step_two_self_check_runs_the_greedy_count(tmp_path, capsys):
 def test_step_two_class_fault_exits_4(monkeypatch, tmp_path, capsys, plant):
     # the fault reaches the fast path and its enumeration alike; only the
     # greedy count over explicit representatives can see it
-    from entroscope import cocycle, skew
+    from entroscope import cocycle
     monkeypatch.setattr(cocycle, "visited_sets", plant(cocycle.visited_sets))
-    monkeypatch.setattr(skew, "visited_sets", plant(skew.visited_sets))
     assert main(_step_two_sep_job(tmp_path)) == 4
     err = capsys.readouterr().err
     assert "internal inconsistency: greedy fast path" in err

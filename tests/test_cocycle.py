@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entroscope import cocycle
-from entroscope.cocycle import (Cocycle, cocycle_from_json, cocycle_profile,
-                                cocycle_to_json, counting_plan, ergodic_sums,
+from entroscope.cocycle import (Cocycle, cocycle_from_json, cocycle_to_json,
+                                counting_plan, enumeration_plan, ergodic_sums,
                                 plan_histograms, profile_counts,
                                 range_distribution, unbounded_evidence,
                                 walk_range_distribution)
 from entroscope.entropy import birkhoff_sup
-from entroscope.sequence import c_m
+from entroscope.sequence import c_m, cover_size
 from entroscope.symbolic import SFT, FullShift, Product, Sturmian
 from entroscope.exactnum import GOLDEN_MEAN_ALPHA
 from entroscope.util import ConfigError
@@ -101,17 +101,24 @@ def test_c_m_range_closed_form(start, count, step, m):
     assert c_m(r, m) == c_m(list(r), m)
 
 
+def profile(tau, w):
+    """(r, q) of one word: its visited set's size and cover size."""
+    visited = set(ergodic_sums(tau, w)[:-1])
+    return len(visited), cover_size(sorted(visited), tau.bound)
+
+
 def test_cocycle_profile_known_word():
-    prof = cocycle_profile(SIGN, (1, 1, -1, 1))
-    assert prof.partial_sums == (0, 1, 2, 1)
-    assert prof.visited == (0, 1, 2)
-    assert prof.r == 3
-    assert prof.cm == 1
-    assert prof.q == 3
+    sums = ergodic_sums(SIGN, (1, 1, -1, 1))[:-1]
+    assert sums == (0, 1, 2, 1)
+    assert c_m(sorted(set(sums)), SIGN.bound) == 1
+    assert profile(SIGN, (1, 1, -1, 1)) == (3, 3)
+    wide = Cocycle({(0,): -1, (1,): 2})
+    # V = {0, 2, 3, 4} and the bound 2: V + {0, 1} = {0, ..., 5}
+    assert profile(wide, (1, 1, 0, 1)) == (4, 6)
 
 
 def brute_distribution(spec, tau, n):
-    return dict(Counter(cocycle_profile(tau, w).r
+    return dict(Counter(profile(tau, w)[0]
                         for w in spec.words(n + 2 * tau.radius)))
 
 
@@ -173,10 +180,7 @@ def test_range_distribution_dispatches_to_enumeration():
 def test_profile_counts_dp_and_enumeration_agree():
     for spec in (SIGNS, GOLDEN):
         fast = profile_counts(counting_plan(spec, SIGN), 9)
-        slow = Counter()
-        for w in spec.words(9):
-            prof = cocycle_profile(SIGN, w)
-            slow[(prof.r, int(prof.q))] += 1
+        slow = Counter(profile(SIGN, w) for w in spec.words(9))
         assert fast == dict(slow)
         # steps in {-1, 0, 1} make visited sets intervals: q = r + bound - 1
         assert all(q == r for r, q in fast)  # bound 1
@@ -185,10 +189,8 @@ def test_profile_counts_dp_and_enumeration_agree():
                     for c in (0, 1)}, radius=1)
     for spec, tau in ((SFT((0, 1), [(1, 1)]), Cocycle({(0,): -1, (1,): 2})),
                       (FullShift(2), wide)):
-        slow = Counter()
-        for w in spec.words(9 + 2 * tau.radius):
-            prof = cocycle_profile(tau, w)
-            slow[(prof.r, prof.q)] += 1
+        slow = Counter(profile(tau, w)
+                       for w in spec.words(9 + 2 * tau.radius))
         assert profile_counts(counting_plan(spec, tau), 9) == dict(slow)
 
 
@@ -416,6 +418,18 @@ def test_padded_engine_slices_enumerated_bases():
                     mid = w[pad:pad + n]
                     want[len(set(ergodic_sums(tau, mid)[:-1]))] += 1
                 assert got[n] == dict(want)
+    # one plan asked for each pad in turn: the fast path and the oracle
+    # plan read their classes through the same memo, kept per pad
+    plans = (counting_plan(SIGNS, SIGN), counting_plan(GOLDEN, SIGN),
+             enumeration_plan(GOLDEN, SIGN))
+    assert [p.histograms for p in plans] == ["images", "strips",
+                                             "enumeration"]
+    for plan in plans:
+        for pad in (0, 1, 2):
+            got = plan_histograms(plan, [4, 7], pad)
+            for n in (4, 7):
+                assert got[n] == sliced_histogram(plan.spec, SIGN, n, pad), \
+                    (plan.histograms, pad, n)
 
 
 # -- the closed form on full shifts: the method of images ----------------------

@@ -81,7 +81,7 @@ def test_slow_entropy_ladder_rows_are_the_direct_ratios(monkeypatch):
         return real(base, vals, ns, pad)
 
     monkeypatch.setattr(cocycle, "_images_pass", counting)
-    sys = SkewSystem(SIGNS, SIGN, SymbolicFiber(FullShift(2)))
+    sys = SkewSystem(counting_plan(SIGNS, SIGN), SymbolicFiber(FullShift(2)))
     assert sys.plan.histograms == "images"
     scale = RangeExpScale(sys.plan)
     eps = Fraction(1, 4)
@@ -102,7 +102,7 @@ def test_slow_entropy_ladder_rows_are_the_direct_ratios(monkeypatch):
 def test_count_bracket_dispatches_on_target():
     fib = SymbolicFiber(FullShift(2))
     assert count_bracket(fib, 5, Fraction(1, 2)) == (32, 128)
-    sys = SkewSystem(SIGNS, SIGN, fib)
+    sys = SkewSystem(counting_plan(SIGNS, SIGN), fib)
     lo, hi = count_bracket(sys, 3, Fraction(1, 4))
     assert (lo, hi) == (192, 768)
 
@@ -110,7 +110,7 @@ def test_count_bracket_dispatches_on_target():
 # -- slow entropy -------------------------------------------------------------
 
 def test_slow_entropy_threshold_crossings():
-    sys = SkewSystem(SIGNS, SIGN, SymbolicFiber(FullShift(2)))
+    sys = SkewSystem(counting_plan(SIGNS, SIGN), SymbolicFiber(FullShift(2)))
     scale = RangeExpScale(sys.plan)
     grid = [round(0.3 + 0.05 * i, 10) for i in range(17)]
     rep = slow_entropy_report(sys, scale, Fraction(1, 4), 60, grid,
@@ -144,7 +144,7 @@ def test_slow_entropy_flags_a_top_of_grid_answer(preset, saturated, capsys):
                  "--no-self-check"]) == 0
     out = capsys.readouterr().out
     p = get_preset(preset)
-    sys = SkewSystem(p["base"], p["tau"], p["fiber"])
+    sys = SkewSystem(counting_plan(p["base"], p["tau"]), p["fiber"])
     rep = slow_entropy_report(sys, RangeExpScale(sys.plan), p["epsilon"], 40,
                               p["t_grid"])
     assert rep.saturated_upper == rep.saturated_lower == saturated

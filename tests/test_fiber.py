@@ -156,6 +156,12 @@ def test_toral_determinant_validation():
     with pytest.raises(ConfigError):
         ToralAutoFiber(((1, 1), (1, 1)), 5)
     ToralAutoFiber(((0, 1), (-1, 0)), 5)  # det +1 after sign
+    # integral numbers read as integers; others are refused, not truncated
+    assert repr(ToralAutoFiber(((2.0, 1), (1, 1)), 5.0)) == \
+        "ToralAutoFiber(((2, 1), (1, 1)), grid=5)"
+    for matrix, grid in ((CAT, 3.9), (((2, 1), (1, 1.5)), 3), (CAT, True)):
+        with pytest.raises(ValueError, match="expected an integer"):
+            ToralAutoFiber(matrix, grid)
 
 
 def test_toral_iterate_is_invertible_on_the_grid():

@@ -15,11 +15,11 @@ SYSTEM_STACK = ("symbolic", "cocycle", "fiber", "skew", "entropy", "presets",
 
 # every name the package exports, by the module that defines it
 EXPORTS = {
-    "cocycle": ("Cocycle", "CocycleProfile", "cocycle_from_json",
-                "cocycle_profile", "cocycle_to_json", "counting_plan",
-                "ergodic_sums", "plan_histograms", "profile_counts",
-                "range_distribution", "read_factor", "unbounded_evidence",
-                "visited_sets", "walk_range_distribution"),
+    "cocycle": ("Cocycle", "cocycle_from_json", "cocycle_to_json",
+                "counting_plan", "enumeration_plan", "ergodic_sums",
+                "plan_histograms", "profile_counts", "range_distribution",
+                "read_factor", "unbounded_evidence", "visited_sets",
+                "walk_range_distribution"),
     "entropy": ("ExpScale", "PolyScale", "RangeExpScale", "RangeInnerScale",
                 "SlowEntropyReport", "birkhoff_sup", "count_bracket",
                 "h_top_estimate", "slow_entropy_report"),

@@ -3,7 +3,8 @@
 cocycle.read_factor drops the factors of a product base that the rule
 ignores; every fast path then counts on the read factor and multiplies
 by the dropped factors' word counts.  Each count here is compared with
-the raw product words: a loop over Product.words, or force_enumeration.
+the raw product words: a loop over Product.words, or the same count
+over cocycle.enumeration_plan.
 """
 
 from collections import Counter
@@ -14,12 +15,13 @@ from hypothesis import given, settings, strategies as st
 
 from entroscope import cocycle
 from entroscope.cli import self_check_distribution
-from entroscope.cocycle import (Cocycle, cocycle_profile, counting_plan,
+from entroscope.cocycle import (Cocycle, counting_plan, enumeration_plan,
                                 ergodic_sums, plan_histograms, profile_counts,
                                 read_factor, visited_sets)
 from entroscope.entropy import birkhoff_sup
 from entroscope.exactnum import GOLDEN_MEAN_ALPHA
 from entroscope.fiber import SymbolicFiber, ToralAutoFiber
+from entroscope.sequence import cover_size
 from entroscope.skew import SkewSystem, capacity_A, skew_sep_direct
 from entroscope.symbolic import SFT, FullShift, Product, Sturmian, rho
 from entroscope.util import CapExceeded, ConfigError, OracleMismatch
@@ -92,29 +94,29 @@ def test_histograms_and_profiles_match_raw_product_words(system, pad):
     for n in longest(spec, 2 * s):
         want = Counter()
         for w in spec.words(n + 2 * s, word_cap=None):
-            prof = cocycle_profile(tau, w)
-            want[(prof.r, int(prof.q))] += 1
+            visited = sorted(set(ergodic_sums(tau, w)[:-1]))
+            want[(len(visited), cover_size(visited, tau.bound))] += 1
         assert profile_counts(plan, n) == dict(want), n
 
 
 @settings(deadline=None, max_examples=40)
 @given(systems(), st.sampled_from((Fraction(1, 2), Fraction(1, 4))),
        st.booleans())
-def test_skew_counts_match_forced_enumeration(system, eps, invariant):
+def test_skew_counts_match_forced_enumeration(system, eps, exact):
     spec, tau, _ = system
-    if invariant:
+    if exact:
         fiber = SymbolicFiber(FullShift(2))
     else:
-        # no translation invariance: classes are visited sets themselves
+        # greedy brackets only: a capacity, but no exact separated count
         fiber = ToralAutoFiber(((2, 1), (1, 1)), grid=2)
-    sys = SkewSystem(spec, tau, fiber)
+    sys = SkewSystem(counting_plan(spec, tau), fiber)
+    oracle = SkewSystem(enumeration_plan(spec, tau), fiber)
     # the separated counts read L_{n + 2 rho}
     for n in longest(spec, 2 * rho(eps), top=3):
-        fast = capacity_A(sys, n, eps)
-        assert fast == capacity_A(sys, n, eps, force_enumeration=True)
-        if invariant:
+        assert capacity_A(sys, n, eps) == capacity_A(oracle, n, eps)
+        if exact:
             assert (skew_sep_direct(sys, n, eps)
-                    == skew_sep_direct(sys, n, eps, force_enumeration=True))
+                    == skew_sep_direct(oracle, n, eps))
 
 
 @settings(deadline=None, max_examples=40)
@@ -196,26 +198,26 @@ def test_partial_rules_raise_the_unreduced_error(rule):
         assert str(got.value) == str(raw.value)
     # and a skew system refuses it up front, as before
     with pytest.raises(ConfigError):
-        SkewSystem(spec, partial, SymbolicFiber(FullShift(2)))
+        SkewSystem(counting_plan(spec, partial), SymbolicFiber(FullShift(2)))
 
 
 def test_word_cap_bounds_the_read_factor_and_forcing_the_product():
+    spec = Product(WALK, SIGNS)
     tau = Cocycle({((a, b),): a for a in (-1, 1) for b in (-1, 1)})
 
-    def capped(word_cap):
-        return SkewSystem(Product(WALK, SIGNS), tau,
-                          SymbolicFiber(FullShift(2)), word_cap=word_cap)
+    def capped(word_cap, plan=counting_plan):
+        return SkewSystem(plan(spec, tau, word_cap),
+                          SymbolicFiber(FullShift(2)))
 
     # L_3 of the rotation coding has 6 words, of the product 48
-    assert capped(20).base.count(3) == 48
+    assert spec.count(3) == 48
     fast = capacity_A(capped(20), 3, Fraction(1, 4))
-    assert fast == capacity_A(capped(48), 3, Fraction(1, 4),
-                              force_enumeration=True)
+    assert fast == capacity_A(capped(48, enumeration_plan), 3,
+                              Fraction(1, 4))
     with pytest.raises(CapExceeded):
-        capacity_A(capped(20), 3, Fraction(1, 4), force_enumeration=True)
+        capacity_A(capped(20, enumeration_plan), 3, Fraction(1, 4))
     with pytest.raises(CapExceeded):
-        skew_sep_direct(capped(20), 3, Fraction(1, 4),
-                        force_enumeration=True)
+        skew_sep_direct(capped(20, enumeration_plan), 3, Fraction(1, 4))
     with pytest.raises(CapExceeded):
         capacity_A(capped(4), 3, Fraction(1, 4))
 

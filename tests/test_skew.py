@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entroscope.cli import self_check_skew
-from entroscope.cocycle import Cocycle
+from entroscope.cocycle import Cocycle, counting_plan, enumeration_plan
 from entroscope.exactnum import GOLDEN_MEAN_ALPHA
 from entroscope.fiber import IdentityFiber, RotationFiber, SymbolicFiber
-from entroscope.skew import (SkewSystem, capacity_A, sandwich_check,
-                             skew_sep_direct, skew_sep_greedy)
+from entroscope.presets import get_preset
+from entroscope.skew import (SkewSystem, capacity_A, request_histograms,
+                             sandwich_check, skew_sep_direct, skew_sep_greedy)
 from entroscope.symbolic import SFT, FullShift, Sturmian, WindowPoint
 from entroscope.util import CapExceeded, ConfigError, OracleMismatch
 from skew_oracles import skew_bowen_distance, skew_orbit, skew_sep_pairwise
@@ -32,21 +33,28 @@ QUARTER = Fraction(1, 4)
 
 
 def full_sys(**word_cap):
-    return SkewSystem(SIGNS, SIGN, SymbolicFiber(FullShift(2)), **word_cap)
+    return SkewSystem(counting_plan(SIGNS, SIGN, **word_cap),
+                      SymbolicFiber(FullShift(2)))
 
 
 def golden_sys():
-    return SkewSystem(GOLDEN, SIGN, SymbolicFiber(FullShift(2)))
+    return SkewSystem(counting_plan(GOLDEN, SIGN), SymbolicFiber(FullShift(2)))
+
+
+def enumerated(sys):
+    """The same system over the oracle plan of its base and rule."""
+    return SkewSystem(enumeration_plan(sys.plan.spec, sys.plan.tau),
+                      sys.fiber)
 
 
 # -- construction and orbits ------------------------------------------------
 
 def test_system_validation():
     with pytest.raises(TypeError):
-        SkewSystem(SIGNS, {(-1,): -1}, SymbolicFiber(FullShift(2)))
+        counting_plan(SIGNS, {(-1,): -1})
     with pytest.raises(ConfigError):
         # rule keyed on the wrong alphabet is not total over the base
-        SkewSystem(SIGNS, Cocycle({(0,): 1, (1,): 1}),
+        SkewSystem(counting_plan(SIGNS, Cocycle({(0,): 1, (1,): 1})),
                    SymbolicFiber(FullShift(2)))
 
 
@@ -124,14 +132,15 @@ def test_direct_count_preconditions():
         skew_sep_direct(sys, 0, HALF)
     wide = Cocycle({(a, b, c): b for a in (-1, 1) for b in (-1, 1)
                     for c in (-1, 1)}, radius=1)
-    rsys = SkewSystem(SIGNS, wide, SymbolicFiber(FullShift(2)))
+    rsys = SkewSystem(counting_plan(SIGNS, wide), SymbolicFiber(FullShift(2)))
     with pytest.raises(ConfigError):
         skew_sep_direct(rsys, 2, 1)  # rho(1) = 0 < radius
     assert skew_sep_direct(rsys, 2, HALF) > 0  # rho(1/2) = 1 is enough
 
 
 def test_greedy_needs_symbolic_fiber_and_honors_cap():
-    rsys = SkewSystem(SIGNS, SIGN, RotationFiber(GOLDEN_MEAN_ALPHA))
+    rsys = SkewSystem(counting_plan(SIGNS, SIGN),
+                      RotationFiber(GOLDEN_MEAN_ALPHA))
     with pytest.raises(ConfigError):
         skew_sep_greedy(rsys, 2, HALF)
     with pytest.raises(ConfigError):
@@ -144,7 +153,8 @@ def test_greedy_needs_symbolic_fiber_and_honors_cap():
 
 
 def test_direct_on_rotation_fiber_is_exact():
-    rsys = SkewSystem(SIGNS, SIGN, RotationFiber(GOLDEN_MEAN_ALPHA))
+    rsys = SkewSystem(counting_plan(SIGNS, SIGN),
+                      RotationFiber(GOLDEN_MEAN_ALPHA))
     # isometric fiber: each base window contributes the same circle count
     got = skew_sep_direct(rsys, 3, Fraction(1, 5))
     words = 2 ** 9  # rho(1/5) = 3, so windows live on [-3, 5]
@@ -163,21 +173,23 @@ def test_direct_by_range_matches_enumeration(forbidden, down, up, n, k,
                                              same_fiber):
     base = SFT((-1, 1), forbidden)
     fiber = SymbolicFiber(base if same_fiber else FullShift(2))
-    sys = SkewSystem(base, Cocycle({(-1,): down, (1,): up}), fiber)
+    sys = SkewSystem(counting_plan(base, Cocycle({(-1,): down, (1,): up})),
+                     fiber)
     eps = Fraction(1, 2 ** k)
     assert (skew_sep_direct(sys, n, eps)
-            == skew_sep_direct(sys, n, eps, force_enumeration=True))
+            == skew_sep_direct(enumerated(sys), n, eps))
 
 
 def test_direct_by_range_on_sturmian_and_identity_fibers():
     walk = Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2))
-    for sys in (SkewSystem(walk, SIGN, SymbolicFiber(FullShift(2))),
-                SkewSystem(SIGNS, SIGN, IdentityFiber([0, 1, 3]))):
+    for sys in (SkewSystem(counting_plan(walk, SIGN),
+                           SymbolicFiber(FullShift(2))),
+                SkewSystem(counting_plan(SIGNS, SIGN),
+                           IdentityFiber([0, 1, 3]))):
         for n in (1, 4, 7):
             for eps in (HALF, QUARTER):
                 assert (skew_sep_direct(sys, n, eps)
-                        == skew_sep_direct(sys, n, eps,
-                                           force_enumeration=True))
+                        == skew_sep_direct(enumerated(sys), n, eps))
 
 
 # -- counts outside the range engine ----------------------------------------
@@ -191,9 +203,9 @@ STEP_TWO = Cocycle({(0,): -1, (1,): 2})
 
 def visited_set_systems():
     fiber = SymbolicFiber(FullShift(2))
-    return [(SkewSystem(FullShift(2), RADIUS_ONE, fiber),
+    return [(SkewSystem(counting_plan(FullShift(2), RADIUS_ONE), fiber),
              {HALF: (1, 2, 3), QUARTER: (1, 2)}),
-            (SkewSystem(SFT((0, 1), [(1, 1)]), STEP_TWO, fiber),
+            (SkewSystem(counting_plan(SFT((0, 1), [(1, 1)]), STEP_TWO), fiber),
              {HALF: (1, 2, 3, 4), QUARTER: (1, 2, 3)})]
 
 
@@ -206,7 +218,7 @@ def test_visited_set_counts_match_greedy_and_enumeration():
                 assert skew_sep_direct(sys, n, eps) == skew_sep_greedy(
                     sys, n, eps)
                 assert capacity_A(sys, n, eps) == capacity_A(
-                    sys, n, eps, force_enumeration=True)
+                    enumerated(sys), n, eps)
         filled = {e: dict(m) for e, m in sys._fiber_counts.items()}
         skew_sep_direct(sys, 2, HALF)
         assert sys._fiber_counts == filled
@@ -243,22 +255,51 @@ def test_capacity_dp_matches_enumeration():
     gsys = golden_sys()
     for n in (1, 2, 5, 8, 12):
         fast = capacity_A(sys, n, QUARTER)
-        slow = capacity_A(sys, n, QUARTER, force_enumeration=True)
+        slow = capacity_A(enumerated(sys), n, QUARTER)
         assert (fast.lower, fast.upper) == (slow.lower, slow.upper)
     for n in (2, 4, 9):
         fast = capacity_A(gsys, n, HALF)
-        slow = capacity_A(gsys, n, HALF, force_enumeration=True)
+        slow = capacity_A(enumerated(gsys), n, HALF)
         assert (fast.lower, fast.upper) == (slow.lower, slow.upper)
 
 
 def test_capacity_sturmian_base():
     walk = Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2))
-    sys = SkewSystem(walk, Cocycle({(-1,): -1, (1,): 1}),
+    sys = SkewSystem(counting_plan(walk, Cocycle({(-1,): -1, (1,): 1})),
                      SymbolicFiber(FullShift(2)))
     cb = capacity_A(sys, 10, QUARTER)
     assert (cb.lower, cb.upper) == (832, 3328)
-    slow = capacity_A(sys, 10, QUARTER, force_enumeration=True)
+    slow = capacity_A(enumerated(sys), 10, QUARTER)
     assert (slow.lower, slow.upper) == (832, 3328)
+
+
+def test_one_plan_serves_two_fibers(monkeypatch):
+    # two fibers over one base and rule read one plan's classes: one
+    # engine pass serves both systems, and each keeps its own fiber counts
+    from entroscope import cocycle
+    passes = []
+    real = cocycle._images_pass
+
+    def counting(base, vals, ns, pad):
+        passes.append((sorted(ns), pad))
+        return real(base, vals, ns, pad)
+
+    monkeypatch.setattr(cocycle, "_images_pass", counting)
+    p = get_preset("tt-inverse")
+    plan = counting_plan(p["base"], p["tau"])
+    assert plan.histograms == "images"
+    fibers = SymbolicFiber(FullShift(2)), SymbolicFiber(FullShift(3))
+    systems = [SkewSystem(plan, f) for f in fibers]
+    ns = [4, 9, 16]
+    for sys in systems:
+        request_histograms(sys, ns, ())
+    assert passes == [(ns, 0)]
+    got = [[capacity_A(sys, n, QUARTER) for n in ns] for sys in systems]
+    assert passes == [(ns, 0)]
+    for f, caps in zip(fibers, got):
+        alone = SkewSystem(counting_plan(p["base"], p["tau"]), f)
+        assert caps == [capacity_A(alone, n, QUARTER) for n in ns]
+    assert all(two.upper < three.upper for two, three in zip(*got))
 
 
 def test_capacity_validation():

@@ -27,6 +27,12 @@ def test_full_shift_counts_and_words():
     signs = FullShift((-1, 1))
     assert signs.labels == (-1, 1)
     assert signs.count(3) == 8
+    # integral labels read as integers; others are refused, not truncated
+    assert repr(SFT((-1.0, 1), [(1.0, 1)])) == repr(SFT((-1, 1), [(1, 1)]))
+    for labels, forbidden in (((0, 1.7), ()), ((0, True), ()),
+                              ((0, 1), [(1, 0.5)])):
+        with pytest.raises(ValueError, match="expected an integer"):
+            SFT(labels, forbidden)
 
 
 def test_golden_mean_counts_are_fibonacci_like():
