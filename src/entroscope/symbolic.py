@@ -18,6 +18,7 @@ so d(x, y) <= eps iff x and y agree on the centered window of radius
 rho(eps) = min{k >= 0 : 2^-k <= eps}.
 """
 
+import bisect
 import itertools
 import math
 from collections import namedtuple
@@ -31,11 +32,9 @@ from .util import (DEFAULT_WORD_CAP, CapExceeded, SturmianHorizonError,
 
 
 def _normalize_alphabet(alphabet):
-    """Accept an int k (labels 0..k-1) or an iterable of int labels."""
-    if isinstance(alphabet, int):
-        if alphabet < 2:
-            raise ValueError("alphabet size must be >= 2")
-        return tuple(range(alphabet))
+    """Accept a size k (labels 0..k-1) or an iterable of int labels."""
+    if isinstance(alphabet, (int, float)):
+        alphabet = range(as_int(alphabet))
     labels = tuple(sorted(as_int(a) for a in alphabet))
     if len(labels) < 2:
         raise ValueError("alphabet size must be >= 2")
@@ -69,7 +68,6 @@ class SFT:
             fw.append(w)
         self.forbidden = tuple(sorted(set(fw)))
         self._graph_cache = None
-        self._word_cache = {}
 
     def __repr__(self):
         return "SFT(%r, %r)" % (self.labels, self.forbidden)
@@ -136,10 +134,6 @@ class SFT:
     def words(self, length, word_cap=DEFAULT_WORD_CAP):
         if length < 1:
             raise ValueError("length must be >= 1")
-        cached = self._word_cache.get(length)
-        if cached is not None:
-            _check_cap(len(cached), word_cap)
-            return list(cached)
         states, edges = self.graph()
         K = self.context
         if not states:
@@ -161,8 +155,6 @@ class SFT:
                     for a, k in reversed(edges[j]):
                         stack.append((word + [a], k))
             out.sort()
-        if len(out) * max(length, 1) <= 2 ** 22:
-            self._word_cache[length] = tuple(out)
         return out
 
     def count(self, length):
@@ -259,7 +251,7 @@ class Sturmian:
             integer_coords((alpha, intercept))
         self._root = math.sqrt(self._d)
         self.labels = (-1, 1)
-        self._word_cache = {}  # {length: (cut count, words)}
+        self._words, self._firsts = ((),), None  # see words and count
 
     def __repr__(self):
         return "Sturmian(%r, %r)" % (self.alpha, self.intercept)
@@ -345,24 +337,30 @@ class Sturmian:
     def words(self, length, word_cap=DEFAULT_WORD_CAP):
         """Every word of the orbit closure: the distinct words of cells.
 
-        Sampling every cell witnesses the whole closure.
+        Sampling every cell witnesses the whole closure.  The sorted words
+        of the longest window walked are kept; a shorter window's are their
+        distinct prefixes, as words extend to the right, unless a cap below
+        2 x length (the most cuts a window has) needs the cells to check.
         """
-        cached = self._word_cache.get(length)
-        if cached is not None:
-            _check_cap(cached[0], word_cap)
-            return list(cached[1])
-        seen = set()
-        count = 0
-        for cur, _ in self.cells(length, word_cap):
-            seen.add(tuple(cur))
-            count += 1
-        out = sorted(seen)
-        if len(out) * length <= 2 ** 22:
-            self._word_cache[length] = (count, tuple(out))
+        if 0 < length <= len(self._words[0]) and (word_cap is None
+                                                  or word_cap >= 2 * length):
+            return sorted({u[:length] for u in self._words})
+        out = sorted({tuple(cur) for cur, _ in self.cells(length, word_cap)})
+        if length > len(self._words[0]):
+            self._words, self._firsts = tuple(out), None
         return out
 
     def count(self, length):
-        return len(self.words(length, word_cap=None))
+        """p(length): kept words that differ from the one before below it."""
+        kept = len(self._words[0])
+        if length > kept:
+            q = self.horizon() or math.inf
+            self.words(max(length, min(2 * kept, q - 1)), word_cap=None)
+        if self._firsts is None:
+            self._firsts = sorted([-1] + [
+                next(i for i, (a, b) in enumerate(zip(u, v)) if a != b)
+                for u, v in zip(self._words, self._words[1:])])
+        return bisect.bisect_left(self._firsts, length)
 
 
 def _rotation_code(x, alpha, intercept, q, d, positions):

@@ -29,8 +29,12 @@ class SturmianHorizonError(ValueError):
 
 def as_int(value):
     """An int from an integral number (3 or 3.0) or integer text; int()
-    alone reads 2.7 as 2 and True as 1, ValueErrors here."""
-    out = int(value)
+    alone reads 2.7 as 2 and True as 1 and overflows on an infinity,
+    ValueErrors here."""
+    try:
+        out = int(value)
+    except OverflowError:
+        out = None
     if isinstance(value, bool) or (not isinstance(value, str)
                                    and out != value):
         raise ValueError("expected an integer, got %r" % (value,))

@@ -604,6 +604,27 @@ def test_non_integral_numbers_are_exit_2(tmp_path, capsys, doc, reason):
     assert reason in capsys.readouterr().err
 
 
+def test_alphabet_size_is_read_as_an_integer(tmp_path, capsys):
+    # a size 2.0 is the alphabet {0, 1}; 2.5, true (not size 1) and an
+    # infinity are refused
+    path = tmp_path / "job.json"
+
+    def run(size):
+        path.write_text(json.dumps({
+            "command": "language",
+            "system": {"base": {"variant": "full", "alphabet": size}},
+            "parameters": {"length": 2}}))
+        return main(["run", "--config", str(path)])
+
+    assert run(2.0) == 0
+    assert capsys.readouterr().out.splitlines()[:5] == \
+        ["words of length 2: 4", "00", "01", "10", "11"]
+    for size in (2.5, True, float("inf")):
+        assert run(size) == 2
+        assert "bad system descriptor: expected an integer, got %r" % size \
+            in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["sandwich", "cocycle-stats"])
 def test_empty_base_language_is_exit_2(tmp_path, capsys, command):
     # every letter forbidden: no word has a range or carries a fiber point

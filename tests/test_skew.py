@@ -8,6 +8,7 @@ over the visited sets of enumerated words.  They must agree wherever
 they overlap.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -300,6 +301,21 @@ def test_one_plan_serves_two_fibers(monkeypatch):
         alone = SkewSystem(counting_plan(p["base"], p["tau"]), f)
         assert caps == [capacity_A(alone, n, QUARTER) for n in ns]
     assert all(two.upper < three.upper for two, three in zip(*got))
+
+
+def test_sturmian_fiber_counts_keep_one_word_list():
+    # every class size reads its complexity off the words of the longest
+    # window walked; one kept list per length took 45.7 MB at n = 200
+    sys = SkewSystem(counting_plan(SIGNS, SIGN),
+                     SymbolicFiber(Sturmian(GOLDEN_MEAN_ALPHA, HALF)))
+    tracemalloc.start()
+    try:
+        cb = capacity_A(sys, 400, QUARTER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < cb.lower <= cb.upper
+    assert peak < 32 * 2 ** 20, peak
 
 
 def test_capacity_validation():

@@ -1,5 +1,6 @@
 """Language enumeration, rotation codings, and the windowed metric."""
 
+import random
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -79,7 +80,7 @@ def test_word_cap_enforced():
         sft.words(7, word_cap=4)
     assert len(sft.words(3, word_cap=8)) == 8
     with pytest.raises(CapExceeded):
-        sft.words(3, word_cap=7)  # a cached length is capped as well
+        sft.words(3, word_cap=7)  # a length asked before is capped as well
 
 
 def test_sturmian_complexity_families():
@@ -178,6 +179,42 @@ def test_incremental_cuts_survive_a_cap_refusal():
         walk.words(3, word_cap=5)
     assert walk.words(3, word_cap=6) == words_by_cut_walk(walk, 3)
     assert walk.words(20, word_cap=40) == words_by_cut_walk(walk, 20)
+
+
+GOLDEN_FRAC = GOLDEN_MEAN_ALPHA.frac()
+
+
+@pytest.mark.parametrize("intercept, closed_form", [
+    (Fraction(1, 2), lambda n: 2 * n),
+    (Fraction(1, 3), lambda n: {1: 2, 2: 3, 3: 5}.get(n, 2 * n)),
+    (1 - GOLDEN_FRAC, lambda n: n + 1),
+    ((2 * GOLDEN_FRAC).frac(), lambda n: {1: 2, 2: 3, 3: 4}.get(n, n + 2)),
+])
+def test_sturmian_count_reads_every_length_off_one_walk(intercept,
+                                                         closed_form):
+    # count reads p(L) off the words of the longest window walked, so the
+    # order of the lengths asked decides which walks run, never the counts
+    want = {n: len(words_by_cut_walk(Sturmian(GOLDEN_MEAN_ALPHA, intercept),
+                                     n)) for n in range(1, 41)}
+    assert want == {n: closed_form(n) for n in want}
+    shuffled = list(want)
+    random.Random(7).shuffle(shuffled)
+    for order in (sorted(want), sorted(want, reverse=True), shuffled):
+        spec = Sturmian(GOLDEN_MEAN_ALPHA, intercept)
+        assert [spec.count(n) for n in order] == [want[n] for n in order]
+
+
+def test_sturmian_count_stops_short_of_the_horizon():
+    # a longer walk goes to twice the kept length, but never to the
+    # period 11 of the rational angle
+    per = Sturmian(Fraction(3, 11), Fraction(1, 2))
+    assert per.count(2) == 4
+    assert per.count(10) == 20
+    ascending = Sturmian(Fraction(3, 11), Fraction(1, 2))
+    assert [ascending.count(n) for n in range(1, 11)] == \
+        [2 * n for n in range(1, 11)]
+    with pytest.raises(SturmianHorizonError):
+        per.count(11)
 
 
 def test_cut_walk_sorts_exactly_when_float_order_fails(monkeypatch):
@@ -290,7 +327,7 @@ def test_sturmian_rational_angle_horizon():
 def test_sturmian_word_cache_keeps_every_check():
     walk = Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2))
     first = walk.words(6)
-    first.clear()  # callers get copies, never the cache itself
+    first.clear()  # callers get copies, never the kept list itself
     again = walk.words(6)
     assert again == Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2)).words(6)
     # the cap bounds the 12 cut points, on a hit as on the first call
@@ -303,6 +340,22 @@ def test_sturmian_word_cache_keeps_every_check():
         per.words(4, word_cap=1)
     with pytest.raises(SturmianHorizonError):
         per.words(5)
+    # a shorter window read off the kept words of a longer one: the cap
+    # still bounds its 12 cut points
+    walk.words(20)
+    with pytest.raises(CapExceeded):
+        walk.words(6, word_cap=11)
+    assert walk.words(6, word_cap=12) == again
+    # 4 cut points but 3 words at length 2: the cap counts the cuts
+    third = Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 3))
+    assert len(third.words(2)) == 3
+    for kept in (0, 20):
+        third = Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 3))
+        if kept:
+            third.words(kept)
+        with pytest.raises(CapExceeded):
+            third.words(2, word_cap=3)
+        assert third.words(2, word_cap=4) == words_by_cut_walk(third, 2)
 
 
 def test_sturmian_code_helper_inclusive_window():
