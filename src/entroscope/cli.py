@@ -350,7 +350,9 @@ def self_check_distribution(plan):
     n = 6 is checked against brute-force enumeration of the base's own
     words (a product's raw pairs; cocycle.enumeration_plan), and the
     smallest n with |A|^n >= 2^31, where counts no longer fit 31 bits,
-    against the dict DP on the factor times the dropped factors' words
+    against the extent DP (cocycle.walk_range_distribution, whose state
+    is each walk's extent, on dicts of Python integers) on the factor
+    times the dropped factors' words
     (n = 31 on two letters, 20 on three), and the images there against
     the strips as well.  Returns the checked n, or None when the
     histograms are enumerated.
@@ -369,7 +371,7 @@ def self_check_distribution(plan):
         raise OracleMismatch("range distribution fast path %r != brute %r "
                              "at n=%d" % (hists[n], brute, n))
     k = cocycle.dropped_count(plan.dropped, n_big + 2 * tau.radius)
-    oracles = [("dict DP", cocycle.walk_range_distribution(
+    oracles = [("extent DP", cocycle.walk_range_distribution(
         plan.factor, n_big - 1, plan.steps))]
     if plan.histograms == "images":
         oracles.append(("strips", cocycle._walk_pass(

@@ -35,8 +35,10 @@ other SFT it says "strips": each graph node's positions are packed as
 fields of one exact Python integer, and one pass per width serves every
 requested n (_walk_pass), the runtime oracle of the images.
 walk_range_distribution, a dynamic program over (graph node,
-cur - min, max - cur) on dicts of Python integers, is the independent
-oracle both are checked against.
+cur - min, max - cur) on dicts of Python integers, one integer per node
+and cur - min whose fields count the walks by max - cur, is the
+independent oracle both are checked against: it tracks each walk's own
+extent, where the engines count walks inside fixed strips.
 """
 
 import json
@@ -263,8 +265,12 @@ def walk_range_distribution(spec, steps, values):
     tracks each walk's own extent rather than walks inside fixed strips.
     Valid for radius-0 step rules with values in {-1, 0, 1} on a full
     shift or SFT: every visited set is then an integer interval, so the
-    state (graph node, cur - min, max - cur) suffices.  steps is n - 1:
-    the last letter of an n-word contributes no step.
+    state (graph node, a = cur - min, b = max - cur) suffices.  Each
+    node keeps a dict {a: c}, c one integer whose F-bit fields are the
+    counts over b, F the bits of |A|^n.  A +1 step moves c to a + 1 as
+    (c >> F) + (c & low) (b falls by one, but not below 0), a -1 step
+    moves it to max(a - 1, 0) as c << F, and a 0 step keeps it at a.
+    steps is n - 1: the last letter of an n-word contributes no step.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -290,27 +296,42 @@ def walk_range_distribution(spec, steps, values):
             out[r] = out.get(r, 0) + 1
         return out
 
-    # dp: {(node, a, b): count} with a = cur - min, b = max - cur
-    dp = {}
+    # dp[node]: {a: c} with a = cur - min, and the count of each
+    # b = max - cur in bits F b .. F b + F - 1 of c; no count of a prefix
+    # reaches |A|^n, so no field carries into the next
+    F = (len(spec.labels) ** n).bit_length()
+    low = (1 << F) - 1
+    dp = [{} for _ in states]
     for i, u in enumerate(states):
         a = b = 0
         for letter in u:
             v = vals[letter]
             a, b = max(a + v, 0), max(b - v, 0)
-        dp[(i, a, b)] = dp.get((i, a, b), 0) + 1
+        dp[i][a] = dp[i].get(a, 0) + (1 << F * b)
     for _ in range(n - 1 - K):
-        ndp = {}
-        for (i, a, b), cnt in dp.items():
-            for letter, j in edges[i]:
-                v = vals[letter]
-                key = (j, max(a + v, 0), max(b - v, 0))
-                ndp[key] = ndp.get(key, 0) + cnt
+        ndp = [{} for _ in states]
+        for row, out_edges in zip(dp, edges):
+            for a, c in row.items():
+                for letter, j in out_edges:
+                    v = vals[letter]
+                    if v > 0:  # b = 0 stays at the new max
+                        to, moved = a + 1, (c >> F) + (c & low)
+                    elif v < 0:  # a = 0 stays at the new min
+                        to, moved = max(a - 1, 0), c << F
+                    else:
+                        to, moved = a, c
+                    ndp[j][to] = ndp[j].get(to, 0) + moved
         dp = ndp
     # the final letter of the word carries no step, only multiplicity
     out = {}
-    for (i, a, b), cnt in dp.items():
-        r = a + b + 1
-        out[r] = out.get(r, 0) + cnt * len(edges[i])
+    for row, out_edges in zip(dp, edges):
+        for a, c in row.items():
+            r = a + 1
+            while c:
+                if c & low:
+                    out[r] = out.get(r, 0) + (c & low) * len(out_edges)
+                c >>= F
+                r += 1
     return out
 
 

@@ -32,7 +32,13 @@ from .util import (DEFAULT_WORD_CAP, CapExceeded, SturmianHorizonError,
 
 
 def _normalize_alphabet(alphabet):
-    """Accept a size k (labels 0..k-1) or an iterable of int labels."""
+    """Accept a size k (labels 0..k-1) or an iterable of int labels.
+
+    A string is neither: iterating "10" would read it as labels 1 and 0.
+    """
+    if isinstance(alphabet, str):
+        raise ValueError("expected a size or a list of labels, got %r"
+                         % (alphabet,))
     if isinstance(alphabet, (int, float)):
         alphabet = range(as_int(alphabet))
     labels = tuple(sorted(as_int(a) for a in alphabet))
@@ -393,7 +399,10 @@ class Product:
         lw = self.left.words(length, word_cap=word_cap)
         rw = self.right.words(length, word_cap=word_cap)
         _check_cap(len(lw) * len(rw), word_cap)
-        return sorted(tuple(zip(a, b)) for a in lw for b in rw)
+        # one tuple per label pair, shared by every word
+        pair = {p: p for p in self.labels}
+        return sorted(tuple(map(pair.__getitem__, zip(a, b)))
+                      for a in lw for b in rw)
 
     def count(self, length):
         return self.left.count(length) * self.right.count(length)

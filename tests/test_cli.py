@@ -606,7 +606,8 @@ def test_non_integral_numbers_are_exit_2(tmp_path, capsys, doc, reason):
 
 def test_alphabet_size_is_read_as_an_integer(tmp_path, capsys):
     # a size 2.0 is the alphabet {0, 1}; 2.5, true (not size 1) and an
-    # infinity are refused
+    # infinity are refused, and so is a size written as text ("10" is
+    # not the labels 1 and 0)
     path = tmp_path / "job.json"
 
     def run(size):
@@ -623,6 +624,10 @@ def test_alphabet_size_is_read_as_an_integer(tmp_path, capsys):
         assert run(size) == 2
         assert "bad system descriptor: expected an integer, got %r" % size \
             in capsys.readouterr().err
+    for size in ("10", "3"):
+        assert run(size) == 2
+        assert "bad system descriptor: expected a size or a list of " \
+            "labels, got %r" % size in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["sandwich", "cocycle-stats"])
@@ -772,8 +777,8 @@ def _golden_sign_job(tmp_path, command, **parameters):
     # one strip count off, at width 2 for every n; the check's one pass
     # to n = 31 serves n = 6 as well, so brute force sees it first
     ("_strip_counts", _strip_off_by_one, "brute"),
-    # a fault past n = 6, where only the dict DP can see it
-    ("_walk_pass", _pass_off_by_one_past_6, "dict DP"),
+    # a fault past n = 6, where only the extent DP can see it
+    ("_walk_pass", _pass_off_by_one_past_6, "extent DP"),
 ])
 def test_distribution_self_check_mismatch_exits_4(monkeypatch, capsys,
                                                   tmp_path, name, plant,
@@ -787,7 +792,7 @@ def test_distribution_self_check_mismatch_exits_4(monkeypatch, capsys,
 
 @pytest.mark.parametrize("name, plant, oracle", [
     ("_images_pass", _pass_off_by_one_at_6, "brute"),
-    ("_images_pass", _pass_off_by_one_past_6, "dict DP"),
+    ("_images_pass", _pass_off_by_one_past_6, "extent DP"),
     # the strips are the images' second oracle at n = 31
     ("_walk_pass", _pass_off_by_one_past_6, "strips"),
 ])

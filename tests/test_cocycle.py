@@ -1,5 +1,6 @@
 """Integer cocycles: sums, visited sets, interval covers, range DP."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -267,7 +268,7 @@ def test_dp_total_mass_is_language_size(n):
     assert sum(dp.values()) == GOLDEN.count(n)
 
 
-# -- the range-histogram engine against the dict DP ----------------------------
+# -- the range-histogram engine against the extent DP --------------------------
 
 STEP = st.sampled_from((-1, 0, 1))
 
@@ -323,6 +324,39 @@ def test_engine_counts_past_64_bits_exactly():
     # every step moves, so no range is below 2
     assert sum(hists[200].values()) == 2 ** 200
     assert min(hists[200]) == 2 and max(hists[200]) == 200
+
+
+# n = 70: the oracle's fields, sized for |A|^70, span two machine words, and
+# the first two languages hold over 2^63 and 2^89 words
+@pytest.mark.parametrize("base, steps", [
+    (SFT((-1, 1), [(-1, -1, 1, -1, -1), (1, 1, -1, 1, 1)]), (-1, 1)),
+    (SFT((0, 1, 2), [(0, 0), (1, 1)]), (-1, 1, 0)),
+    # reducible: the words 0^a 1^b
+    (SFT((0, 1), [(1, 0)]), (-1, 1)),
+    (FullShift(3), (1, 1, -1)),
+])
+def test_range_dp_matches_strips_past_64_bits(base, steps):
+    n = 70
+    vals = dict(zip(base.labels, steps))
+    tau = Cocycle({(a,): v for a, v in vals.items()})
+    assert counting_plan(base, tau).histograms == "strips"
+    want = plan_histograms(counting_plan(base, tau), [n])[n]
+    assert walk_range_distribution(base, n - 1, vals) == want
+    assert sum(want.values()) == base.count(n)
+
+
+def test_range_dp_peak_memory():
+    # the benchmark's 16-node SFT at n = 31, the self-check's n on two
+    # letters; a dict entry per (node, a, b) peaked at 0.71 MB
+    base = SFT((-1, 1), [(-1, -1, 1, -1, -1), (1, 1, -1, 1, 1)])
+    assert len(base.graph()[0]) == 16
+    tracemalloc.start()
+    try:
+        walk_range_distribution(base, 30, {-1: -1, 1: 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250_000, peak
 
 
 def test_engine_serves_repeat_requests_from_its_memo(monkeypatch):

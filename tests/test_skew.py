@@ -318,6 +318,22 @@ def test_sturmian_fiber_counts_keep_one_word_list():
     assert peak < 32 * 2 ** 20, peak
 
 
+def test_product_oracle_shares_its_label_pairs():
+    # the self-check's enumeration of a product base builds no pair per
+    # letter; a fresh pair for each letter of each word peaked at 0.90 MB
+    preset = get_preset("sturmian-product")
+    sys = SkewSystem(enumeration_plan(preset["base"], preset["tau"]),
+                     preset["fiber"])
+    tracemalloc.start()
+    try:
+        capacity_A(sys, 3, QUARTER)
+        skew_sep_direct(sys, 3, QUARTER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000, peak
+
+
 def test_capacity_validation():
     sys = full_sys()
     with pytest.raises(ValueError):

@@ -384,6 +384,13 @@ def test_product_language_is_componentwise():
     ws = prod.words(2)
     assert len(ws) == 4 * 3
     assert all(len(w) == 2 and len(w[0]) == 2 for w in ws)
+    for length in (1, 3, 5):
+        ws = prod.words(length)
+        assert ws == sorted(tuple(zip(a, b))
+                            for a in FullShift(2).words(length)
+                            for b in GOLDEN.words(length))
+        # every word's letters are the product's shared label pairs
+        assert len({id(p) for w in ws for p in w}) <= len(prod.labels)
 
 
 def test_rho_values():
