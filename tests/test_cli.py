@@ -777,8 +777,10 @@ def _golden_sign_job(tmp_path, command, **parameters):
     # one strip count off, at width 2 for every n; the check's one pass
     # to n = 31 serves n = 6 as well, so brute force sees it first
     ("_strip_counts", _strip_off_by_one, "brute"),
-    # a fault past n = 6, where only the extent DP can see it
-    ("_walk_pass", _pass_off_by_one_past_6, "extent DP"),
+    # a fault past n = 6, where only the extent DP can see it; the DP
+    # keeps a dict per graph node, and the case keeps its old id
+    pytest.param("_walk_pass", _pass_off_by_one_past_6, "extent DP",
+                 id="_walk_pass-_pass_off_by_one_past_6-dict DP"),
 ])
 def test_distribution_self_check_mismatch_exits_4(monkeypatch, capsys,
                                                   tmp_path, name, plant,
@@ -792,7 +794,8 @@ def test_distribution_self_check_mismatch_exits_4(monkeypatch, capsys,
 
 @pytest.mark.parametrize("name, plant, oracle", [
     ("_images_pass", _pass_off_by_one_at_6, "brute"),
-    ("_images_pass", _pass_off_by_one_past_6, "extent DP"),
+    pytest.param("_images_pass", _pass_off_by_one_past_6, "extent DP",
+                 id="_images_pass-_pass_off_by_one_past_6-dict DP"),
     # the strips are the images' second oracle at n = 31
     ("_walk_pass", _pass_off_by_one_past_6, "strips"),
 ])
