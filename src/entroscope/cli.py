@@ -444,10 +444,8 @@ def _cmd_cocycle_stats(args, ctx, report):
     n_top = param(ctx, "n", max(ns))
     _record_counting(report, plan)
     run_self_checks(args, ctx, report, distribution=True)
-    if plan.histograms != "enumeration":
-        # one engine call for both tables; enumerated classes gain
-        # nothing from a joint request
-        cocycle.plan_classes(plan, ns + [n_top])
+    # one request for both tables
+    cocycle.plan_classes(plan, ns + [n_top])
     entries = []
     for n in ns:
         counts = cocycle.profile_counts(plan, n)
@@ -475,6 +473,7 @@ def _cmd_unbounded(args, ctx, report):
     reach = param(ctx, "reach", 2 * max(1, plan.tau.bound) + 1)
     ns = param(ctx, "n_list", [4, 8, 12, 16])
     _record_counting(report, plan)
+    run_self_checks(args, ctx, report, distribution=True)
     ev = cocycle.unbounded_evidence(plan, reach, ns)
     report.add_table("unbounded", ("n", "proportion"), ev["curve"])
     detail = ("reach %d, n up to %d, %snondecreasing from start"

@@ -6,11 +6,7 @@ torus grid under an integer automorphism.  Each map is invertible and
 T^c carries the Bowen metric over F + c onto the one over F, so every
 count is the same over F and its translates.  All expose the same small
 surface: iterate, exact distance, a certified distance_le predicate,
-and sep_exact where a closed form or exact search exists (None
-otherwise).  The symbolic and toral carriers also give sample_points,
-a finite sample for sep_greedy: one point per cylinder on the symbolic
-carrier, where greedy is the exhaustive oracle for sep_exact, and the
-grid on the toral one, the only carrier whose sep_exact returns None.
+and sep_exact where an exact count exists (None otherwise).
 
 Bowen distance over a finite index set F is
     d^B_F(x, y) = max_{i in F} d(T^i x, T^i y),
@@ -18,13 +14,16 @@ and sep(T, F, eps) is the maximal size of a subset pairwise further than
 eps in d^B_F.  Symbolic fibers admit an exact count: two points are
 eps-distinguishable over F exactly when their symbols differ somewhere
 on the window F + [-rho(eps), rho(eps)], so sep equals the number of
-distinct restrictions of the language to that window.  That window rule
-is derived, so sep_greedy exists as an independent brute-force oracle
-and the test suite checks the two against each other before anything
-downstream relies on the fast path.
+distinct restrictions of the language to that window.
 
-Metric fibers without a closed form (the toral automorphism) report
-greedy brackets, never point estimates.
+sep_greedy, the sorted sweep that keeps each point no kept point is
+eps-close to over F, is a different thing on each carrier.  On one
+point per cylinder (SymbolicFiber.sample_points) it is exhaustive: the
+independent oracle the tests hold the derived window rule to.  On the
+line it is exact: the identity's sep_exact is the sweep over its
+points.  On the toral grid (ToralAutoFiber.sample_points), the only
+carrier whose sep_exact returns None, it is a lower bound, so toral
+counts are greedy brackets, never point estimates.
 """
 
 import math
@@ -34,7 +33,7 @@ from .exactnum import QuadExact, frac_exact, num_from_json, num_to_json
 from .symbolic import (WindowPoint, complexity, language_on, rho,
                        spec_from_json, spec_to_json, subshift_close,
                        subshift_distance)
-from .util import DEFAULT_WORD_CAP, ConfigError, as_int
+from .util import ConfigError, as_int
 
 
 def _exact_eps(epsilon):
@@ -80,7 +79,7 @@ class SymbolicFiber:
     def sep_exact(self, F, epsilon):
         return sep_exact_symbolic(self.spec, F, epsilon)
 
-    def sample_points(self, F, epsilon, word_cap=DEFAULT_WORD_CAP):
+    def sample_points(self, F, epsilon):
         """One representative per cylinder on the hull of F widened by rho.
 
         The widened hull is exactly what the certified closeness scan
@@ -89,7 +88,7 @@ class SymbolicFiber:
         margin = rho(epsilon)
         lo = min(F) - margin
         hi = max(F) + margin
-        words = language_on(self.spec, range(lo, hi + 1), word_cap=word_cap)
+        words = language_on(self.spec, range(lo, hi + 1))
         return [WindowPoint(lo, w) for w in words]
 
 
@@ -125,10 +124,13 @@ class RotationFiber:
 class IdentityFiber:
     """A finite set of exact numbers fixed pointwise; Bowen distance is d.
 
-    The metric is |x - y| on Fractions and QuadExacts alike.  sep_exact
-    does an exact branch-and-bound search for the largest pairwise-far
-    subset, which is fine at the couple dozen points this carrier is
-    meant for.
+    The metric is |x - y| on Fractions and QuadExacts alike, so a
+    separated set is one on the line, and sep_exact is sep_greedy over
+    the points: the sorted sweep takes a point when it lies more than eps
+    past the last point taken.  That is a maximum, by exchange: if
+    y_1 < ... < y_k are pairwise further than eps and the sweep's first
+    i points g_1 < ... < g_i have g_i <= y_i, then y_{i+1} > y_i + eps >=
+    g_i + eps, so the sweep takes an (i+1)-th point, at most y_{i+1}.
     """
 
     def __init__(self, points):
@@ -151,30 +153,7 @@ class IdentityFiber:
         return self.distance(x, y) <= _exact_eps(epsilon)
 
     def sep_exact(self, F, epsilon):
-        e = _exact_eps(epsilon)
-        pts = self.points
-        far = [[not self.distance_le(p, q, e) for q in pts] for p in pts]
-        return _max_far_subset(far)
-
-
-def _max_far_subset(far):
-    """Largest subset of indices with far[i][j] for every chosen pair."""
-    n = len(far)
-    best = 0
-
-    def grow(chosen, cand):
-        nonlocal best
-        if chosen + len(cand) <= best:
-            return
-        if not cand:
-            best = max(best, chosen)
-            return
-        v = cand[0]
-        grow(chosen + 1, [u for u in cand[1:] if far[v][u]])
-        grow(chosen, cand[1:])
-
-    grow(0, list(range(n)))
-    return best
+        return sep_greedy(self, self.points, F, _exact_eps(epsilon))
 
 
 class ToralAutoFiber:
@@ -269,7 +248,7 @@ def bowen_le(T, x, y, F, epsilon):
                for i in F)
 
 
-def sep_exact_symbolic(spec, F, epsilon, word_cap=DEFAULT_WORD_CAP):
+def sep_exact_symbolic(spec, F, epsilon):
     """Exact sep(shift, F, eps): distinct windows on F + [-rho, rho].
 
     Any two points differing on that window are certified further than
@@ -294,7 +273,7 @@ def sep_exact_symbolic(spec, F, epsilon, word_cap=DEFAULT_WORD_CAP):
     span = window[-1] - window[0] + 1
     if span == len(window):
         return complexity(spec, span)
-    return len(language_on(spec, window, word_cap=word_cap))
+    return len(language_on(spec, window))
 
 
 def sep_greedy(T, sample, F, epsilon):

@@ -25,12 +25,13 @@ carries the Bowen metric over F + c onto the one over F, so
 sep(T, F + c, eps) = sep(T, F, eps): a class is a visited set
 translated to start at 0.  A system is a plan and a fiber, so systems
 on one plan share its classes.  A counting_plan gives range(r), counted
-by the range engines, when visited sets are intervals (and
-request_histograms asks for every n of a run at once); otherwise the
+by the range engines, when visited sets are intervals; otherwise the
 visited sets of the factor the rule reads, each counted times the words
-of the factors the rule ignores.  The fiber sees only the visited set,
-so the sums are exactly those over the product's own words, and the
-same counts over cocycle.enumeration_plan are their oracle.
+of the factors the rule ignores.  Either way request_histograms asks
+for every n of a run at once, one request per pad.  The fiber sees
+only the visited set, so the sums are exactly those over the product's
+own words, and the same counts over cocycle.enumeration_plan are their
+oracle.
 
 The independent oracle skew_sep_greedy uses neither reduction: it
 walks explicit representative pairs and groups them by the raw scan data
@@ -194,13 +195,14 @@ def _fiber_sum(sys, classes, epsilon, exact=False):
 def request_histograms(sys, ns, epsilons):
     """Ask the system's plan once for every n of a run, per distinct pad.
 
-    capacity_A reads pad 0 and skew_sep_direct at eps reads pad rho(eps);
-    one request per pad lets a single pass serve every n.  A no-op when
-    the classes are not ranges (the plan has no interval steps).
+    capacity_A reads pad 0 and skew_sep_direct at eps reads pad
+    rho(eps) - s; one request per pad lets a single engine pass, or a
+    single enumeration, serve every n.
     """
-    if sys.plan.steps is None:
-        return
-    for pad in sorted({0} | {rho(e) for e in epsilons}):
+    tau = sys.plan.tau
+    pads = {0} | {_require_window_dominates_radius(tau, e) - tau.radius
+                  for e in epsilons}
+    for pad in sorted(pads):
         plan_classes(sys.plan, ns, pad)
 
 

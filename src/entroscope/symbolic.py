@@ -96,45 +96,33 @@ class SFT:
         return False
 
     def graph(self):
-        """(states, edges): states are admissible K-words surviving the trim,
-        edges[i] lists (label, j) for each admissible one-letter extension."""
+        """(states, edges): the essential graph (Lind-Marcus 1995, ch. 2).
+
+        One scan of the clean (K+1)-words, those with no forbidden factor,
+        gives the edges: each runs from its first K letters to its last K
+        with its last letter as label.  Edges whose source has no in-edge
+        or whose target has no out-edge are dropped until none is, and
+        the states are the sources left, sorted; edges[i] lists
+        (label, j) by label.
+        """
         if self._graph_cache is not None:
             return self._graph_cache
         K = self.context
-        states = [u for u in itertools.product(self.labels, repeat=K)
-                  if not self._has_forbidden_factor(u)]
-        live = set(states)
+        edges = [w for w in itertools.product(self.labels, repeat=K + 1)
+                 if not self._has_forbidden_factor(w)]
         while True:
-            # an edge u -> u[1:]+(a,) exists iff the joined (K+1)-word is clean
-            outs = {u: [a for a in self.labels
-                        if (K == 0 or u[1:] + (a,) in live)
-                        and not self._has_forbidden_factor(u + (a,))]
-                    for u in live}
-            ins = {u: 0 for u in live}
-            for u, letters in outs.items():
-                for a in letters:
-                    v = (u + (a,))[1:] if K else u
-                    ins[v] += 1
-            dead = {u for u in live if not outs[u] or ins[u] == 0}
-            if not dead:
+            heads = {w[:-1] for w in edges}
+            tails = {w[1:] for w in edges}
+            kept = [w for w in edges if w[:-1] in tails and w[1:] in heads]
+            if len(kept) == len(edges):
                 break
-            live -= dead
-            if not live:
-                break
-        states = sorted(live)
+            edges = kept
+        states = sorted(heads)
         index = {u: i for i, u in enumerate(states)}
-        edges = []
-        for u in states:
-            row = []
-            for a in self.labels:
-                w = u + (a,)
-                if self._has_forbidden_factor(w):
-                    continue
-                v = w[1:] if K else u
-                if v in index:
-                    row.append((a, index[v]))
-            edges.append(row)
-        self._graph_cache = (states, edges)
+        rows = [[] for _ in states]
+        for w in edges:  # lexicographic, so each row runs by label
+            rows[index[w[:-1]]].append((w[-1], index[w[1:]]))
+        self._graph_cache = (states, rows)
         return self._graph_cache
 
     def words(self, length, word_cap=DEFAULT_WORD_CAP):

@@ -42,15 +42,11 @@ def as_int(value):
 
 
 def log_big(x):
-    """Natural log of a positive int (or float), safe for huge integers.
+    """Natural log of a positive int, safe for integers wider than a double.
 
-    For an integer wider than a double, shifts the top 53 bits down and adds
-    back k*ln(2); the result is accurate to ~1e-15 relative.
+    Shifts the top 53 bits down and adds back k*ln(2); the result is
+    accurate to ~1e-15 relative.
     """
-    if isinstance(x, float):
-        if x <= 0.0:
-            raise ValueError("log of nonpositive value")
-        return math.log(x)
     if x <= 0:
         raise ValueError("log of nonpositive value")
     k = max(x.bit_length() - 53, 0)

@@ -1,14 +1,14 @@
 """Fiber systems and their certified separated/spanning counts."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entroscope.exactnum import GOLDEN_MEAN_ALPHA
+from entroscope.exactnum import GOLDEN_MEAN_ALPHA, QuadExact
 from entroscope.fiber import (IdentityFiber, RotationFiber, SymbolicFiber,
-                              ToralAutoFiber, _max_far_subset,
-                              bowen_distance, bowen_le,
+                              ToralAutoFiber, bowen_distance, bowen_le,
                               circle_sep_exact, fiber_from_json,
                               fiber_to_json, sep_count, sep_exact_symbolic,
                               sep_greedy, spa_bracket)
@@ -121,12 +121,56 @@ def test_rotation_greedy_respects_exact_count():
 
 # -- identity fiber ---------------------------------------------------------
 
+def _max_far_subset(far):
+    """Largest subset of indices with far[i][j] for every chosen pair:
+    the brute-force separated count, by branch and bound."""
+    best = 0
+
+    def grow(chosen, cand):
+        nonlocal best
+        if chosen + len(cand) <= best:
+            return
+        if not cand:
+            best = max(best, chosen)
+            return
+        v = cand[0]
+        grow(chosen + 1, [u for u in cand[1:] if far[v][u]])
+        grow(chosen, cand[1:])
+
+    grow(0, list(range(len(far))))
+    return best
+
+
 def test_identity_fiber_max_far_subset():
     T = IdentityFiber([Fraction(0), Fraction(1, 4), Fraction(1, 2),
                        Fraction(1)])
     assert T.sep_exact(range(3), Fraction(1, 4)) == 3
     assert T.sep_exact(range(3), Fraction(1, 100)) == 4
     assert T.sep_exact(range(3), 2) == 1
+
+
+def test_identity_sweep_equals_brute_force():
+    # the sorted sweep against the largest pairwise-far subset, on
+    # Fractions, golden-field numbers and repeated points
+    rng = random.Random(23)
+    Fs = (range(1), range(3), (0, 2, 5))
+    epss = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+            Fraction(1), Fraction(3)]
+    for _ in range(100):
+        pts = []
+        for _ in range(rng.randint(1, 9)):
+            a = Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 8)))
+            if rng.random() < 0.4:
+                a = QuadExact(a, Fraction(rng.randint(-4, 4), 4), 5)
+            pts.append(a)
+        pts += [rng.choice(pts) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(pts)
+        T = IdentityFiber(pts)
+        for eps in epss:
+            want = _max_far_subset([[T.distance(p, q) > eps for q in pts]
+                                    for p in pts])
+            for F in Fs:
+                assert T.sep_exact(F, eps) == want, (pts, F, eps)
 
 
 def test_identity_fiber_irrational_points():

@@ -21,7 +21,7 @@ from entroscope.fiber import IdentityFiber, RotationFiber, SymbolicFiber
 from entroscope.presets import get_preset
 from entroscope.skew import (SkewSystem, capacity_A, request_histograms,
                              sandwich_check, skew_sep_direct, skew_sep_greedy)
-from entroscope.symbolic import SFT, FullShift, Sturmian, WindowPoint
+from entroscope.symbolic import SFT, FullShift, Sturmian, WindowPoint, rho
 from entroscope.util import CapExceeded, ConfigError, OracleMismatch
 from skew_oracles import skew_bowen_distance, skew_orbit, skew_sep_pairwise
 
@@ -223,6 +223,25 @@ def test_visited_set_counts_match_greedy_and_enumeration():
         filled = {e: dict(m) for e, m in sys._fiber_counts.items()}
         skew_sep_direct(sys, 2, HALF)
         assert sys._fiber_counts == filled
+
+
+def test_requests_fill_the_pads_direct_counts_read():
+    # one pad rule: a request at eps fills pad rho(eps) - s, the pad
+    # skew_sep_direct reads, so the counts after it add no pad and no n
+    sys = visited_set_systems()[0][0]
+    plan, e, ns = sys.plan, Fraction(1, 8), [2, 3]
+    assert plan.histograms == "enumeration" and plan.tau.radius == 1
+    request_histograms(sys, ns, (e, 2 * e))
+    pads = {0, rho(e) - 1, rho(2 * e) - 1}
+    assert pads == {0, 1, 2}
+    assert {pad: set(m) for pad, m in plan.memo.items()} == \
+        {pad: set(ns) for pad in pads}
+    for n in ns:
+        skew_sep_direct(sys, n, e)
+        skew_sep_direct(sys, n, 2 * e)
+        capacity_A(sys, n, e)
+    assert {pad: set(m) for pad, m in plan.memo.items()} == \
+        {pad: set(ns) for pad in pads}
 
 
 def test_self_check_reads_no_memoized_fiber_count():

@@ -66,6 +66,47 @@ def test_sft_short_words_are_realized_prefixes():
     assert spec.count(3) == 7
 
 
+def _realized_middles(labels, forbidden, length):
+    """The length-L middles of the clean words of length L + 2m, m =
+    |A|^K + 1: the words that extend m letters each way with no forbidden
+    factor.  A path with more nodes than the graph has repeats one, so
+    such extensions exist exactly for realized words.  The clean words
+    grow letter by letter, each state its last K letters and the middle
+    read so far: a forbidden word, at most K + 1 long, that ends at the
+    new letter lies in those K letters and the new one."""
+    K = max(map(len, forbidden), default=1) - 1
+    m = len(labels) ** K + 1
+    states = {((), ())}
+    for i in range(length + 2 * m):
+        grown = set()
+        for tail, middle in states:
+            for a in labels:
+                w = tail + (a,)
+                if any(w[len(w) - len(f):] == f for f in forbidden
+                       if len(f) <= len(w)):
+                    continue
+                grown.add((w[len(w) - K:],
+                           middle + (a,) if m <= i < m + length else middle))
+        states = grown
+    return sorted({middle for _, middle in states})
+
+
+def test_sft_words_are_the_realized_middles():
+    # seeded random SFTs, trims and empty languages included, against
+    # the definition of a realized word
+    rng = random.Random(1995)
+    for _ in range(100):
+        labels = (0, 1) if rng.random() < 0.5 else (0, 1, 2)
+        forbidden = {tuple(rng.choice(labels)
+                           for _ in range(rng.randint(1, 3)))
+                     for _ in range(rng.randint(0, 5))}
+        spec = SFT(labels, forbidden)
+        for length in range(1, 6):
+            want = _realized_middles(labels, forbidden, length)
+            assert spec.words(length) == want, (forbidden, length)
+            assert spec.count(length) == len(want)
+
+
 def test_word_cap_enforced():
     fs = FullShift(2)
     with pytest.raises(CapExceeded):
