@@ -8,10 +8,9 @@ rounding.  Floor is an integer formula, floor_coords: isqrt of B^2 d
 over a common denominator q.  Loops that step many numbers of one field
 skip the QuadExact objects altogether: integer_coords writes each number
 as (A + B sqrt(d)) / q with one q and d for all of them, floor_coords
-floors that, and _sign orders integer differences.  Callers may use a
-float value as a sort key, but only to propose an order that exact
-comparisons then accept or reject.  num_to_json and num_from_json are
-the package's one JSON form for exact numbers.
+floors that, and _sign orders integer differences; no float decides an
+order.  num_to_json and num_from_json are the package's one JSON form
+for exact numbers.
 """
 
 from fractions import Fraction

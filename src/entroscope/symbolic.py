@@ -23,7 +23,6 @@ import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .exactnum import (QuadExact, _sign, floor_coords, integer_coords,
                        num_from_json, num_to_json)
@@ -223,7 +222,9 @@ class Sturmian:
     intercept must share one quadratic field.  The coder and the cut walk
     run on integer coordinates: every number they touch is
     (A + B sqrt(d)) / q with q and d fixed per instance
-    (exactnum.integer_coords), so they build no QuadExact or Fraction.
+    (exactnum.integer_coords), so they build no QuadExact or Fraction,
+    and the walk meets its cuts in order (_cuts), with no float and no
+    sort.
     """
 
     def __init__(self, alpha, intercept=None):
@@ -243,7 +244,6 @@ class Sturmian:
         # mixed radicands raise here, not at the first walk
         self._q, self._d, (self._alpha_c, self._intercept_c) = \
             integer_coords((alpha, intercept))
-        self._root = math.sqrt(self._d)
         self.labels = (-1, 1)
         self._words, self._firsts = ((),), None  # see words and count
 
@@ -278,55 +278,95 @@ class Sturmian:
 
         The word of x is constant on each cell of the circle partition cut
         by the points {-p*alpha}, which turn symbol p to +1, and
-        {intercept - p*alpha}, which turn it to -1.  A cut is an (A, B)
-        pair, the point (A + B sqrt(d)) / q; the cuts of p are those of
-        p - 1 moved back by alpha and reduced mod 1 by the integer floor
-        formula, and flips maps each distinct cut to its (p, symbol)
-        pairs.  Every call builds its window's cuts afresh, checks their
-        count against the cap, sorts them by float value and certifies
-        each adjacent pair exactly, sorting exactly when a pair fails.
+        {intercept - p*alpha}, which turn it to -1.  The cuts stream in
+        increasing order from 0 (_cuts), so the walk holds the word and
+        nothing per cut.
 
         Yields (word, crossed) per cell in cut order: first the first
-        cell's word, coded directly at its left cut (boundary points code
+        cell's word, coded directly at the cut 0 (boundary points code
         like the cell on their right), with no flips; then, per later
         cut, the word after flipping the symbols attached to it and those
-        (p, symbol) flips.  word is one list updated in place: copy it to
-        keep it.  The horizon and cap checks run at the first step; once
-        the walk is exhausted, crossing the first cut again must land
-        back on the first cell.
+        (p, symbol) flips, by p.  word is one list updated in place: copy
+        it to keep it.  The horizon and cap checks run at the first step;
+        the cap bounds the distinct cuts, counted by a pass of their own
+        only when 2 x length exceeds it.  Once the walk is exhausted,
+        crossing the cut 0 again must land back on the first cell.
         """
         if length < 1:
             raise ValueError("length must be >= 1")
         self._check_horizon(length)
-        q, d, (a_A, a_B) = self._q, self._d, self._alpha_c
-        flips, nxt = {}, ((0, 0), self._intercept_c)
-        for p in range(length):
-            moved = []
-            for (A, B), sym in zip(nxt, (1, -1)):
-                flips.setdefault((A, B), []).append((p, sym))
-                A, B = A - a_A, B - a_B
-                moved.append((A - q * floor_coords(A, B, q, d), B))
-            nxt = moved
-        _check_cap(len(flips), word_cap)
-        root = self._root
-        cuts = sorted(flips, key=lambda c: (c[0] + c[1] * root) / q)
-        if not all(_sign(v[0] - u[0], v[1] - u[1], d) > 0
-                   for u, v in zip(cuts, cuts[1:])):
-            cuts.sort(key=cmp_to_key(
-                lambda u, v: _sign(u[0] - v[0], u[1] - v[1], d)))
-        cur = list(_rotation_code(cuts[0], self._alpha_c, self._intercept_c,
-                                  q, d, range(length)))
-        first = tuple(cur)
+        if word_cap is not None and 2 * length > word_cap:
+            _check_cap(sum(1 for _ in self._cuts(length)), word_cap)
+        cuts = self._cuts(length)
+        at_zero = next(cuts)
+        first = _rotation_code((0, 0), self._alpha_c, self._intercept_c,
+                               self._q, self._d, range(length))
+        cur = list(first)
         yield cur, ()
-        for c in cuts[1:]:
-            crossed = flips[c]
+        for crossed in cuts:
             for p, sym in crossed:
                 cur[p] = sym
             yield cur, crossed
-        for p, sym in flips[cuts[0]]:
+        for p, sym in at_zero:
             cur[p] = sym
         if tuple(cur) != first:
             raise AssertionError("cut walk failed to close up")
+
+    def _cuts(self, length):
+        """The (p, symbol) pairs of each distinct cut, by increasing value.
+
+        Three-distance theorem (Sos 1958): with u and v the indices of the
+        smallest and largest point {-p*alpha} over 0 < p < n, the point
+        after p's is p + u's if p + u < n, else p - v's if p >= v, else
+        p + u - v's, above it by g_u = {-u*alpha}, g_v = 1 - {-v*alpha}
+        or both; after the largest comes 0's plus 1.  The points
+        {intercept - p*alpha} are these turned by the intercept, so they
+        run through the same indices by the same gaps from their own
+        smallest, s's.  One scan finds u, v and s; a merge then steps
+        both families, one exact sign per cut, crossing a point of each
+        together where they meet (an intercept in {k*alpha}).  Past its
+        n points a family goes on at values of 1 or more, never first.
+        """
+        n, q, d = length, self._q, self._d
+        (a_A, a_B), (c_A, c_B) = self._alpha_c, self._intercept_c
+        b_A, b_B, t_A, t_B = q - a_A, -a_B, q - c_A, -c_B
+        # x steps through {-p*alpha} by {-alpha} = 1 - alpha; g_u starts
+        # at 1, the one gap of a one-letter window
+        x_A = x_B = u = v = s = 0
+        lo_A, lo_B, hi_A, hi_B, y_A, y_B = q, 0, 0, 0, c_A, c_B
+        for p in range(1, n):
+            x_A, x_B = x_A + b_A, x_B + b_B
+            if _sign(x_A - q, x_B, d) >= 0:
+                x_A -= q
+            if _sign(x_A - lo_A, x_B - lo_B, d) < 0:
+                u, lo_A, lo_B = p, x_A, x_B
+            if _sign(x_A - hi_A, x_B - hi_B, d) > 0:
+                v, hi_A, hi_B = p, x_A, x_B
+            # {intercept - p*alpha} falls below the intercept only where
+            # x_p >= t = 1 - intercept, to x_p - t
+            if (_sign(x_A - t_A, x_B - t_B, d) >= 0
+                    and _sign(x_A - t_A - y_A, x_B - t_B - y_B, d) < 0):
+                s, y_A, y_B = p, x_A - t_A, x_B - t_B
+        gu_A, gu_B, gv_A, gv_B = lo_A, lo_B, q - hi_A, -hi_B
+
+        def step(p, A, B):
+            if p + u < n:
+                return p + u, A + gu_A, B + gu_B
+            if p >= v:
+                return p - v, A + gv_A, B + gv_B
+            return p + u - v, A + gu_A + gv_A, B + gu_B + gv_B
+
+        i, x_A, x_B, j, left = 0, 0, 0, s, 2 * n
+        while left:
+            c = _sign(x_A - y_A, x_B - y_B, d)
+            yield ([(i, 1)] if c < 0 else [(j, -1)] if c > 0 else
+                   sorted([(i, 1), (j, -1)]))
+            if c <= 0:
+                i, x_A, x_B = step(i, x_A, x_B)
+                left -= 1
+            if c >= 0:
+                j, y_A, y_B = step(j, y_A, y_B)
+                left -= 1
 
     def words(self, length, word_cap=DEFAULT_WORD_CAP):
         """Every word of the orbit closure: the distinct words of cells.

@@ -890,6 +890,43 @@ def test_step_two_class_fault_exits_4(monkeypatch, tmp_path, capsys, plant):
     assert "internal inconsistency: greedy fast path" in err
 
 
+def test_self_check_names_the_check_out_of_budget(tmp_path, capsys):
+    # a radius-1 rule at eps = 1/8: the greedy count needs 2^20
+    # representative pairs, past the self-check's 2^18
+    cfg = tmp_path / "radius1.json"
+    cfg.write_text(json.dumps({
+        "command": "sep", "system": PLAN_SYSTEMS["radius-1"],
+        "parameters": {"epsilon": "1/8", "n_range": [2, 3]}}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert ("CHECK self-check: PASS (capacity@n=3, sep@n=3, greedy@n=3 "
+            "skipped (representative count 1048576 exceeds cap 262144))"
+            in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("preset, engine", [
+    ("sturmian-walk", "_cell_sum_max"), ("tt-inverse", "_graph_sum_max")])
+def test_birkhoff_fast_path_fault_exits_4(monkeypatch, capsys, preset,
+                                          engine):
+    from entroscope import entropy
+    assert main(["birkhoff", "--preset", preset]) == 0
+    assert ("CHECK self-check: PASS (birkhoff@n=3, birkhoff@n=8)"
+            in capsys.readouterr().out)
+    real = getattr(entropy, engine)
+    monkeypatch.setattr(entropy, engine, lambda *args: real(*args) + 1)
+    assert main(["birkhoff", "--preset", preset]) == 4
+    assert ("internal inconsistency: birkhoff fast path"
+            in capsys.readouterr().err)
+
+
+def test_birkhoff_self_check_skipped_past_the_cap(capsys):
+    # the graph pass lists no words, but its oracle does: 8 at n = 3
+    assert main(["birkhoff", "--preset", "tt-inverse", "--cap-words",
+                 "4"]) == 0
+    assert ("CHECK self-check: OBSERVED (birkhoff@n=3 skipped (word count "
+            "8 exceeds cap 4), birkhoff@n=8 skipped (word count 256 "
+            "exceeds cap 4))") in capsys.readouterr().out
+
+
 def test_slow_entropy_computes_each_bracket_once(monkeypatch, capsys):
     from entroscope import entropy
     seen = []

@@ -1,13 +1,14 @@
 """Language enumeration, rotation codings, and the windowed metric."""
 
 import random
+import tracemalloc
 from fractions import Fraction
-from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from entroscope.exactnum import GOLDEN_MEAN_ALPHA, QuadExact, frac_exact
+from entroscope.presets import get_preset
 from entroscope.symbolic import (DEFAULT_WORD_CAP, SFT, FullShift, Product,
                                  Sturmian, WindowPoint, complexity,
                                  language_on, rho, spec_from_json,
@@ -170,11 +171,14 @@ def words_by_cells(spec, length):
     return sorted({code_by_quadexact(spec, x, range(length)) for x in mids})
 
 
-def words_by_cut_walk(spec, length):
-    """Reference Sturmian language: the cut walk built from scratch.
+def cut_walk(spec, length):
+    """Reference cut walk: Sturmian.cells built from scratch.
 
-    Every cut of the window is computed directly, the cuts are sorted
-    exactly, and the walk flips symbols across them from one coded cell.
+    Every cut of the window is computed directly and the cuts are sorted
+    exactly.  Yields what cells yields, the word as a tuple: the first
+    cell's word, coded at a point inside it, with no flips; then per
+    later cut the word after its (p, symbol) flips, and those flips by
+    p.  Crossing the first cut again must close the walk.
     """
     flips = {}
     for p in range(length):
@@ -185,12 +189,26 @@ def words_by_cut_walk(spec, length):
     sample = ((cuts[0] + cuts[1]) / 2 if len(cuts) > 1
               else cuts[0] + Fraction(1, 2))
     cur = list(code_by_quadexact(spec, sample, range(length)))
-    seen = {tuple(cur)}
-    for c in cuts[1:] + cuts[:1]:
+    first = tuple(cur)
+    yield first, []
+    for c in cuts[1:]:
         for p, sym in flips[c]:
             cur[p] = sym
-        seen.add(tuple(cur))
-    return sorted(seen)
+        yield tuple(cur), flips[c]
+    for p, sym in flips[cuts[0]]:
+        cur[p] = sym
+    assert tuple(cur) == first
+
+
+def words_by_cut_walk(spec, length):
+    """Reference Sturmian language: the words of the reference walk."""
+    return sorted({word for word, _ in cut_walk(spec, length)})
+
+
+def walked(spec, length, word_cap=DEFAULT_WORD_CAP):
+    """Sturmian.cells as cut_walk yields it: words as tuples."""
+    return [(tuple(word), list(crossed))
+            for word, crossed in spec.cells(length, word_cap)]
 
 
 @pytest.mark.parametrize("intercept", [Fraction(1, 2), None])
@@ -258,27 +276,12 @@ def test_sturmian_count_stops_short_of_the_horizon():
         per.count(11)
 
 
-def test_cut_walk_sorts_exactly_when_float_order_fails(monkeypatch):
-    # two ways to a float order that the exact certificate rejects: a
-    # wrong float value of sqrt(d), and a rational angle 1/3 + 10^-20
-    # whose cuts 1/3 and 1/3 - 2*10^-20 are one float; the exact sort
-    # must then give the reference's words
-    exact_sorts = []
-
-    def counting_cmp_to_key(cmp):
-        exact_sorts.append(cmp)
-        return cmp_to_key(cmp)
-
-    monkeypatch.setattr("entroscope.symbolic.cmp_to_key", counting_cmp_to_key)
-    misled = Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2))
-    misled._root = -misled._root
+def test_cut_walk_sorts_exactly_when_float_order_fails():
+    # a rational angle 1/3 + 10^-20, whose cuts 1/3 and 1/3 - 2*10^-20
+    # are one float: the walk orders them exactly
     near = Sturmian(Fraction(1, 3) + Fraction(1, 10 ** 20), Fraction(1, 3))
-    for spec in (misled, near):
-        del exact_sorts[:]
-        for length in range(1, 25):
-            assert spec.words(length) == words_by_cut_walk(spec, length), \
-                (spec, length)
-        assert exact_sorts, spec
+    for length in range(1, 25):
+        assert near.words(length) == words_by_cut_walk(near, length), length
 
 
 quad_coefs = st.fractions(min_value=-3, max_value=3, max_denominator=12)
@@ -306,6 +309,56 @@ def test_sturmian_words_match_cell_reference(a, b, d, intercept, length):
         intercept = QuadExact(value[0], value[1], d).frac()
     spec = Sturmian(alpha, intercept)
     assert spec.words(length) == words_by_cells(spec, length)
+
+
+sturmian_angles = st.one_of(
+    st.tuples(quad_coefs, nonzero_coefs, st.sampled_from([2, 3, 5, 13]))
+    .map(lambda abd: QuadExact(*abd)),
+    st.fractions(min_value=0, max_value=1, max_denominator=500)
+    .filter(lambda a: 0 < a < 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(sturmian_angles,
+       st.one_of(st.none(),
+                 st.fractions(min_value=0, max_value=1, max_denominator=30)
+                 .filter(lambda c: 0 < c < 1),
+                 st.integers(-4, 6).filter(bool)),
+       st.one_of(st.integers(1, 60), st.sampled_from([150, 233, 400])))
+def test_cells_match_the_reference_walk(alpha, intercept, length):
+    # the whole (word, crossed) sequence, on irrational angles and on
+    # rational ones below their horizon, for rational intercepts, shared
+    # ones {k*alpha} and the default 1 - alpha; and the cap's edge at the
+    # count of distinct cuts
+    if isinstance(intercept, int):
+        intercept = frac_exact(intercept * alpha)
+        assume(intercept != 0)
+    spec = Sturmian(alpha, intercept)
+    horizon = spec.horizon()
+    if horizon is not None:
+        length = (length - 1) % (horizon - 1) + 1
+    want = list(cut_walk(spec, length))
+    assert walked(spec, length) == want
+    if intercept is None:
+        assert len(want) == length + 1
+    assert walked(spec, length, word_cap=len(want)) == want
+    with pytest.raises(CapExceeded):
+        walked(spec, length, word_cap=len(want) - 1)
+
+
+def test_cell_walk_holds_only_the_word():
+    # the cuts stream in order: a walk of 20000 letters holds its word
+    # twice (the first cell's, for the close-up check) and no cut table,
+    # which took 14 MB when it was built
+    walk = get_preset("sturmian-walk")["base"]
+    tracemalloc.start()
+    try:
+        cells = sum(1 for _ in walk.cells(20000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cells == 40000
+    assert peak < 2 ** 20
 
 
 def test_sturmian_float_ties_take_the_exact_sort():
