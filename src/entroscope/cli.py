@@ -24,6 +24,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 
 # the subshift and skew-product modules load lazily (see the package
 # docstring): binding them as modules and calling them qualified leaves
@@ -301,6 +302,23 @@ def echo_params(ctx):
 # runtime self-checks (fast path vs defining enumeration; exit 4)
 
 
+def _compare(name, n, fast, oracle_name, oracle, skip):
+    """The note of one self-check: fast() against oracle() at n.
+
+    An exception of the skip types is noted as the check skipped, with
+    the reason; a difference raises OracleMismatch.
+    """
+    try:
+        got = fast()
+        want = oracle()
+    except skip as exc:
+        return "%s@n=%d skipped (%s)" % (name, n, exc)
+    if got != want:
+        raise OracleMismatch("%s fast path %r != %s %r at n=%d"
+                             % (name, got, oracle_name, want, n))
+    return "%s@n=%d" % (name, n)
+
+
 def self_check_skew(system, epsilon):
     """Recompute capacity_A and skew_sep_direct at n = 3 by enumeration.
 
@@ -319,28 +337,20 @@ def self_check_skew(system, epsilon):
     enumerated = skew.SkewSystem(
         cocycle.enumeration_plan(plan.spec, plan.tau, plan.word_cap),
         system.fiber)
-    checks = [("capacity", skew.capacity_A, "enumeration",
-               lambda eps: skew.capacity_A(enumerated, n, eps)),
-              ("sep", skew.skew_sep_direct, "enumeration",
-               lambda eps: skew.skew_sep_direct(enumerated, n, eps))]
+    sep = partial(skew.skew_sep_direct, system, n, epsilon)
+    checks = [("capacity", partial(skew.capacity_A, system, n, epsilon),
+               "enumeration", partial(skew.capacity_A, enumerated, n,
+                                      epsilon)),
+              ("sep", sep, "enumeration",
+               partial(skew.skew_sep_direct, enumerated, n, epsilon))]
     if plan.steps is None:
-        checks.append(("greedy", skew.skew_sep_direct, "greedy count",
-                       lambda eps: skew.skew_sep_greedy(
-                           system, n, eps, margin=symbolic.rho(eps),
-                           pair_cap=SELF_CHECK_PAIRS)))
-    notes = []
-    for name, count, oracle_name, oracle in checks:
-        try:
-            fast = count(system, n, epsilon)
-            slow = oracle(epsilon)
-        except (CapExceeded, SturmianHorizonError, ConfigError) as exc:
-            notes.append("%s@n=%d skipped (%s)" % (name, n, exc))
-            continue
-        if fast != slow:
-            raise OracleMismatch("%s fast path %r != %s %r at n=%d"
-                                 % (name, fast, oracle_name, slow, n))
-        notes.append("%s@n=%d" % (name, n))
-    return notes
+        checks.append(("greedy", sep, "greedy count",
+                       partial(skew.skew_sep_greedy, system, n, epsilon,
+                               margin=symbolic.rho(epsilon),
+                               pair_cap=SELF_CHECK_PAIRS)))
+    return [_compare(name, n, fast, oracle_name, oracle,
+                     (CapExceeded, SturmianHorizonError, ConfigError))
+            for name, fast, oracle_name, oracle in checks]
 
 
 def self_check_birkhoff(plan):
@@ -355,19 +365,10 @@ def self_check_birkhoff(plan):
     if plan.sup == "enumeration":
         return []
     oracle = cocycle.enumeration_plan(plan.spec, plan.tau, plan.word_cap)
-    notes = []
-    for n in (3, 8):
-        try:
-            fast = entropy.birkhoff_sup(plan, n)
-            slow = entropy.birkhoff_sup(oracle, n)
-        except (CapExceeded, SturmianHorizonError) as exc:
-            notes.append("birkhoff@n=%d skipped (%s)" % (n, exc))
-            continue
-        if fast != slow:
-            raise OracleMismatch("birkhoff fast path %r != enumeration %r "
-                                 "at n=%d" % (fast, slow, n))
-        notes.append("birkhoff@n=%d" % n)
-    return notes
+    return [_compare("birkhoff", n, partial(entropy.birkhoff_sup, plan, n),
+                     "enumeration", partial(entropy.birkhoff_sup, oracle, n),
+                     (CapExceeded, SturmianHorizonError))
+            for n in (3, 8)]
 
 
 def self_check_distribution(plan):

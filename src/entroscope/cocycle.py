@@ -475,21 +475,6 @@ def profile_counts(plan, n):
 # the range engines
 
 
-def _path_counts(edges, length, into):
-    """Paths of the given length into (into=True) or out of each node."""
-    counts = [1] * len(edges)
-    for _ in range(length):
-        nxt = [0] * len(edges)
-        for i, row in enumerate(edges):
-            for _label, j in row:
-                if into:
-                    nxt[j] += counts[i]
-                else:
-                    nxt[i] += counts[j]
-        counts = nxt
-    return counts
-
-
 def _field_bits(k, top, pad):
     """Bits of one packed strip field, for windows up to top on k letters.
 
@@ -525,8 +510,8 @@ def _walk_pass(base, vals, ns, pad):
     K = base.context
     own = max(0, K - pad)  # steps among the start nodes' letters
     top = max(ns)
-    left = _path_counts(edges, max(0, pad - K), into=True)
-    right = _path_counts(edges, pad + 1, into=False)
+    left = base.path_counts(max(0, pad - K), into=True)
+    right = base.path_counts(pad + 1)
     # in-edges of each node grouped by step: a group's sources are summed,
     # then shifted once
     ins = [{} for _ in states]

@@ -73,6 +73,7 @@ class SFT:
             fw.append(w)
         self.forbidden = tuple(sorted(set(fw)))
         self._graph_cache = None
+        self._paths = {}  # see path_counts
 
     def __repr__(self):
         return "SFT(%r, %r)" % (self.labels, self.forbidden)
@@ -150,38 +151,36 @@ class SFT:
             out.sort()
         return out
 
+    def path_counts(self, length, into=False):
+        """Paths of the given length out of each state of graph(), or into
+        each with into=True: one count per state, in the states' order.
+
+        The counts step forward one length at a time (Lind-Marcus 1995,
+        ch. 2), and every length reached is kept, so a run of lengths
+        costs one pass to the longest.  The list returned is shared.
+        """
+        edges = self.graph()[1]
+        kept = self._paths.setdefault(into, [[1] * len(edges)])
+        while len(kept) <= length:
+            counts, nxt = kept[-1], [0] * len(edges)
+            for i, row in enumerate(edges):
+                for _label, j in row:
+                    if into:
+                        nxt[j] += counts[i]
+                    else:
+                        nxt[i] += counts[j]
+            kept.append(nxt)
+        return kept[length]
+
     def count(self, length):
-        """|L_length| by transfer-matrix power over the trimmed graph."""
-        states, edges = self.graph()
-        if not states:
-            return 0
+        """|L_length|: a word longer than the memory K is its first K
+        letters, a state, and a path of length - K out of it, so the count
+        sums path_counts; a shorter word is a state's prefix."""
+        states = self.graph()[0]
         K = self.context
         if length <= K:
             return len({u[:length] for u in states})
-        size = len(states)
-        mat = [[0] * size for _ in range(size)]
-        for i in range(size):
-            for _, j in edges[i]:
-                mat[i][j] += 1
-        power = _mat_pow(mat, length - K)
-        return sum(map(sum, power))
-
-
-def _mat_mul(x, y):
-    n = len(x)
-    yt = list(zip(*y))
-    return [[sum(a * b for a, b in zip(row, col)) for col in yt] for row in x]
-
-
-def _mat_pow(m, e):
-    n = len(m)
-    result = [[int(i == j) for j in range(n)] for i in range(n)]
-    while e:
-        if e & 1:
-            result = _mat_mul(result, m)
-        m = _mat_mul(m, m)
-        e >>= 1
-    return result
+        return sum(self.path_counts(length - K))
 
 
 class FullShift(SFT):
@@ -373,23 +372,29 @@ class Sturmian:
 
         Sampling every cell witnesses the whole closure.  The sorted words
         of the longest window walked are kept; a shorter window's are their
-        distinct prefixes, as words extend to the right, unless a cap below
-        2 x length (the most cuts a window has) needs the cells to check.
+        distinct prefixes, as words extend to the right.  A longer window
+        walks to twice the kept length, short of the horizon, so lengths
+        asked in ascending order take O(log L) walks; only a cap below
+        2 x length (the most cuts a window has), which the cells check,
+        keeps the walk at length.
         """
-        if 0 < length <= len(self._words[0]) and (word_cap is None
-                                                  or word_cap >= 2 * length):
-            return sorted({u[:length] for u in self._words})
-        out = sorted({tuple(cur) for cur, _ in self.cells(length, word_cap)})
-        if length > len(self._words[0]):
+        if length < 1:
+            raise ValueError("length must be >= 1")
+        kept, walk = len(self._words[0]), length
+        if word_cap is None or word_cap >= 2 * length:  # the cap cannot bind
+            if length <= kept:
+                return sorted({u[:length] for u in self._words})
+            q = self.horizon() or math.inf
+            walk, word_cap = max(length, min(2 * kept, q - 1)), None
+        out = sorted({tuple(cur) for cur, _ in self.cells(walk, word_cap)})
+        if walk > kept:
             self._words, self._firsts = tuple(out), None
-        return out
+        return out if walk == length else sorted({u[:length] for u in out})
 
     def count(self, length):
         """p(length): kept words that differ from the one before below it."""
-        kept = len(self._words[0])
-        if length > kept:
-            q = self.horizon() or math.inf
-            self.words(max(length, min(2 * kept, q - 1)), word_cap=None)
+        if length > len(self._words[0]):
+            self.words(length, word_cap=None)
         if self._firsts is None:
             self._firsts = sorted([-1] + [
                 next(i for i, (a, b) in enumerate(zip(u, v)) if a != b)

@@ -1,9 +1,11 @@
 """Language enumeration, rotation codings, and the windowed metric."""
 
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -95,17 +97,81 @@ def _realized_middles(labels, forbidden, length):
 def test_sft_words_are_the_realized_middles():
     # seeded random SFTs, trims and empty languages included, against
     # the definition of a realized word
+    for spec in _seeded_sfts():
+        for length in range(1, 6):
+            want = _realized_middles(spec.labels, spec.forbidden, length)
+            assert spec.words(length) == want, (spec, length)
+            assert spec.count(length) == len(want)
+
+
+def _seeded_sfts():
+    """The 100 seeded SFTs of the realized-middles test."""
     rng = random.Random(1995)
     for _ in range(100):
         labels = (0, 1) if rng.random() < 0.5 else (0, 1, 2)
         forbidden = {tuple(rng.choice(labels)
                            for _ in range(rng.randint(1, 3)))
                      for _ in range(rng.randint(0, 5))}
-        spec = SFT(labels, forbidden)
-        for length in range(1, 6):
-            want = _realized_middles(labels, forbidden, length)
-            assert spec.words(length) == want, (forbidden, length)
-            assert spec.count(length) == len(want)
+        yield SFT(labels, forbidden)
+
+
+def _sign_shapes():
+    """The benchmark's seeded SFT bases: a word w of length 5 over
+    {-1, 1} that starts with -1 and has no run of four equal letters,
+    forbidden with its negation: 13 shapes."""
+    for w in itertools.product((-1, 1), repeat=5):
+        if w[0] == -1 and not any(len(set(w[i:i + 4])) == 1
+                                  for i in range(2)):
+            yield SFT((-1, 1), [w, tuple(-a for a in w)])
+
+
+LONG_COUNT_SFTS = {
+    "seeded": list(_seeded_sfts()),
+    "sign shapes": list(_sign_shapes()),
+    "golden mean": [GOLDEN],
+    # two components, {0} and {1, 2}, joined one way by 01
+    "reducible": [SFT(3, [(0, 2), (1, 0), (2, 0)])],
+    "dead graph": [SFT(2, [(0, 0), (0, 1), (1, 1)])],
+}
+
+
+@pytest.mark.parametrize("group", sorted(LONG_COUNT_SFTS))
+def test_sft_count_is_the_adjacency_matrix_power_to_200(group):
+    # the sum of the entries of A^(L - K), A the trimmed graph's
+    # adjacency matrix, in exact object arithmetic, and its row and
+    # column sums the paths out of and into each state; shorter words
+    # are the states' prefixes.  A fresh instance asked the lengths in
+    # descending order gives the same counts.
+    for spec in LONG_COUNT_SFTS[group]:
+        states, edges = spec.graph()
+        K = spec.context
+        A = np.zeros((len(states), len(states)), dtype=object)
+        for i, row in enumerate(edges):
+            for _label, j in row:
+                A[i, j] += 1
+        want = {}
+        for length in range(1, 201):
+            if length <= K:
+                want[length] = len(spec.words(length))
+                continue
+            P = np.linalg.matrix_power(A, length - K)
+            want[length] = P.sum()
+            assert spec.path_counts(length - K) == list(P.sum(axis=1))
+            assert (spec.path_counts(length - K, into=True)
+                    == list(P.sum(axis=0)))
+        assert {n: spec.count(n) for n in want} == want, spec
+        fresh = SFT(spec.labels, spec.forbidden)
+        assert {n: fresh.count(n) for n in sorted(want, reverse=True)} \
+            == want, spec
+
+
+def test_long_sft_counts_in_closed_form():
+    assert len(LONG_COUNT_SFTS["sign shapes"]) == 13
+    # 0^a 1 w or 0^L or a word over {1, 2}
+    reducible = LONG_COUNT_SFTS["reducible"][0]
+    assert [reducible.count(n) for n in (1, 2, 200)] == \
+        [3, 6, 3 * 2 ** 199]
+    assert LONG_COUNT_SFTS["dead graph"][0].count(200) == 0
 
 
 def test_word_cap_enforced():
@@ -225,6 +291,34 @@ def test_incremental_cuts_match_walk_from_scratch(intercept):
         for length in order:
             assert spec.words(length) == words_by_cut_walk(spec, length), \
                 length
+
+
+def test_sturmian_words_grow_by_doubling(monkeypatch):
+    # every order of lengths gives a fresh instance's words; lengths
+    # asked in ascending order walk the cells O(log L) times, each walk
+    # to twice the kept window
+    walks = []
+    real = Sturmian.cells
+
+    def counted(self, length, word_cap=DEFAULT_WORD_CAP):
+        walks.append((self, length))
+        return real(self, length, word_cap)
+
+    lengths = list(range(1, 61))
+    shuffled = list(lengths)
+    random.Random(25).shuffle(shuffled)
+    monkeypatch.setattr(Sturmian, "cells", counted)
+    runs = []
+    for order in (lengths, lengths[::-1], shuffled):
+        spec = Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2))
+        for length in order:
+            assert spec.words(length) == Sturmian(
+                GOLDEN_MEAN_ALPHA, Fraction(1, 2)).words(length), length
+        runs.append([length for walker, length in walks if walker is spec])
+    ascending, descending, shuffled_walks = runs
+    assert ascending == [1, 2, 4, 8, 16, 32, 64]
+    assert descending == [60]
+    assert len(shuffled_walks) <= len(ascending)
 
 
 def test_incremental_cuts_survive_a_cap_refusal():
