@@ -138,13 +138,10 @@ SCALES = {"exp": "ExpScale", "poly": "PolyScale",
 
 def make_scale(name, plan):
     """Scale object from its CLI token (one of PARAMS' scale choices)."""
-    scale = getattr(entropy, SCALES[name])
-    if not name.startswith("range-"):
-        return scale()
-    if plan is None:
+    if plan is None and name.startswith("range-"):
         raise ConfigError("scale %r needs a base subshift and a cocycle"
                           % name)
-    return scale(plan)
+    return getattr(entropy, SCALES[name])(plan)
 
 
 # config parameter -> its flag, the type that reads the flag's text and
@@ -587,8 +584,7 @@ def _cmd_slow_entropy(args, ctx, report):
     header = ("t", "n", "ratio_lower", "ratio_upper")
     report.add_table("ratios", header,
                      [row for row in rep.rows if row[1] == rep.n_max])
-    report.add_table("ratios_ladder", header,
-                     [row for row in rep.rows if row[1] in rep.ladder])
+    report.add_table("ratios_ladder", header, rep.rows)
     detail = ("t_upper %.4g%s, t_lower %.4g%s at n=%d (%s)"
               % (rep.t_upper, " (empty)" if rep.empty_upper else "",
                  rep.t_lower, " (empty)" if rep.empty_lower else "",

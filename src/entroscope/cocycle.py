@@ -481,7 +481,9 @@ def _field_bits(k, top, pad):
     A field counts (word prefix, start) pairs at one position of one
     node, or of the sum of a node's in-edges: fewer than the
     (top + 1) * k^(top + 2 pad) pairs of all words and starts, so no
-    field carries into the next.  One bit is spare.
+    field carries into the next.  The fields of all nodes weighted by
+    their right weights count (word, start) pairs too, so that sum is
+    below 2^(F - 1) as well, and _strip_counts reads it mod 2^F - 1.
     """
     return ((top + 1) * k ** (top + 2 * pad)).bit_length() + 1
 
@@ -612,55 +614,48 @@ def _strip_counts(width, F, moves, starts, left, right, emit):
     """{n: T_n(width)} for n in emit.values(), from one walk of the graph.
 
     Each node holds the positions 0..width of its weighted walks as one
-    int of F-bit fields (position x in bits F x .. F x + F - 1), and
-    beside it their total, its mass.  A +1 step shifts the fields up and
-    masks off the one leaving the strip, a -1 step shifts them down; the
-    field that falls off is subtracted from the mass.  A node starts with
-    its left weight at every position, then takes the steps of its own
-    letters.  After emit's step counts t, T_n(width) is the sum of each
-    node's mass times its right weight.
+    int of F-bit fields (position x in bits F x .. F x + F - 1).  A +1
+    step shifts the fields up and masks off the one leaving the strip, a
+    -1 step shifts them down.  A node starts with its left weight at
+    every position, then takes the steps of its own letters.  After
+    emit's step counts t, T_n(width) is the sum over nodes of their
+    fields times their right weight: the right-weighted sum of the ints
+    taken mod 2^F - 1, as 2^F = 1 there and that sum stays below 2^F - 1
+    (_field_bits).
     """
     low = (1 << F) - 1
     mask = (1 << F * (width + 1)) - 1
-    hi = F * width  # the shift that exposes the top field
     ones = mask // low  # a 1 in every field
-    cs, ms = [], []
+    cs = []
     for steps, weight in zip(starts, left):
-        c, m = weight * ones, weight * (width + 1)
+        c = weight * ones
         for v in steps:
             if v > 0:
-                c, m = (c << F) & mask, m - (c >> hi)
+                c = (c << F) & mask
             elif v < 0:
-                c, m = c >> F, m - (c & low)
+                c >>= F
         cs.append(c)
-        ms.append(m)
     out = {}
     last = max(emit)
     for t in range(last + 1):
         if t in emit:
-            out[emit[t]] = sum(m * r for m, r in zip(ms, right))
+            out[emit[t]] = sum(c * r for c, r in zip(cs, right)) % low
             if t == last:
                 break
-        nc, nm = [], []
+        nc = []
         for groups in moves:
             c_to = None
             for v, srcs in groups:
-                c, m = cs[srcs[0]], ms[srcs[0]]
+                c = cs[srcs[0]]
                 for i in srcs[1:]:
                     c += cs[i]
-                    m += ms[i]
                 if v > 0:
-                    c, m = (c << F) & mask, m - (c >> hi)
+                    c = (c << F) & mask
                 elif v < 0:
-                    c, m = c >> F, m - (c & low)
-                if c_to is None:
-                    c_to, m_to = c, m
-                else:
-                    c_to += c
-                    m_to += m
+                    c >>= F
+                c_to = c if c_to is None else c_to + c
             nc.append(c_to)
-            nm.append(m_to)
-        cs, ms = nc, nm
+        cs = nc
     return out
 
 

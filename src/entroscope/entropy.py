@@ -8,12 +8,15 @@ name and report label: the report's ratios divide certified count
 brackets by the scale on a ladder of n, and its estimate is the largest
 grid t whose ratio at n_max still exceeds a threshold.
 
-Two scale families come from range profiles of a cocycle walk:
-    range-exp    a_n(t) = sum over w in L_{n,s} of exp(t * q_n(w))
-    range-inner  c_n(t) = sum over w in L_{n,s} of r_n(w)^t
-both grouped by profile class of a counting plan's words (sharing its
-memo with the count brackets), evaluated in the log domain against
-overflow, with exact big-rational modes for regression tests.
+Every scale is a sum, per n, over terms (q, r, count) whose exact
+value is sum count * b^q * r^k (eval_exact, b rational, k an integer);
+log_eval reads t as log b, or as k on the polynomial scales:
+    exp          e^{n t}                                one term (n, 1, 1)
+    poly         n^t                                    one term (0, n, 1)
+    range-exp    sum over w in L_{n,s} of e^{t q_n(w)}  profile_counts
+    range-inner  sum over w in L_{n,s} of r_n(w)^t      range_distribution
+The range terms are a counting plan's class counts (sharing its memo
+with the count brackets); range-inner keeps them grouped by r.
 
 The Birkhoff sup |tau^n| / n, whose decay witnesses zero entropy of the
 skew product, closes the module.  The sequence-entropy toolkit lives in
@@ -30,7 +33,7 @@ from .cocycle import (_check_steps, ergodic_sums, profile_counts,
 from .fiber import spa_bracket
 from .sequence import hamming_ball_count, k_estimate  # noqa: F401
 from .skew import SkewSystem, capacity_A, request_histograms
-from .util import log_big, log_sum_exp
+from .util import as_int, log_big, log_sum_exp
 
 
 # ---------------------------------------------------------------------------
@@ -38,84 +41,70 @@ from .util import log_big, log_sum_exp
 
 
 class ExpScale:
-    """a_n(t) = e^{n t}."""
+    """a_n(t) = e^{n t}, the one term (n, 1, 1), and the term sum of every
+    scale: log_eval sums in the log domain against overflow and takes
+    the log of each count once per n."""
 
-    def log_eval(self, n, t):
-        return n * float(t)
+    poly = False  # t scans b = e^t; True on the scales where it scans k
 
-    def eval_exact(self, n, base):
-        """Exact value with base = e^t given as a rational."""
-        return Fraction(base) ** n
-
-
-class PolyScale:
-    """a_n(t) = n^t."""
-
-    def log_eval(self, n, t):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return float(t) * math.log(n)
-
-    def eval_exact(self, n, t):
-        t = int(t)
-        if t < 0:
-            raise ValueError("exact polynomial mode needs integer t >= 0")
-        return Fraction(n) ** t
-
-
-class RangeExpScale:
-    """a_n(t) = sum over a plan's words of e^{t q_n(w)}, by profile class."""
-
-    def __init__(self, plan):
+    def __init__(self, plan=None):
         self.plan = plan
-        self._cache = {}
-        self._logs = {}  # {n: [(log count, q)]}, read by every grid t
+        self._logs = {}  # {n: [(log count, q or log r)]}, read by every t
 
-    def _counts(self, n):
-        got = self._cache.get(n)
-        if got is None:
-            counts = profile_counts(self.plan, n)
-            got = sorted((q, cnt) for (_r, q), cnt in counts.items())
-            self._cache[n] = got
-        return got
+    def terms(self, n):
+        return [(n, 1, 1)]
 
     def log_eval(self, n, t):
         t = float(t)
         logs = self._logs.get(n)
         if logs is None:
-            logs = self._logs[n] = [(log_big(cnt), q)
-                                    for q, cnt in self._counts(n)]
-        return log_sum_exp([lc + t * q for lc, q in logs])
+            logs = self._logs[n] = [
+                (log_big(cnt), math.log(r) if self.poly else q)
+                for q, r, cnt in self.terms(n)]
+        return log_sum_exp([lc + t * x for lc, x in logs])
 
-    def eval_exact(self, n, base):
-        """Exact sum with base = e^t rational, e.g. base 2 for t = ln 2."""
-        b = Fraction(base)
-        return sum(cnt * b ** q for q, cnt in self._counts(n))
+    def eval_exact(self, n, *, b=1, k=0):
+        """Exact sum with b = e^t rational (b = 2 for t = ln 2) and k an
+        integer >= 0."""
+        b, k = Fraction(b), as_int(k)
+        if k < 0:
+            raise ValueError("exact mode needs integer k >= 0")
+        return sum(cnt * b ** q * r ** k for q, r, cnt in self.terms(n))
 
 
-class RangeInnerScale:
+class PolyScale(ExpScale):
+    """a_n(t) = n^t, the one term (0, n, 1)."""
+
+    poly = True
+    # a binding of its own: perfbench/tracer.py wraps each scale's
+    # cls.__dict__["log_eval"], so an inherited one would not be found
+    log_eval = ExpScale.log_eval
+
+    def terms(self, n):
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        return [(0, n, 1)]
+
+
+class RangeExpScale(ExpScale):
+    """a_n(t) = sum over a plan's words of e^{t q_n(w)}, by profile class."""
+
+    log_eval = ExpScale.log_eval  # the tracer's own binding, as PolyScale
+
+    def terms(self, n):
+        return [(q, r, cnt)
+                for (r, q), cnt in profile_counts(self.plan, n).items()]
+
+
+class RangeInnerScale(ExpScale):
     """c_n(t) = sum over a plan's words of r_n(w)^t, grouped by range."""
 
-    _poly = PolyScale()  # r^t
+    poly = True
+    log_eval = ExpScale.log_eval  # the tracer's own binding, as PolyScale
 
-    def __init__(self, plan):
-        self.plan = plan
-        self._cache = {}
-
-    def _counts(self, n):
-        got = self._cache.get(n)
-        if got is None:
-            got = sorted(range_distribution(self.plan, n).items())
-            self._cache[n] = got
-        return got
-
-    def log_eval(self, n, t):
-        return log_sum_exp([log_big(cnt) + self._poly.log_eval(r, t)
-                            for r, cnt in self._counts(n)])
-
-    def eval_exact(self, n, t):
-        return sum(cnt * self._poly.eval_exact(r, t)
-                   for r, cnt in self._counts(n))
+    def terms(self, n):
+        return [(0, r, cnt)
+                for r, cnt in range_distribution(self.plan, n).items()]
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +155,16 @@ def slow_entropy_report(target, scale, epsilon, n_max, t_grid,
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     ladder = tuple(sorted({max(2, n_max >> k) for k in range(4)}))
-    ns = sorted(set(ladder) | {n_max})
     if isinstance(target, SkewSystem):
         # one request for every n: the brackets, and a range scale on
         # the same plan, read the histograms back from the memo
-        request_histograms(target, ns, ())
+        request_histograms(target, ladder, ())
     # one count bracket per n serves the whole grid; only the scale
     # varies with t
-    brackets = {n: count_bracket(target, n, epsilon) for n in ns}
+    brackets = {n: count_bracket(target, n, epsilon) for n in ladder}
     rows = []
     for t in grid:
-        for n in ns:
+        for n in ladder:
             log_scale = scale.log_eval(n, t)
             rlo, rhi = (math.exp(log_big(c) - log_scale) if c > 0 else 0.0
                         for c in brackets[n])

@@ -501,6 +501,18 @@ def test_images_match_strips_at_long_windows():
             cocycle._walk_pass(SIGNS, vals, ns, pad), pad
 
 
+def test_strips_at_the_largest_counts():
+    # every step 0 on three letters: every (word, start) pair stays inside
+    # the strip, so the right-weighted sum of the fields is as large as
+    # _field_bits allows for
+    base = FullShift(3)
+    vals = {a: 0 for a in base.labels}
+    ns = list(range(1, 41))
+    for pad in range(4):
+        assert cocycle._walk_pass(base, vals, ns, pad) == {
+            n: {1: 3 ** (n + 2 * pad)} for n in ns}, pad
+
+
 @pytest.mark.parametrize("base, steps", [
     # asymmetric steps on a full shift: +1, +1, -1
     (FullShift(3), (1, 1, -1)),

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from entroscope.cocycle import Cocycle, counting_plan, ergodic_sums
+from entroscope.cocycle import (Cocycle, counting_plan, ergodic_sums,
+                                profile_counts, range_distribution)
 from entroscope.entropy import (ExpScale, PolyScale, RangeExpScale,
                                 RangeInnerScale, birkhoff_sup, count_bracket,
                                 h_top_estimate, slow_entropy_report)
@@ -21,7 +22,8 @@ from entroscope.sequence import (Arithmetic, Explicit, Geometric,
                                  sa_size)
 from entroscope.skew import SkewSystem
 from entroscope.symbolic import SFT, FullShift, Sturmian
-from entroscope.util import CapExceeded, ConfigError, SturmianHorizonError
+from entroscope.util import (CapExceeded, ConfigError, SturmianHorizonError,
+                             log_big, log_sum_exp)
 
 SIGN = Cocycle({(-1,): -1, (1,): 1})
 SIGNS = FullShift((-1, 1))
@@ -33,29 +35,83 @@ LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 # -- scales -------------------------------------------------------------------
 
 def test_exp_and_poly_scales():
-    assert ExpScale().eval_exact(5, 2) == 32
+    assert ExpScale().eval_exact(5, b=2) == 32
     assert math.isclose(ExpScale().log_eval(7, 0.5), 3.5)
-    assert PolyScale().eval_exact(5, 2) == 25
+    assert PolyScale().eval_exact(5, k=2) == 25
     assert math.isclose(PolyScale().log_eval(8, 3), 3 * math.log(8))
     with pytest.raises(ValueError):
         PolyScale().log_eval(0, 1)
     with pytest.raises(ValueError):
-        PolyScale().eval_exact(5, -1)
+        PolyScale().eval_exact(5, k=-1)
 
 
 def test_range_scales_exact_anchors():
     # 2^3 sign words: ranges r (and q = r) are 2,2,3,2,4,2,3,2 over words
     plan = counting_plan(SIGNS, SIGN)
-    assert RangeExpScale(plan).eval_exact(3, 2) == 48
-    assert RangeInnerScale(plan).eval_exact(3, 2) == 52
+    assert RangeExpScale(plan).eval_exact(3, b=2) == 48
+    assert RangeInnerScale(plan).eval_exact(3, k=2) == 52
 
 
 def test_range_scale_log_matches_exact():
     scale = RangeExpScale(counting_plan(SIGNS, SIGN))
     for n in (2, 5, 9):
-        exact = scale.eval_exact(n, 2)
+        exact = scale.eval_exact(n, b=2)
         assert math.isclose(scale.log_eval(n, LOG2), math.log(exact),
                             rel_tol=1e-12)
+
+
+def _scale_plans():
+    # a counted plan (tt-inverse, where q = r) and a rule of bound 2 on a
+    # full 3-shift, where q != r
+    p = get_preset("tt-inverse")
+    jumps = Cocycle({(0,): -2, (1,): 2, (2,): 1})
+    return [counting_plan(p["base"], p["tau"]),
+            counting_plan(FullShift(3), jumps)]
+
+
+SCALES = (ExpScale, PolyScale, RangeExpScale, RangeInnerScale)
+
+
+@pytest.mark.parametrize("plan", _scale_plans(), ids=["tt-inverse", "bound-2"])
+def test_scale_logs_match_exact_values(plan):
+    for cls in SCALES:
+        scale = cls(plan)
+        for n in (2, 5, 8):
+            if scale.poly:
+                exact, t = scale.eval_exact(n, k=2), 2
+            else:
+                exact, t = scale.eval_exact(n, b=2), LOG2
+            assert math.isclose(scale.log_eval(n, t), math.log(exact),
+                                rel_tol=1e-12), (cls, n)
+
+
+def test_bound_2_rule_splits_q_from_r():
+    plan = _scale_plans()[1]
+    assert plan.tau.bound == 2
+    assert any(q != r for r, q in profile_counts(plan, 5))
+
+
+@pytest.mark.parametrize("plan", _scale_plans(), ids=["tt-inverse", "bound-2"])
+def test_range_inner_log_sums_by_range(plan):
+    scale = RangeInnerScale(plan)
+    for n in (3, 7, 12):
+        for t in (0.5, 1.0, 2.0):
+            terms = [log_big(cnt) + t * math.log(r)
+                     for r, cnt in range_distribution(plan, n).items()]
+            assert scale.log_eval(n, t) == log_sum_exp(terms), (n, t)
+
+
+def test_eval_exact_takes_integral_keywords():
+    plan = _scale_plans()[0]
+    for cls in SCALES:
+        scale = cls(plan)
+        assert scale.eval_exact(4, k=2.0) == scale.eval_exact(4, k=2)
+        for k in (2.5, -1):
+            with pytest.raises(ValueError):
+                scale.eval_exact(4, k=k)
+        for args in ((2,), (2, 1)):
+            with pytest.raises(TypeError):
+                scale.eval_exact(4, *args)
 
 
 # -- count brackets and ratio curves ------------------------------------------
