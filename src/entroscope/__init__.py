@@ -31,6 +31,7 @@ _EXPORTS = {
                 "SlowEntropyReport", "birkhoff_sup", "count_bracket",
                 "h_top_estimate", "slow_entropy_report"),
     "exactnum": ("GOLDEN_MEAN_ALPHA", "QuadExact", "frac_exact"),
+    "handlers": (),
     "fiber": ("IdentityFiber", "RotationFiber", "SymbolicFiber",
               "ToralAutoFiber", "bowen_distance", "bowen_le",
               "circle_sep_exact", "fiber_from_json", "fiber_to_json",

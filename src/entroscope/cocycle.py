@@ -24,16 +24,17 @@ classes, each word's visited set translated to start at 0 (range(r)
 where the plan has interval steps), optionally over the middle window
 of longer words (pad), and keeps them in the plan's memo; the skew
 counts read them and plan_histograms, profile_counts and
-unbounded_evidence project them.  Where the plan has interval steps it
-counts walks inside strips instead of enumerating words: for each width
-w, T_n(w) counts the walks that stay inside [0, w] from each start, and
-the range histogram is a second difference of those counts in w
-(_ranges_from_strips).  On a full shift with as many -1 letters as +1
+unbounded_evidence project them.  Where the plan has interval steps on
+an SFT it counts walks inside strips instead of enumerating words: for
+each width w, T_n(w) counts the walks that stay inside [0, w] from each
+start, and the range histogram is a second difference of those counts
+in w (_ranges_from_strips).  On a full shift with as many -1 letters as +1
 letters the plan says "images": T_n(w) comes in closed form from one
 row of step counts by the method of images (_images_pass).  On any
 other SFT it says "strips": each graph node's positions are packed as
 fields of one exact Python integer, and one pass per width serves every
-requested n (_walk_pass), the runtime oracle of the images.
+requested n (_walk_pass), the runtime oracle of the images.  On a
+Sturmian factor it says "prefixes" (Sturmian.range_histograms).
 walk_range_distribution, a dynamic program over (graph node,
 cur - min, max - cur) on dicts of Python integers, one integer per node
 and cur - min whose fields count the walks by max - cur, is the
@@ -216,15 +217,16 @@ def counting_plan(spec, tau, word_cap=DEFAULT_WORD_CAP):
     V up to translation), else None.  histograms names the engine of the
     range histograms: for such steps, "images" (_images_pass) on a full
     shift (an SFT with no forbidden words) whose letters step -1 as
-    often as +1, the symmetric walk the method of images counts, else
-    "strips" (_walk_pass) on a full shift or SFT factor; "enumeration"
-    (visited_sets) otherwise.  sup is how birkhoff_sup takes its max:
-    "cell walk" on a Sturmian factor, "graph pass" for a radius-0 rule
-    on a full shift or SFT, else "enumeration" (a loop over the words).
-    word_cap is the budget of the words that its counts enumerate (see
-    plan_classes) and that its oracle enumerates (enumeration_plan).
-    memo is {pad: {n: {class: count}}}, the factor's classes
-    (plan_classes).
+    often as +1, the symmetric walk the method of images counts,
+    "strips" (_walk_pass) on any other full shift or SFT factor, and
+    "prefixes" (Sturmian.range_histograms) on a Sturmian factor with a
+    step for each letter; "enumeration" (visited_sets) otherwise.  sup
+    is how birkhoff_sup takes its max: "cell walk" on a Sturmian factor,
+    "graph pass" for a radius-0 rule on a full shift or SFT, else
+    "enumeration" (a loop over the words).  word_cap is the budget of
+    the words that its counts enumerate (see plan_classes) and that its
+    oracle enumerates (enumeration_plan).  memo is {pad: {n: {class:
+    count}}}, the factor's classes (plan_classes).
     """
     if not isinstance(tau, Cocycle):
         raise TypeError("tau must be a Cocycle")
@@ -233,7 +235,8 @@ def counting_plan(spec, tau, word_cap=DEFAULT_WORD_CAP):
     if steps and any(abs(v) > 1 for v in steps.values()):
         steps = None
     graph = isinstance(factor, SFT)
-    sup = ("cell walk" if isinstance(factor, Sturmian) else
+    sturmian = isinstance(factor, Sturmian)
+    sup = ("cell walk" if sturmian else
            "graph pass" if graph and rule.radius == 0 else "enumeration")
     histograms = "enumeration"
     if graph and steps:
@@ -241,6 +244,8 @@ def counting_plan(spec, tau, word_cap=DEFAULT_WORD_CAP):
         symmetric = None not in moves and moves[1] == moves[-1]
         histograms = ("images" if symmetric and not factor.forbidden
                       else "strips")
+    elif sturmian and steps and set(factor.labels) <= set(steps):
+        histograms = "prefixes"
     return CountingPlan(spec, tau, factor, rule, dropped, steps, histograms,
                         sup, word_cap, {})
 
@@ -361,9 +366,10 @@ def plan_classes(plan, ns, pad=0):
     rho(eps) = p ranges over.  The factor's classes fill the plan's memo
     once: where the plan says "images" or "strips", the requested n with
     n + pad beyond the graph's memory K come from one call of that
-    engine (_images_pass or _walk_pass); shorter windows, and every n
-    where it says "enumeration", are enumerated word by word, within the
-    plan's word cap only where no engine counts.  Each call returns
+    engine (_images_pass or _walk_pass), and where it says "prefixes",
+    those in reach of its word cap and horizon from one call of
+    Sturmian.range_histograms; every other n is enumerated word by word,
+    within the plan's word cap except on a graph.  Each call returns
     fresh dicts: the factor's counts times the dropped factors' words.
     """
     ns = sorted(set(int(n) for n in ns))
@@ -374,13 +380,17 @@ def plan_classes(plan, ns, pad=0):
     spec, tau = plan.factor, plan.rule
     memo = plan.memo.setdefault(pad, {})
     todo = [n for n in ns if n not in memo]
-    counted = plan.histograms != "enumeration"
+    graph = plan.histograms in ("images", "strips")
+    if plan.histograms == "prefixes":
+        for n, hist in spec.range_histograms(plan.steps, todo, pad,
+                                             plan.word_cap).items():
+            memo[n] = _ranges(hist)
     # the strips start past the graph's memory K
-    passed = [n for n in todo if counted and n + pad > spec.context]
+    passed = [n for n in todo if graph and n + pad > spec.context]
     for n in todo:
-        if n not in passed:
+        if n not in passed and n not in memo:
             sets = visited_sets(spec, tau, n, pad=pad,
-                                word_cap=None if counted else plan.word_cap)
+                                word_cap=None if graph else plan.word_cap)
             memo[n] = (translated(sets) if plan.steps is None
                        else _ranges(_histogram(sets)))
     if passed:

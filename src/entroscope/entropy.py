@@ -142,7 +142,9 @@ def slow_entropy_report(target, scale, epsilon, n_max, t_grid,
     resolution and the grid minimum is reported with the corresponding
     empty flag set.  When the grid maximum still clears it, the crossing
     lies at or above the top of the grid: the maximum is reported with
-    the saturated flag set.  The threshold must be finite and positive.
+    the saturated flag set.  The threshold must be finite and positive,
+    and an empty language (a count of 0 at some n) is refused, as no
+    scale compares with it.
     """
     grid = sorted(float(t) for t in t_grid)
     if not grid:
@@ -162,6 +164,9 @@ def slow_entropy_report(target, scale, epsilon, n_max, t_grid,
     # one count bracket per n serves the whole grid; only the scale
     # varies with t
     brackets = {n: count_bracket(target, n, epsilon) for n in ladder}
+    for n in ladder:
+        if brackets[n][1] == 0:  # no word carries a fiber point
+            raise ValueError("empty language at n=%d" % n)
     rows = []
     for t in grid:
         for n in ladder:

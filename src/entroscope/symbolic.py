@@ -21,6 +21,7 @@ rho(eps) = min{k >= 0 : 2^-k <= eps}.
 import bisect
 import itertools
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 
@@ -244,7 +245,7 @@ class Sturmian:
         self._q, self._d, (self._alpha_c, self._intercept_c) = \
             integer_coords((alpha, intercept))
         self.labels = (-1, 1)
-        self._words, self._firsts = ((),), None  # see words and count
+        self._words, self._lcps = ((),), (-1,)  # see _keep
 
     def __repr__(self):
         return "Sturmian(%r, %r)" % (self.alpha, self.intercept)
@@ -367,39 +368,84 @@ class Sturmian:
                 j, y_A, y_B = step(j, y_A, y_B)
                 left -= 1
 
-    def words(self, length, word_cap=DEFAULT_WORD_CAP):
-        """Every word of the orbit closure: the distinct words of cells.
+    def _keep(self, length):
+        """(words, lcps) of the kept walk, grown to at least length letters.
 
-        Sampling every cell witnesses the whole closure.  The sorted words
-        of the longest window walked are kept; a shorter window's are their
-        distinct prefixes, as words extend to the right.  A longer window
+        words are the sorted distinct words of the cells of the longest
+        window walked (sampling every cell witnesses the whole closure),
+        and lcps[i] is the length of the common prefix of words i - 1 and
+        i, -1 for the first: word i opens a new m-letter prefix exactly
+        when lcps[i] < m, as words extend to the right.  A longer window
         walks to twice the kept length, short of the horizon, so lengths
-        asked in ascending order take O(log L) walks; only a cap below
-        2 x length (the most cuts a window has), which the cells check,
-        keeps the walk at length.
+        asked in ascending order take O(log L) walks.
         """
+        kept = len(self._words[0])
+        if length > kept:
+            q = self.horizon() or math.inf
+            walk = max(length, min(2 * kept, q - 1))
+            words = sorted({tuple(cur) for cur, _ in self.cells(walk, None)})
+            self._words = tuple(words)
+            self._lcps = (-1,) + tuple(
+                next(itertools.compress(itertools.count(),
+                                        map(operator.ne, u, v)))
+                for u, v in zip(words, words[1:]))
+        return self._words, self._lcps
+
+    def words(self, length, word_cap=DEFAULT_WORD_CAP):
+        """Every word of the orbit closure: the kept walk's distinct
+        prefixes (_keep).  Only a cap below 2 x length (the most cuts a
+        window has), which the cells check, walks the window itself."""
         if length < 1:
             raise ValueError("length must be >= 1")
-        kept, walk = len(self._words[0]), length
-        if word_cap is None or word_cap >= 2 * length:  # the cap cannot bind
-            if length <= kept:
-                return sorted({u[:length] for u in self._words})
-            q = self.horizon() or math.inf
-            walk, word_cap = max(length, min(2 * kept, q - 1)), None
-        out = sorted({tuple(cur) for cur, _ in self.cells(walk, word_cap)})
-        if walk > kept:
-            self._words, self._firsts = tuple(out), None
-        return out if walk == length else sorted({u[:length] for u in out})
+        if word_cap is not None and word_cap < 2 * length:
+            return sorted({tuple(cur) for cur, _ in self.cells(length,
+                                                               word_cap)})
+        words, lcps = self._keep(length)
+        return [u[:length] for u, lcp in zip(words, lcps) if lcp < length]
 
     def count(self, length):
-        """p(length): kept words that differ from the one before below it."""
-        if length > len(self._words[0]):
-            self.words(length, word_cap=None)
-        if self._firsts is None:
-            self._firsts = sorted([-1] + [
-                next(i for i, (a, b) in enumerate(zip(u, v)) if a != b)
-                for u, v in zip(self._words, self._words[1:])])
-        return bisect.bisect_left(self._firsts, length)
+        """p(length): the kept words that open a new prefix (_keep)."""
+        return sum(lcp < length for lcp in self._keep(length)[1])
+
+    def range_histograms(self, steps, ns, pad=0, word_cap=None):
+        """{n: {r: count}} over L_{n+2pad} for each n in ns within reach.
+
+        steps maps each letter to -1, 0 or 1, so the sums S_0 .. S_{n-1}
+        along a word's middle n-window (S_j the sum of its first j steps)
+        visit the interval of r = max - min + 1 integers.  n is in reach
+        where words(n + 2 pad, word_cap) reads the kept walk: short of the
+        horizon, and with no cap or one of at least 2 (n + 2 pad).  One
+        pass over the kept words serves every n: a word opens a new
+        (n + 2 pad)-window exactly when its LCP is shorter (_keep), and
+        up to its LCP its sums are those of the word before, and so are
+        the max and min of S_0 .. S_{n-1} for each n they cover; only the
+        rest are summed, and maxed segment by segment between the n.
+        """
+        q = self.horizon() or math.inf
+        ns = sorted({n for n in ns if n + 2 * pad < q and (
+            word_cap is None or word_cap >= 2 * (n + 2 * pad))})
+        hists = [{} for _ in ns]
+        if ns:
+            top, ends = ns[-1], [0] + ns
+            S, his, los = [0] * top, [0] * len(ends), [0] * len(ends)
+            step = steps.__getitem__
+            for w, lcp in zip(*self._keep(top + 2 * pad)):
+                if lcp >= top + 2 * pad:  # no new window
+                    continue
+                # S_0 .. S_j are the word before's
+                j = min(top - 1, max(0, lcp - pad))
+                S[j:] = itertools.accumulate(
+                    map(step, w[pad + j:pad + top - 1]), initial=S[j])
+                # his[k + 1], los[k + 1]: max and min of S up to ns[k] - 1
+                for k in range(bisect.bisect_right(ns, j + 1), len(ns)):
+                    seg = S[ends[k]:ends[k + 1]]
+                    his[k + 1] = max(his[k], max(seg))
+                    los[k + 1] = min(los[k], min(seg))
+                for k in range(bisect.bisect_right(ns, lcp - 2 * pad),
+                               len(ns)):
+                    hist, r = hists[k], his[k + 1] - los[k + 1] + 1
+                    hist[r] = hist.get(r, 0) + 1
+        return dict(zip(ns, hists))
 
 
 def _rotation_code(x, alpha, intercept, q, d, positions):

@@ -265,7 +265,7 @@ def test_product_sandwich_keeps_its_rising_constant(tmp_path, capsys):
 
 def test_summary_names_the_counted_base(tmp_path, capsys):
     for preset, histograms in (("tt-inverse", "images"),
-                               ("sturmian-product", "enumeration")):
+                               ("sturmian-product", "prefixes")):
         out_dir = tmp_path / preset
         assert main(["sep", "--preset", preset, "--n-range", "2:3",
                      "--out", str(out_dir)]) == 0
@@ -321,8 +321,8 @@ PLAN_SYSTEMS = {
 # no exact sep), then birkhoff's sup
 COUNTED_ON = {
     "tt-inverse": ("images", "images", "images", "graph pass"),
-    "sturmian-walk": ("enumeration",) * 3 + ("cell walk",),
-    "sturmian-product": ("enumeration",) * 3 + ("cell walk",),
+    "sturmian-walk": ("prefixes",) * 3 + ("cell walk",),
+    "sturmian-product": ("prefixes",) * 3 + ("cell walk",),
     "identity-fiber-smoke": ("images", "images", "images", "graph pass"),
     "radius-1": ("enumeration",) * 4,
     "step-2": ("enumeration",) * 3 + ("graph pass",),
@@ -356,6 +356,7 @@ def _engines_that_run(monkeypatch):
     wrap(cocycle, "_walk_pass", "strips")
     wrap(cocycle, "visited_sets", "enumeration")
     wrap(entropy, "_graph_sum_max", "graph pass")
+    wrap(symbolic.Sturmian, "range_histograms", "prefixes")
     wrap(symbolic.Sturmian, "cells", "cell walk")
     return ran
 
@@ -807,6 +808,64 @@ def test_images_self_check_mismatch_exits_4(monkeypatch, capsys, name,
     assert main(["cocycle-stats", "--preset", "tt-inverse"]) == 4
     err = capsys.readouterr().err
     assert "internal inconsistency" in err and oracle in err
+
+
+@pytest.mark.parametrize("hit, oracle", [
+    (lambda n: n == 6, "brute"),
+    # past n = 6 only the visited sets of the factor's words can see it
+    (lambda n: n > 6, "enumeration"),
+])
+@pytest.mark.parametrize("preset", ["sturmian-walk", "sturmian-product"])
+def test_prefixes_self_check_mismatch_exits_4(monkeypatch, capsys, preset,
+                                              hit, oracle):
+    from entroscope import symbolic
+    real = symbolic.Sturmian.range_histograms
+
+    def crooked(self, *args):
+        out = real(self, *args)
+        for n, hist in out.items():
+            if hit(n):
+                hist[1] = hist.get(1, 0) + 1
+        return out
+
+    assert main(["cocycle-stats", "--preset", preset]) == 0
+    assert ("CHECK self-check: PASS (distribution@n=6,31)"
+            in capsys.readouterr().out)
+    monkeypatch.setattr(symbolic.Sturmian, "range_histograms", crooked)
+    assert main(["cocycle-stats", "--preset", preset]) == 4
+    err = capsys.readouterr().err
+    assert "internal inconsistency" in err and oracle in err
+
+
+def test_distribution_self_check_skipped_past_the_cap(capsys):
+    # 62 cuts at n = 31, past the cap; the command's own windows of at
+    # most 6 letters have at most 12
+    assert main(["cocycle-stats", "--preset", "sturmian-walk",
+                 "--cap-words", "40"]) == 0
+    assert ("CHECK self-check: OBSERVED (distribution@n=6,31 skipped (word "
+            "count 62 exceeds cap 40))") in capsys.readouterr().out
+    # the images list no words, but the brute force at n = 6 does
+    assert main(["cocycle-stats", "--preset", "tt-inverse",
+                 "--cap-words", "4"]) == 0
+    assert ("CHECK self-check: OBSERVED (distribution@n=6,31 skipped (word "
+            "count 64 exceeds cap 4))") in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scale", ["exp", "poly", "range-exp",
+                                   "range-inner"])
+def test_slow_entropy_refuses_an_empty_language(tmp_path, capsys, scale):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "command": "slow-entropy",
+        "system": {"base": {"variant": "sft", "alphabet": [0, 1],
+                            "forbidden": ["0", "1"]},
+                   "tau": {"radius": 0, "rule": {"0": -1, "1": 1}},
+                   "fiber": SYMBOLIC_BITS},
+        "parameters": {"epsilon": "1/4", "n_max": 8, "t_grid": [0.5, 1.0],
+                       "scale": scale}}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert ("config error: empty language at n=2"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv", [

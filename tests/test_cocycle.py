@@ -17,7 +17,7 @@ from entroscope.entropy import birkhoff_sup
 from entroscope.sequence import c_m, cover_size
 from entroscope.symbolic import SFT, FullShift, Product, Sturmian
 from entroscope.exactnum import GOLDEN_MEAN_ALPHA
-from entroscope.util import ConfigError
+from entroscope.util import CapExceeded, ConfigError, SturmianHorizonError
 
 SIGN = Cocycle({(-1,): -1, (1,): 1})
 SIGNS = FullShift((-1, 1))
@@ -464,6 +464,111 @@ def test_padded_engine_slices_enumerated_bases():
             for n in (4, 7):
                 assert got[n] == sliced_histogram(plan.spec, SIGN, n, pad), \
                     (plan.histograms, pad, n)
+
+
+# -- Sturmian codings: one pass over the kept walk's prefixes -------------------
+
+GOLDEN_FRAC = GOLDEN_MEAN_ALPHA.frac()
+# the intercepts 1/2, 1/3 and 7/11, the default 1 - alpha, and 2 alpha mod 1
+INTERCEPTS = [Fraction(1, 2), Fraction(1, 3), Fraction(7, 11), None,
+              (2 * GOLDEN_FRAC).frac()]
+# the sign walk and the lazy walk that only climbs
+WALK_STEPS = [{(-1,): -1, (1,): 1}, {(-1,): 0, (1,): 1}]
+
+
+def _prefix_and_enumerated(alpha, intercept, rule, ns, pad):
+    """plan_histograms of a fresh Sturmian's plan and of its oracle over
+    another fresh instance, so the two read walks of their own."""
+    tau = Cocycle(rule)
+    plan = counting_plan(Sturmian(alpha, intercept), tau)
+    assert plan.histograms == "prefixes"
+    oracle = enumeration_plan(Sturmian(alpha, intercept), tau)
+    return (plan_histograms(plan, ns, pad),
+            plan_histograms(oracle, ns, pad))
+
+
+@pytest.mark.parametrize("rule", WALK_STEPS)
+@pytest.mark.parametrize("intercept", INTERCEPTS)
+def test_prefixes_match_enumeration(intercept, rule):
+    for pad in range(4):
+        got, want = _prefix_and_enumerated(GOLDEN_MEAN_ALPHA, intercept,
+                                           rule, range(1, 61), pad)
+        assert got == want, pad
+
+
+@pytest.mark.parametrize("rule", WALK_STEPS)
+@pytest.mark.parametrize("intercept", INTERCEPTS)
+def test_prefixes_match_enumeration_on_a_ladder(intercept, rule):
+    for pad in (0, 3):
+        got, want = _prefix_and_enumerated(GOLDEN_MEAN_ALPHA, intercept,
+                                           rule, [50, 100, 200, 400], pad)
+        assert got == want, pad
+
+
+def test_prefixes_stop_at_the_rational_horizon():
+    # 89/233: windows of n + 2 pad letters up to 232 are counted, and the
+    # first window that reaches the period raises as the enumeration does
+    alpha = Fraction(89, 233)
+    for pad in range(4):
+        ns = list(range(1, 41)) + [100, 150, 200, 232 - 2 * pad]
+        got, want = _prefix_and_enumerated(alpha, None, WALK_STEPS[0], ns,
+                                           pad)
+        assert got == want, pad
+        errors = []
+        for make in (counting_plan, enumeration_plan):
+            with pytest.raises(SturmianHorizonError) as info:
+                plan_histograms(make(Sturmian(alpha), SIGN), [3, 233], pad)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+
+def test_prefixes_serve_a_product_through_its_read_factor():
+    walk = Sturmian(GOLDEN_MEAN_ALPHA, Fraction(1, 2))
+    tau = Cocycle({((a, b),): a for a in (-1, 1) for b in (-1, 1)})
+    plan = counting_plan(Product(walk, SIGNS), tau)
+    assert plan.histograms == "prefixes" and plan.factor is walk
+    oracle = enumeration_plan(Product(Sturmian(GOLDEN_MEAN_ALPHA,
+                                               Fraction(1, 2)), SIGNS), tau)
+    for pad in range(3):
+        ns = list(range(1, 9 - 2 * pad))
+        assert plan_histograms(plan, ns, pad) == \
+            plan_histograms(oracle, ns, pad), pad
+
+
+def test_prefixes_leave_a_binding_cap_to_the_enumeration(monkeypatch):
+    # a cap below 2 (n + 2 pad) could bind, so those n are enumerated as
+    # before, and raise the enumeration's own error where it does: the
+    # default intercept has n + 1 cuts at length n
+    walk = Sturmian(GOLDEN_MEAN_ALPHA)
+    assert set(walk.range_histograms(SIGN.step_values(), range(1, 22), 1,
+                                     word_cap=20)) == set(range(1, 9))
+    enumerated = []
+    real = cocycle.visited_sets
+
+    def counted(spec, tau, n, word_cap=None, pad=0):
+        enumerated.append(n)
+        return real(spec, tau, n, word_cap=word_cap, pad=pad)
+
+    monkeypatch.setattr(cocycle, "visited_sets", counted)
+    ns = range(1, 18)
+    assert plan_histograms(counting_plan(walk, SIGN, 20), ns, 1) == \
+        plan_histograms(enumeration_plan(Sturmian(GOLDEN_MEAN_ALPHA), SIGN),
+                        ns, 1)
+    assert enumerated[:9] == list(range(9, 18))
+    errors = []
+    for make in (counting_plan, enumeration_plan):
+        with pytest.raises(CapExceeded) as info:
+            plan_histograms(make(walk, SIGN, 20), range(1, 22), 1)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] == "word count 21 exceeds cap 20"
+
+
+def test_a_rule_missing_a_letter_stays_enumerated():
+    # the enumeration names the undefined window, as before
+    plan = counting_plan(Sturmian(GOLDEN_MEAN_ALPHA), Cocycle({(1,): 1}))
+    assert plan.histograms == "enumeration"
+    with pytest.raises(ConfigError, match="undefined on window"):
+        plan_histograms(plan, [3])
 
 
 # -- the closed form on full shifts: the method of images ----------------------

@@ -11,7 +11,7 @@ import pytest
 import entroscope
 
 SYSTEM_STACK = ("symbolic", "cocycle", "fiber", "skew", "entropy", "presets",
-                "exactnum")
+                "exactnum", "handlers")
 
 # every name the package exports, by the module that defines it
 EXPORTS = {

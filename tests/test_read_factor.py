@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entroscope import cocycle
-from entroscope.cli import self_check_distribution
+from entroscope.handlers import self_check_distribution
 from entroscope.cocycle import (Cocycle, counting_plan, enumeration_plan,
                                 ergodic_sums, plan_histograms, profile_counts,
                                 read_factor, visited_sets)
@@ -234,7 +234,8 @@ def _pass_off_by_one(real):
 def test_self_check_runs_the_dp_of_a_product_over_an_sft(monkeypatch):
     golden = sft([(1, 1)])
     spec = Product(golden, BITS)
-    assert self_check_distribution(counting_plan(spec, SIGN_PAIRS)) == (6, 31)
+    assert self_check_distribution(counting_plan(spec, SIGN_PAIRS)) == [
+        "distribution@n=6,31"]
     # a fault in the strip pass shows against the raw product words
     monkeypatch.setattr(cocycle, "_walk_pass",
                         _pass_off_by_one(cocycle._walk_pass))
@@ -255,4 +256,4 @@ def test_letters_outside_the_factor_language_need_no_step():
         want = Counter(len(set(ergodic_sums(tau, w[pad:pad + 5])[:-1]))
                        for w in spec.words(5 + 2 * pad, word_cap=None))
         assert plan_histograms(plan, [5], pad)[5] == dict(want)
-    assert self_check_distribution(plan) == (6, 31)
+    assert self_check_distribution(plan) == ["distribution@n=6,31"]

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entroscope.cli import self_check_skew
+from entroscope.handlers import self_check_skew
 from entroscope.cocycle import Cocycle, counting_plan, enumeration_plan
 from entroscope.exactnum import GOLDEN_MEAN_ALPHA
 from entroscope.fiber import IdentityFiber, RotationFiber, SymbolicFiber
